@@ -36,7 +36,6 @@ int Run(int argc, char** argv) {
     uint64_t view_budget_bytes;  // 0 = unlimited store
     bool online = false;         // serve through the OnlineAdvisor
     const char* drift = "";      // request-mix drift (online rows)
-    bool fast_path = true;       // RewriteServing vs sequential oracle
   };
   // The third row reruns WK1 under a deliberately tight view-store
   // budget — about half the ~110 KB the unlimited WK1-scaled store
@@ -55,11 +54,6 @@ int Run(int argc, char** argv) {
   if (full_too) {
     rows.push_back({"WK1", true, 0});
     rows.push_back({"WK2", true, 0});
-    // Oracle contrast row: WK2 at full scale with the fast path off, so
-    // the JSON records the before/after of the serving fast path (the
-    // sequential per-view rewrite scan dominates p50 at 157.6k queries /
-    // full view counts; the indexed walk + rewrite cache removes it).
-    rows.push_back({"WK2", true, 0, false, "", false});
   }
 
   std::vector<LoadGenResult> results;
@@ -80,9 +74,6 @@ int Run(int argc, char** argv) {
       args.push_back("--max_requests=100");
       args.push_back("--advisor_epoch=25");
     }
-    if (!row.fast_path) {
-      args.push_back("--fast_path=false");
-    }
     Result<LoadGenConfig> config = ParseLoadGenArgs(args);
     if (!config.ok()) {
       std::fprintf(stderr, "bad flags: %s\n",
@@ -94,11 +85,10 @@ int Run(int argc, char** argv) {
     if (row.full && config.value().max_requests == 0) {
       config.value().max_requests = 25;
     }
-    std::fprintf(stderr, "[bench_throughput] %s %s%s%s%s ...\n", row.workload,
+    std::fprintf(stderr, "[bench_throughput] %s %s%s%s ...\n", row.workload,
                  row.full ? "full" : "scaled",
                  row.online ? " online" : "",
-                 row.online && row.drift[0] != '\0' ? " drift" : "",
-                 row.fast_path ? "" : " oracle");
+                 row.online && row.drift[0] != '\0' ? " drift" : "");
     Result<LoadGenResult> result = RunLoadGen(config.value());
     if (!result.ok()) {
       std::fprintf(stderr, "loadgen failed: %s\n",

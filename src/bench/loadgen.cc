@@ -93,8 +93,6 @@ Status ParseFlag(const std::string& arg, LoadGenConfig* config) {
   } else if (key == "advisor_epoch") {
     AV_RETURN_NOT_OK(parse_u64(&u));
     config->advisor_epoch = u;
-  } else if (key == "fast_path") {
-    config->fast_path = value.empty() || value == "true" || value == "1";
   } else if (key == "csv") {
     config->csv_file = value;
   } else if (key == "json") {
@@ -155,8 +153,6 @@ std::vector<std::string> ToArgs(const LoadGenConfig& config) {
   args.push_back("--drift=" + config.drift);
   args.push_back(StrFormat("--online=%s", config.online ? "true" : "false"));
   args.push_back(StrFormat("--advisor_epoch=%zu", config.advisor_epoch));
-  args.push_back(
-      StrFormat("--fast_path=%s", config.fast_path ? "true" : "false"));
   args.push_back("--csv=" + config.csv_file);
   args.push_back("--json=" + config.json_file);
   return args;
@@ -245,18 +241,15 @@ struct ClientTask {
   const GeneratedWorkload* workload = nullptr;
   const Rewriter* rewriter = nullptr;
   const Executor* executor = nullptr;
-  const std::vector<const MaterializedView*>* views = nullptr;
 
   /// Online mode: every request is ingested into the advisor (which may
-  /// re-select and hot-swap `store` right here), then served from a
-  /// freshly pinned snapshot so committed swaps become visible.
+  /// re-select and hot-swap `store` right here) before it is served.
   OnlineAdvisor* advisor = nullptr;
-  MaterializedViewStore* store = nullptr;
 
-  /// Serve via Rewriter::RewriteServing (view index + rewrite cache,
-  /// pin-by-id) instead of PinLive + the sequential per-view loop.
-  /// Requires `store` (set whenever the flag is on, batch or online).
-  bool fast_path = false;
+  /// Requests are served through Rewriter::RewriteServing against this
+  /// store (view index + rewrite cache, pinning only the substituted
+  /// views), so committed swaps become visible mid-run.
+  MaterializedViewStore* store = nullptr;
 
   std::vector<double> latencies;
   // Phase breakdown, index-aligned with `latencies` (one entry per
@@ -288,32 +281,15 @@ struct ClientTask {
       return;
     }
     const auto parsed = SteadyClock::now();
-    PlanNodePtr final_plan;
-    ViewSetSnapshot pin;
-    if (fast_path && store != nullptr) {
-      Result<ServingRewrite> serving =
-          rewriter->RewriteServing(plan.value(), store);
-      if (!serving.ok()) {
-        ++errors;
-        return;
-      }
-      final_plan = std::move(serving.value().plan);
-      pin = std::move(serving.value().pins);
-    } else {
-      const std::vector<const MaterializedView*>* view_set = views;
-      if (store != nullptr) {
-        pin = store->PinLive();
-        view_set = &pin.views();
-      }
-      size_t substitutions = 0;
-      Result<PlanNodePtr> rewritten =
-          rewriter->RewriteAll(plan.value(), *view_set, &substitutions);
-      if (!rewritten.ok()) {
-        ++errors;
-        return;
-      }
-      final_plan = std::move(rewritten).value();
+    // The pins in `serving` keep the substituted views alive until the
+    // plan has executed.
+    Result<ServingRewrite> serving =
+        rewriter->RewriteServing(plan.value(), store);
+    if (!serving.ok()) {
+      ++errors;
+      return;
     }
+    const PlanNodePtr& final_plan = serving.value().plan;
     const auto rewritten_at = SteadyClock::now();
     Result<CostReport> cost = executor->ExecuteForCost(*final_plan);
     if (!cost.ok()) {
@@ -403,7 +379,6 @@ Result<LoadGenResult> RunLoadGen(const LoadGenConfig& config) {
   result.view_budget_bytes = config.view_budget_bytes;
   result.drift = config.drift;
   result.online = config.online;
-  result.fast_path = config.fast_path;
   MaterializedViewStore store(workload.db.get(), store_options);
   std::unique_ptr<OnlineAdvisor> advisor;
   ViewSetSnapshot snapshot;
@@ -476,10 +451,10 @@ Result<LoadGenResult> RunLoadGen(const LoadGenConfig& config) {
       }
     }
 
-    // Serve from a pinned snapshot: pinned views cannot be physically
-    // dropped mid-request, and views the budget evicted simply are not
-    // in the set. (Online mode pins per request instead, so committed
-    // hot swaps become visible mid-run.)
+    // Pin the selected views for the whole run: pinned views cannot be
+    // physically dropped mid-request, and views the budget evicted
+    // simply are not in the set. (Online mode pins per request only, so
+    // committed hot swaps become visible mid-run.)
     snapshot = store.PinLive();
     result.num_selected = snapshot.views().size();
     result.store_views = store.size();
@@ -495,13 +470,8 @@ Result<LoadGenResult> RunLoadGen(const LoadGenConfig& config) {
     task.workload = &workload;
     task.rewriter = &rewriter;
     task.executor = &executor;
-    task.views = &snapshot.views();
     task.advisor = advisor.get();
-    // The fast path serves through the store (index + cache + pin-by-id)
-    // in batch mode too; the batch snapshot stays pinned regardless, so
-    // the selected views cannot be evicted mid-run either way.
-    task.store = (config.online || config.fast_path) ? &store : nullptr;
-    task.fast_path = config.fast_path;
+    task.store = &store;
   }
 
   ThreadPool& pool = DefaultPool();
@@ -618,7 +588,6 @@ std::string ResultJson(const LoadGenResult& r) {
       "\"rewrite_fallbacks\": %llu, \"failed_requests\": %zu, "
       "\"drift\": \"%s\", \"online\": %s, \"ingested\": %llu, "
       "\"reselections\": %llu, \"swaps_committed\": %llu, "
-      "\"fast_path\": %s, "
       "\"parse_p50_ms\": %.3f, \"parse_p95_ms\": %.3f, "
       "\"parse_p99_ms\": %.3f, \"rewrite_p50_ms\": %.3f, "
       "\"rewrite_p95_ms\": %.3f, \"rewrite_p99_ms\": %.3f, "
@@ -639,7 +608,7 @@ std::string ResultJson(const LoadGenResult& r) {
       static_cast<unsigned long long>(r.ingested),
       static_cast<unsigned long long>(r.reselections),
       static_cast<unsigned long long>(r.swaps_committed),
-      r.fast_path ? "true" : "false", r.parse_p50_ms, r.parse_p95_ms,
+      r.parse_p50_ms, r.parse_p95_ms,
       r.parse_p99_ms, r.rewrite_p50_ms, r.rewrite_p95_ms, r.rewrite_p99_ms,
       r.execute_p50_ms, r.execute_p95_ms, r.execute_p99_ms,
       static_cast<unsigned long long>(r.rewrite_cache_hits),
@@ -666,7 +635,7 @@ std::string ThroughputCsv(const std::vector<LoadGenResult>& results) {
       "csr_bytes,peak_rss_mb,select_utility,select_timed_out,"
       "view_budget_bytes,store_bytes,store_views,evictions,"
       "rewrite_fallbacks,failed_requests,drift,online,ingested,"
-      "reselections,swaps_committed,fast_path,parse_p50_ms,parse_p95_ms,"
+      "reselections,swaps_committed,parse_p50_ms,parse_p95_ms,"
       "parse_p99_ms,rewrite_p50_ms,rewrite_p95_ms,rewrite_p99_ms,"
       "execute_p50_ms,execute_p95_ms,execute_p99_ms,rewrite_cache_hits,"
       "rewrite_cache_misses\n";
@@ -674,7 +643,7 @@ std::string ThroughputCsv(const std::vector<LoadGenResult>& results) {
     out += StrFormat(
         "%s,%s,%zu,%zu,%zu,%zu,%d,%llu,%zu,%.3f,%.2f,%.3f,%.3f,%.3f,%.3f,"
         "%zu,%zu,%.1f,%.4f,%d,%llu,%llu,%zu,%llu,%llu,%zu,%s,%d,%llu,%llu,"
-        "%llu,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%llu,%llu\n",
+        "%llu,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%llu,%llu\n",
         r.workload.c_str(), r.mode.c_str(), r.num_queries, r.num_tables,
         r.num_candidates, r.num_selected, r.clients,
         static_cast<unsigned long long>(r.seed), r.requests, r.elapsed_s,
@@ -689,7 +658,7 @@ std::string ThroughputCsv(const std::vector<LoadGenResult>& results) {
         static_cast<unsigned long long>(r.ingested),
         static_cast<unsigned long long>(r.reselections),
         static_cast<unsigned long long>(r.swaps_committed),
-        r.fast_path ? 1 : 0, r.parse_p50_ms, r.parse_p95_ms, r.parse_p99_ms,
+        r.parse_p50_ms, r.parse_p95_ms, r.parse_p99_ms,
         r.rewrite_p50_ms, r.rewrite_p95_ms, r.rewrite_p99_ms,
         r.execute_p50_ms, r.execute_p95_ms, r.execute_p99_ms,
         static_cast<unsigned long long>(r.rewrite_cache_hits),

@@ -57,14 +57,6 @@ struct LoadGenConfig {
   /// Advisor re-selection epoch in queries (online mode only).
   size_t advisor_epoch = 32;
 
-  /// Serve through the fast path (Rewriter::RewriteServing: view-index
-  /// single-walk rewrite + generation-keyed rewrite cache, pinning only
-  /// the substituted views) instead of the sequential per-view oracle
-  /// under a full PinLive snapshot. Both produce identical plans (see
-  /// tests/rewrite_fast_path_test.cc); false exists to measure the
-  /// oracle path and as a belt-and-braces escape hatch.
-  bool fast_path = true;
-
   std::string csv_file;   ///< summary CSV path ("" = skip)
   std::string json_file;  ///< summary JSON path ("" = skip)
 
@@ -78,7 +70,6 @@ struct LoadGenConfig {
            view_budget_bytes == other.view_budget_bytes &&
            drift == other.drift && online == other.online &&
            advisor_epoch == other.advisor_epoch &&
-           fast_path == other.fast_path &&
            csv_file == other.csv_file && json_file == other.json_file;
   }
 };
@@ -129,8 +120,6 @@ struct LoadGenResult {
   uint64_t reselections = 0;     ///< advisor re-selections (online)
   uint64_t swaps_committed = 0;  ///< generation hot swaps (online)
 
-  bool fast_path = true;  ///< served via RewriteServing (index + cache)
-
   /// Per-phase latency breakdown over the same measured requests as
   /// p50_ms..p99_ms, so a serving regression is attributable to the
   /// phase that moved: parse (SQL -> plan), rewrite (pin + view
@@ -145,8 +134,7 @@ struct LoadGenResult {
   double execute_p95_ms = 0.0;
   double execute_p99_ms = 0.0;
 
-  /// GlobalRewriteCache() deltas over this run (fast path only; both
-  /// stay 0 on the oracle path).
+  /// GlobalRewriteCache() deltas over this run.
   uint64_t rewrite_cache_hits = 0;
   uint64_t rewrite_cache_misses = 0;
 };

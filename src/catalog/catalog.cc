@@ -39,6 +39,16 @@ Result<const TableSchema*> Catalog::GetTable(const std::string& table) const {
   return &it->second;
 }
 
+Result<std::vector<ColumnSchema>> Catalog::GetColumns(
+    const std::string& table) const {
+  MutexLock lock(mu_);
+  auto it = tables_.find(table);
+  if (it == tables_.end()) {
+    return Status::NotFound("no such table: " + table);
+  }
+  return it->second.columns();
+}
+
 const TableStats& Catalog::GetStats(const std::string& table) const {
   MutexLock lock(mu_);
   auto it = stats_.find(table);

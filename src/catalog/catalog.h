@@ -18,13 +18,14 @@ namespace autoview {
 /// extractor (schema keywords + numerical features).
 ///
 /// Thread safety: all methods are individually thread-safe (internally
-/// locked), so the rewriter's existence probe can race view-store
+/// locked), so the rewriter's view-table lookups can race view-store
 /// installs and evictions. Returned pointers/references are stable map
 /// nodes: a GetTable() schema stays valid until RemoveTable() of that
 /// same table, and a GetStats() reference until the next SetStats() for
 /// it — base tables are never removed, and the view store's pin
 /// protocol keeps served view tables registered, so readers of either
-/// never dangle. The object itself is neither movable nor copyable.
+/// never dangle. GetColumns() returns a copy for readers that hold no
+/// pin. The object itself is neither movable nor copyable.
 class Catalog {
  public:
   Catalog() = default;
@@ -48,6 +49,12 @@ class Catalog {
 
   /// Looks up statistics; returns zeroed defaults if never set.
   const TableStats& GetStats(const std::string& table) const
+      AV_EXCLUDES(mu_);
+
+  /// Copy of a table's columns, taken under the lock: unlike a
+  /// GetTable() pointer it survives a concurrent RemoveTable(), so a scan
+  /// of an unpinned view table can be built while the view is evicted.
+  Result<std::vector<ColumnSchema>> GetColumns(const std::string& table) const
       AV_EXCLUDES(mu_);
 
   bool HasTable(const std::string& table) const AV_EXCLUDES(mu_);

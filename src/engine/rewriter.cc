@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "plan/canonical.h"
+#include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/strings.h"
 
@@ -133,7 +134,10 @@ Result<PlanNodePtr> Rewriter::RewriteAllIndexed(
   // deeper same-view matches are never visited). A fired event with the
   // backing table present is an accepted substitution; with the table
   // missing (evicted/dropped concurrently) it records a rewrite
-  // fallback, exactly like the oracle, and blocks nothing globally.
+  // fallback, exactly like the oracle, and blocks nothing globally. The
+  // replacement scan is built right here, in the same step that decides
+  // the table exists: a check now and a scan build later would let a
+  // concurrent drop in between turn into a NotFound for the request.
   std::sort(events.begin(), events.end(),
             [](const MatchEvent& a, const MatchEvent& b) {
               if (a.view_id != b.view_id) return a.view_id < b.view_id;
@@ -141,7 +145,7 @@ Result<PlanNodePtr> Rewriter::RewriteAllIndexed(
             });
 
   std::map<size_t, size_t> accepted;  // enter -> exit; pairwise disjoint
-  std::unordered_map<size_t, std::string> accepted_table;
+  std::unordered_map<size_t, PlanNodePtr> replacements;  // enter -> scan
   const auto blocked = [&accepted](size_t enter, size_t exit) {
     auto it = accepted.upper_bound(enter);
     if (it != accepted.begin()) {
@@ -171,17 +175,19 @@ Result<PlanNodePtr> Rewriter::RewriteAllIndexed(
         event.enter < fallback_exit) {
       continue;  // inside a subtree the oracle stopped recursing into
     }
-    if (!catalog_->HasTable(event.table_name)) {
-      // Matched, but the backing table is gone: count the degradation
-      // (see GlobalRobustness()) and keep the base-table subtree.
-      GlobalRobustness().RecordRewriteFallback();
+    AV_ASSIGN_OR_RETURN(
+        PlanNodePtr replacement,
+        BuildReplacement(*nodes[event.enter].node, event.table_name));
+    if (!replacement) {
+      // Matched, but the backing table is gone: keep the base-table
+      // subtree.
       have_fallback = true;
       fallback_enter = event.enter;
       fallback_exit = event.exit;
       continue;
     }
     accepted.emplace(event.enter, event.exit);
-    accepted_table.emplace(event.enter, event.table_name);
+    replacements.emplace(event.enter, std::move(replacement));
     if (!view_counted) {
       view_counted = true;
       if (num_substitutions) ++*num_substitutions;
@@ -192,7 +198,7 @@ Result<PlanNodePtr> Rewriter::RewriteAllIndexed(
   if (accepted.empty()) return plan;
 
   // Pass 3: one reconstruction applying every accepted substitution.
-  // Accepted intervals are disjoint, so each replacement is built from
+  // Accepted intervals are disjoint, so each replacement was built from
   // the ORIGINAL subtree — the same input BuildReplacement sees in the
   // sequential loop. Subtrees without an accepted substitution are
   // reused as-is (shared_ptr), identical to the oracle's no-change
@@ -200,10 +206,8 @@ Result<PlanNodePtr> Rewriter::RewriteAllIndexed(
   std::function<Result<PlanNodePtr>(size_t)> rebuild =
       [&](size_t pos) -> Result<PlanNodePtr> {
     const IndexedNode& info = nodes[pos];
-    auto acc = accepted_table.find(pos);
-    if (acc != accepted_table.end()) {
-      return BuildReplacement(*info.node, acc->second);
-    }
+    auto acc = replacements.find(pos);
+    if (acc != replacements.end()) return acc->second;
     auto inside = accepted.lower_bound(pos);
     if (inside == accepted.end() || inside->first >= info.exit) {
       return info.node_ptr;  // nothing accepted in this subtree
@@ -248,7 +252,7 @@ Result<ServingRewrite> Rewriter::RewriteServing(
 
   // Indexed walk, then pin exactly the substituted views. A view can be
   // evicted between the probe and the pin; retry the walk (the index no
-  // longer lists it) a few times before conceding to the oracle path.
+  // longer lists it) a few times before conceding to the base tables.
   constexpr int kMaxIndexedAttempts = 3;
   for (int attempt = 0; attempt < kMaxIndexedAttempts; ++attempt) {
     const uint64_t walk_generation = store->current_generation();
@@ -257,6 +261,7 @@ Result<ServingRewrite> Rewriter::RewriteServing(
     AV_ASSIGN_OR_RETURN(PlanNodePtr rewritten,
                         RewriteAllIndexed(plan, store->view_index(),
                                           &num_substitutions, &used_view_ids));
+    if (AV_FAILPOINT("rewriter.pin") == FailAction::kError) continue;
     Result<ViewSetSnapshot> pins = store->PinViews(used_view_ids);
     if (!pins.ok()) continue;
     // Cache under the generation the walk ran against; entries from a
@@ -275,26 +280,26 @@ Result<ServingRewrite> Rewriter::RewriteServing(
     return out;
   }
 
-  // The store is churning faster than we can pin: degrade to the
-  // sequential oracle under a full PinLive snapshot, which cannot lose
-  // a pin race (views are pinned before the walk ever sees them).
-  ViewSetSnapshot snapshot = store->PinLive();
-  size_t num_substitutions = 0;
-  AV_ASSIGN_OR_RETURN(
-      PlanNodePtr rewritten,
-      RewriteAll(plan, snapshot.views(), &num_substitutions));
+  // The store is churning faster than we can pin: serve the query from
+  // its base tables, the same answer a vanished view degrades to.
+  GlobalRobustness().RecordRewriteFallback();
   ServingRewrite out;
-  out.plan = std::move(rewritten);
-  out.num_substitutions = num_substitutions;
-  out.pins = std::move(snapshot);
-  out.cache_hit = false;
+  out.plan = plan;
   return out;
 }
 
 Result<PlanNodePtr> Rewriter::BuildReplacement(
     const PlanNode& original, const std::string& view_table) const {
-  AV_ASSIGN_OR_RETURN(PlanNodePtr scan,
-                      PlanNode::MakeScan(*catalog_, view_table));
+  Result<PlanNodePtr> made = PlanNode::MakeScan(*catalog_, view_table);
+  if (!made.ok()) {
+    if (made.status().code() != StatusCode::kNotFound) return made.status();
+    // The view was evicted or dropped concurrently: count the
+    // degradation (see GlobalRobustness()); the caller keeps the
+    // base-table subtree.
+    GlobalRobustness().RecordRewriteFallback();
+    return PlanNodePtr();
+  }
+  PlanNodePtr scan = std::move(made).value();
   // Map the original subtree's output columns onto the view's columns by
   // name (canonical equivalence guarantees the same named column set).
   // The name -> index map keeps wide schemas linear; on duplicate names
@@ -327,15 +332,13 @@ Result<PlanNodePtr> Rewriter::RewriteNode(const PlanNodePtr& node,
                                           const MaterializedView& view,
                                           bool* changed) const {
   if (CanonicalKey(*node) == view.canonical_key) {
-    if (!catalog_->HasTable(view.table_name)) {
-      // The view was evicted/dropped between the match decision and this
-      // rewrite: keep the base-table subtree so the query still answers
-      // correctly, and count the degradation (see GlobalRobustness()).
-      GlobalRobustness().RecordRewriteFallback();
-      return node;  // *changed stays false
-    }
+    AV_ASSIGN_OR_RETURN(PlanNodePtr replacement,
+                        BuildReplacement(*node, view.table_name));
+    // A view evicted/dropped since the match keeps the base-table
+    // subtree so the query still answers correctly.
+    if (!replacement) return node;  // *changed stays false
     *changed = true;
-    return BuildReplacement(*node, view.table_name);
+    return replacement;
   }
   // Recurse into children; rebuild this node if any child changed.
   std::vector<PlanNodePtr> new_children;

@@ -89,10 +89,12 @@ class Rewriter {
   /// RewriteAllIndexed against the store's view index, pins the
   /// substituted views (retrying the walk when a view vanished in
   /// between), caches the result, and returns it. If pinning keeps
-  /// failing (store churning faster than we can pin), falls back to the
-  /// sequential oracle under a full PinLive snapshot — the fast path
-  /// degrades to the slow path, never to an error. Hit/miss/pin-failure
-  /// counters land in GlobalRewriteCache().
+  /// failing (store churning faster than we can pin), it returns `plan`
+  /// itself with an empty pin set — the base-table answer a vanished
+  /// view already degrades to — and counts a rewrite fallback in
+  /// GlobalRobustness(). A concurrent eviction therefore never reaches
+  /// the caller as an error. Hit/miss/pin-failure counters land in
+  /// GlobalRewriteCache().
   Result<ServingRewrite> RewriteServing(const PlanNodePtr& plan,
                                         MaterializedViewStore* store) const;
 
@@ -102,7 +104,9 @@ class Rewriter {
                                   bool* changed) const;
 
   /// Builds Scan(view backing table) [+ Project] matching `original`'s
-  /// output.
+  /// output. Returns nullptr (and counts a rewrite fallback) when the
+  /// table is gone: looking the table up and building its scan are one
+  /// step, so a concurrent drop cannot slip in between.
   Result<PlanNodePtr> BuildReplacement(const PlanNode& original,
                                        const std::string& view_table) const;
 

@@ -112,44 +112,18 @@ Result<const MaterializedView*> MaterializedViewStore::Materialize(
   // concurrent lookups, drops, and other builds proceed in parallel.
   // The key reservation above keeps duplicate builds out meanwhile.
   Result<ExecResult> built = executor.Execute(*subquery);
-  Result<const MaterializedView*> installed =
-      Status::Internal("unreachable: install result never set");
-  {
-    MutexLock lock(mu_);
-    building_.erase(key);
-    if (!built.ok()) return built.status();
-    installed = InstallLocked(std::move(subquery), std::move(key),
-                              std::move(built).value(), mopts);
-  }
-  // Outside the mutex: with background eviction on, an over-budget
-  // install flagged sweep_needed_ and the sweep task itself locks mu_
-  // (and may run inline when Submit is called from a pool worker).
-  MaybeScheduleSweep();
-  return installed;
+  MutexLock lock(mu_);
+  building_.erase(key);
+  if (!built.ok()) return built.status();
+  return InstallLocked(std::move(subquery), std::move(key),
+                       std::move(built).value(), mopts);
 }
 
 Result<const MaterializedView*> MaterializedViewStore::InstallLocked(
     PlanNodePtr plan, std::string key, ExecResult result,
     const MaterializeOptions& mopts) {
   const uint64_t bytes = result.table.ByteSize();
-  if (options_.background_eviction && options_.budget_bytes > 0) {
-    // Admission path stays eviction-free: oversized views are still
-    // rejected, everything else is admitted immediately and the sweep
-    // worker brings the store back under the watermark.
-    if (bytes > options_.budget_bytes) {
-      GlobalViewStore().RecordAdmissionRejected();
-      return Status::ResourceExhausted(
-          StrFormat("view of %llu bytes exceeds the whole budget (%llu)",
-                    static_cast<unsigned long long>(bytes),
-                    static_cast<unsigned long long>(options_.budget_bytes)));
-    }
-    if (bytes_used_ + bytes > options_.budget_bytes) {
-      GlobalViewStore().RecordDeferredEviction();
-      sweep_needed_ = true;
-    }
-  } else {
-    AV_RETURN_NOT_OK(EvictToFitLocked(bytes));
-  }
+  AV_RETURN_NOT_OK(EvictToFitLocked(bytes));
   MaterializedView view;
   view.id = next_id_++;
   view.table_name = "__mv_" + std::to_string(view.id);
@@ -226,53 +200,6 @@ MaterializedViewStore::PickVictimLocked() {
     }
   }
   return victim;
-}
-
-size_t MaterializedViewStore::SweepToWatermarkLocked() {
-  if (options_.budget_bytes == 0) return 0;
-  const double watermark =
-      options_.evict_watermark > 0.0 && options_.evict_watermark <= 1.0
-          ? options_.evict_watermark
-          : 1.0;
-  const uint64_t target = static_cast<uint64_t>(
-      watermark * static_cast<double>(options_.budget_bytes));
-  size_t evicted = 0;
-  while (bytes_used_ > target) {
-    auto victim = PickVictimLocked();
-    // Everything left is pinned (or doomed awaiting unpin): stop
-    // without error — the next admission re-flags the sweep.
-    if (victim == by_id_.end()) break;
-    const uint64_t victim_bytes = victim->second.view.byte_size;
-    if (Status s = DoomLocked(victim); !s.ok()) {
-      AV_LOG(Warning) << "background eviction failed: " << s.ToString();
-      break;
-    }
-    GlobalViewStore().RecordEviction(victim_bytes);
-    ++evicted;
-  }
-  return evicted;
-}
-
-size_t MaterializedViewStore::SweepNow() {
-  MutexLock lock(mu_);
-  return SweepToWatermarkLocked();
-}
-
-void MaterializedViewStore::MaybeScheduleSweep() {
-  {
-    MutexLock lock(mu_);
-    if (!sweep_needed_ || sweep_scheduled_) return;
-    sweep_needed_ = false;
-    sweep_scheduled_ = true;
-    ++async_inflight_;  // WaitIdle() drains pending sweeps too
-  }
-  ThreadPool& pool = options_.pool != nullptr ? *options_.pool : DefaultPool();
-  pool.Submit([this] {
-    MutexLock lock(mu_);
-    SweepToWatermarkLocked();
-    sweep_scheduled_ = false;
-    if (--async_inflight_ == 0) idle_cv_.NotifyAll();
-  });
 }
 
 Status MaterializedViewStore::DoomLocked(EntryMap::iterator it) {

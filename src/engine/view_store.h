@@ -50,20 +50,6 @@ struct ViewStoreOptions {
   /// Pool for async (re)materialization; nullptr uses DefaultPool().
   ThreadPool* pool = nullptr;
 
-  /// When true, an over-budget admission is accepted immediately and
-  /// eviction moves off the admission path: a background sweep on the
-  /// pool brings the store back under `evict_watermark * budget_bytes`
-  /// (`evictions_deferred` counts these hand-offs). Views larger than
-  /// the whole budget are still rejected outright, and WAL recovery
-  /// always evicts inline. When false (default), admission evicts
-  /// inline exactly as before.
-  bool background_eviction = false;
-
-  /// Background-sweep target as a fraction of budget_bytes in (0, 1]:
-  /// each sweep evicts until bytes_used <= watermark * budget, so a
-  /// watermark below 1.0 leaves headroom for the next admission burst.
-  double evict_watermark = 1.0;
-
   /// Defaults plus the AUTOVIEW_VIEW_BUDGET_BYTES environment variable
   /// (unset/invalid = unlimited). The plain store constructor uses this,
   /// so operators can bound every serving store without code changes.
@@ -251,16 +237,8 @@ class MaterializedViewStore {
   /// (checkpoint record + one MATERIALIZE per live view), atomically.
   Status Checkpoint() const AV_EXCLUDES(mu_);
 
-  /// Blocks until no async build or background sweep scheduled by this
-  /// store is in flight.
+  /// Blocks until no async build scheduled by this store is in flight.
   void WaitIdle() const AV_EXCLUDES(mu_);
-
-  /// Runs one eviction sweep inline: evicts lowest utility-per-byte
-  /// unpinned views until bytes_used <= evict_watermark * budget (no-op
-  /// for unbudgeted stores). Returns the number of views evicted. The
-  /// background eviction worker runs exactly this; tests call it
-  /// directly for determinism.
-  size_t SweepNow() AV_EXCLUDES(mu_);
 
   /// Live (non-doomed) view count.
   size_t size() const AV_EXCLUDES(mu_);
@@ -302,15 +280,6 @@ class MaterializedViewStore {
   /// end() when every resident view is pinned or doomed.
   EntryMap::iterator PickVictimLocked() AV_REQUIRES(mu_);
 
-  /// Evicts down to watermark * budget; returns views evicted. Stops
-  /// early (without error) when only pinned views remain.
-  size_t SweepToWatermarkLocked() AV_REQUIRES(mu_);
-
-  /// Schedules one background sweep on the pool if an admission flagged
-  /// the store over budget and no sweep is already queued. Called
-  /// outside the store mutex (a pool Submit from a worker runs inline).
-  void MaybeScheduleSweep() AV_EXCLUDES(mu_);
-
   /// Logical drop: WAL DROP record, key unindexed; physical drop now or
   /// deferred to the last unpin.
   Status DoomLocked(EntryMap::iterator it) AV_REQUIRES(mu_);
@@ -348,8 +317,6 @@ class MaterializedViewStore {
   std::map<std::string, int64_t> by_key_ AV_GUARDED_BY(mu_);
   std::set<std::string> building_ AV_GUARDED_BY(mu_);  ///< in-flight keys
   size_t async_inflight_ AV_GUARDED_BY(mu_) = 0;
-  bool sweep_needed_ AV_GUARDED_BY(mu_) = false;     ///< admission overflowed
-  bool sweep_scheduled_ AV_GUARDED_BY(mu_) = false;  ///< sweep task queued
   mutable CondVar idle_cv_;  ///< signalled when async_inflight_ hits 0
 };
 

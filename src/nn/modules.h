@@ -160,13 +160,10 @@ class Mlp : public Module {
 /// Holds transposed snapshots of the layer weights (so the inner product
 /// of MatMulTB streams two contiguous rows) plus two reusable activation
 /// buffers; Forward() builds no tape nodes and allocates nothing after
-/// the first call at a given batch size. Under the default GemmKernel
-/// (kExact, see tensor.h) outputs are bit-identical to Mlp::Forward on
-/// the same input: per element, MatMulTB replays the exact accumulation
-/// order of MatMul, then the bias add and ReLU apply in the same
-/// per-element order as Add/ReLU. Opting into GemmKernel::kBlocked
-/// trades that for speed: outputs then match to a small relative
-/// epsilon (sum reassociation only — see MatMulTBBlocked).
+/// the first call at a given batch size. Outputs are bit-identical to
+/// Mlp::Forward on the same input: per element, MatMulTB replays the
+/// exact accumulation order of MatMul, then the bias add and ReLU apply
+/// in the same per-element order as Add/ReLU.
 ///
 /// The snapshot is taken at construction; after any parameter update
 /// (optimizer step, CopyFrom) call Refresh() or results go stale. Not

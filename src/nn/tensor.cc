@@ -1,27 +1,13 @@
 #include "nn/tensor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 #include <unordered_set>
-
-#if defined(AUTOVIEW_SIMD) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace autoview {
 namespace nn {
 
 using internal::Node;
-
-namespace detail_gemm {
-// -1 = uninitialized: first ActiveGemmKernel() call reads the
-// AUTOVIEW_GEMM_KERNEL environment variable. Relaxed: a torn choice is
-// impossible (single int), and either kernel is a correct MatMulTB.
-std::atomic<int> g_kernel{-1};
-}  // namespace detail_gemm
 
 namespace {
 
@@ -171,34 +157,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return Tensor(out);
 }
 
-GemmKernel ActiveGemmKernel() {
-  int v = detail_gemm::g_kernel.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("AUTOVIEW_GEMM_KERNEL");
-    v = (env != nullptr && std::string(env) == "blocked")
-            ? static_cast<int>(GemmKernel::kBlocked)
-            : static_cast<int>(GemmKernel::kExact);
-    detail_gemm::g_kernel.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<GemmKernel>(v);
-}
-
-void SetGemmKernel(GemmKernel kernel) {
-  detail_gemm::g_kernel.store(static_cast<int>(kernel),
-                              std::memory_order_relaxed);
-}
-
 void MatMulTB(const Scalar* a, size_t m, size_t k, const Scalar* bt, size_t n,
               Scalar* out) {
-  if (ActiveGemmKernel() == GemmKernel::kBlocked) {
-    MatMulTBBlocked(a, m, k, bt, n, out);
-    return;
-  }
-  MatMulTBExact(a, m, k, bt, n, out);
-}
-
-void MatMulTBExact(const Scalar* a, size_t m, size_t k, const Scalar* bt,
-                   size_t n, Scalar* out) {
   // Each output element owns an independent accumulator filled over p in
   // ascending order with the `aip == 0.0` skip, i.e. exactly the float
   // additions MatMul's forward performs for that element — only the
@@ -236,117 +196,6 @@ void MatMulTBExact(const Scalar* a, size_t m, size_t k, const Scalar* bt,
         acc += aip * bj[p];
       }
       oi[j] = acc;
-    }
-  }
-}
-
-namespace {
-
-/// One masked term of the blocked inner product: the zero-skip as a
-/// select instead of a branch. `av == 0.0` skips -0.0 like +0.0 and is
-/// false for NaN, so NaN/Inf rows of `a` propagate exactly like the
-/// exact kernel (which also skips on `av == 0.0` only).
-inline Scalar MaskedTerm(Scalar av, Scalar bv) {
-  return av == 0.0 ? 0.0 : av * bv;
-}
-
-/// Fixed lane-combination order shared by the generic and intrinsic
-/// paths: (l0+l1)+(l2+l3), then the scalar tail. Changing this changes
-/// results; the two builds must stay bit-identical to each other.
-inline Scalar CombineLanes(const Scalar lanes[4], Scalar tail) {
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail;
-}
-
-}  // namespace
-
-void MatMulTBBlocked(const Scalar* a, size_t m, size_t k, const Scalar* bt,
-                     size_t n, Scalar* out) {
-  constexpr size_t kColTile = 4;
-  constexpr size_t kLanes = 4;
-  const size_t k4 = k - k % kLanes;
-  size_t j = 0;
-  for (; j + kColTile <= n; j += kColTile) {
-    // Tile-outer order: these four bt rows (4*k scalars) stay cache-hot
-    // across every row of a — the blocking that the exact kernel's
-    // row-outer order lacks once n*k spills the last-level cache.
-    const Scalar* b0 = bt + j * k;
-    const Scalar* b1 = b0 + k;
-    const Scalar* b2 = b1 + k;
-    const Scalar* b3 = b2 + k;
-    for (size_t i = 0; i < m; ++i) {
-      const Scalar* ai = a + i * k;
-      Scalar* oi = out + i * n + j;
-#if defined(AUTOVIEW_SIMD) && defined(__AVX2__)
-      const __m256d vzero = _mm256_setzero_pd();
-      __m256d acc0 = vzero, acc1 = vzero, acc2 = vzero, acc3 = vzero;
-      for (size_t p = 0; p < k4; p += kLanes) {
-        const __m256d va = _mm256_loadu_pd(ai + p);
-        // NEQ_UQ (unordered-or-not-equal) keeps NaN lanes in the mask;
-        // an ordered compare would silently drop them.
-        const __m256d mask = _mm256_cmp_pd(va, vzero, _CMP_NEQ_UQ);
-        acc0 = _mm256_add_pd(
-            acc0, _mm256_and_pd(
-                      mask, _mm256_mul_pd(va, _mm256_loadu_pd(b0 + p))));
-        acc1 = _mm256_add_pd(
-            acc1, _mm256_and_pd(
-                      mask, _mm256_mul_pd(va, _mm256_loadu_pd(b1 + p))));
-        acc2 = _mm256_add_pd(
-            acc2, _mm256_and_pd(
-                      mask, _mm256_mul_pd(va, _mm256_loadu_pd(b2 + p))));
-        acc3 = _mm256_add_pd(
-            acc3, _mm256_and_pd(
-                      mask, _mm256_mul_pd(va, _mm256_loadu_pd(b3 + p))));
-      }
-      alignas(32) Scalar lanes0[4], lanes1[4], lanes2[4], lanes3[4];
-      _mm256_store_pd(lanes0, acc0);
-      _mm256_store_pd(lanes1, acc1);
-      _mm256_store_pd(lanes2, acc2);
-      _mm256_store_pd(lanes3, acc3);
-#else
-      Scalar lanes0[kLanes] = {0, 0, 0, 0};
-      Scalar lanes1[kLanes] = {0, 0, 0, 0};
-      Scalar lanes2[kLanes] = {0, 0, 0, 0};
-      Scalar lanes3[kLanes] = {0, 0, 0, 0};
-      for (size_t p = 0; p < k4; p += kLanes) {
-        for (size_t l = 0; l < kLanes; ++l) {
-          const Scalar av = ai[p + l];
-          lanes0[l] += MaskedTerm(av, b0[p + l]);
-          lanes1[l] += MaskedTerm(av, b1[p + l]);
-          lanes2[l] += MaskedTerm(av, b2[p + l]);
-          lanes3[l] += MaskedTerm(av, b3[p + l]);
-        }
-      }
-#endif
-      Scalar tail0 = 0.0, tail1 = 0.0, tail2 = 0.0, tail3 = 0.0;
-      for (size_t p = k4; p < k; ++p) {
-        const Scalar av = ai[p];
-        tail0 += MaskedTerm(av, b0[p]);
-        tail1 += MaskedTerm(av, b1[p]);
-        tail2 += MaskedTerm(av, b2[p]);
-        tail3 += MaskedTerm(av, b3[p]);
-      }
-      oi[0] = CombineLanes(lanes0, tail0);
-      oi[1] = CombineLanes(lanes1, tail1);
-      oi[2] = CombineLanes(lanes2, tail2);
-      oi[3] = CombineLanes(lanes3, tail3);
-    }
-  }
-  // Remaining columns (n % 4), same lane scheme one column at a time.
-  for (; j < n; ++j) {
-    const Scalar* bj = bt + j * k;
-    for (size_t i = 0; i < m; ++i) {
-      const Scalar* ai = a + i * k;
-      Scalar lanes[kLanes] = {0, 0, 0, 0};
-      for (size_t p = 0; p < k4; p += kLanes) {
-        for (size_t l = 0; l < kLanes; ++l) {
-          lanes[l] += MaskedTerm(ai[p + l], bj[p + l]);
-        }
-      }
-      Scalar tail = 0.0;
-      for (size_t p = k4; p < k; ++p) {
-        tail += MaskedTerm(ai[p], bj[p]);
-      }
-      out[i * n + j] = CombineLanes(lanes, tail);
     }
   }
 }

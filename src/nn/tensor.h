@@ -122,61 +122,16 @@ class Tensor {
 /// Matrix product: (m x k) * (k x n) -> (m x n).
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// Which inner kernel MatMulTB runs on the no-grad inference path.
-///
-/// Determinism contract: kExact is the default and is bit-identical to
-/// MatMul's forward loop (deterministic tests rely on this). kBlocked is
-/// an opt-in fast kernel: run-to-run deterministic (fixed lane-sum
-/// order), preserves the `a[i][p] == 0.0` zero-skip and NaN/Inf
-/// propagation, but reassociates the per-element sum into four p-lanes,
-/// so outputs match kExact only to a small relative epsilon (see
-/// MatMulTBBlocked). Select per process with the AUTOVIEW_GEMM_KERNEL
-/// environment variable ("exact" | "blocked"; anything else = exact) or
-/// programmatically with SetGemmKernel.
-enum class GemmKernel {
-  kExact,    ///< scalar oracle, bit-identical to MatMul forward
-  kBlocked,  ///< cache-blocked, lane-vectorized; epsilon-equal to kExact
-};
-
-/// The kernel MatMulTB currently dispatches to. First call reads
-/// AUTOVIEW_GEMM_KERNEL; SetGemmKernel overrides at any time.
-GemmKernel ActiveGemmKernel();
-
-/// Overrides the MatMulTB kernel process-wide (tests restore kExact).
-void SetGemmKernel(GemmKernel kernel);
-
 /// Raw no-autograd kernel: out = a * b with `bt` supplied transposed
 /// (n x k row-major), writing into caller-owned storage — no tape node
-/// is created. Dispatches to MatMulTBExact or MatMulTBBlocked per
-/// ActiveGemmKernel(); the default (exact) is bit-identical to MatMul
-/// (NaN/Inf propagation included). `out` must hold m x n scalars and
-/// may not alias the inputs.
+/// is created. Every out[i][j] is accumulated over p in ascending order
+/// with the same `a[i][p] == 0.0` skip as MatMul's forward loop, so the
+/// result is bit-identical to MatMul (NaN/Inf propagation included); the
+/// transposed layout turns the inner product into two contiguous streams
+/// and the column tiling amortizes reloads of a's row. `out` must hold
+/// m x n scalars and may not alias the inputs.
 void MatMulTB(const Scalar* a, size_t m, size_t k, const Scalar* bt, size_t n,
               Scalar* out);
-
-/// The exact kernel: every out[i][j] is accumulated over p in ascending
-/// order with the same `a[i][p] == 0.0` skip as MatMul's forward loop,
-/// so the result is bit-identical to MatMul (NaN/Inf propagation
-/// included); the transposed layout turns the inner product into two
-/// contiguous streams and the column tiling amortizes reloads of a's
-/// row.
-void MatMulTBExact(const Scalar* a, size_t m, size_t k, const Scalar* bt,
-                   size_t n, Scalar* out);
-
-/// The fast kernel: column tiles of 4 are walked with the *tile* as the
-/// outer loop (the four bt rows stay cache-hot across all m rows of a)
-/// and the inner product runs in four independent p-lanes — plain
-/// autovectorizable C by default, explicit AVX2 intrinsics when built
-/// with -DAUTOVIEW_SIMD=ON on an AVX2 target (both orderings are
-/// identical: lanes combine as (l0+l1)+(l2+l3), then the scalar tail).
-/// The zero-skip becomes a select (`a==0 ? 0 : a*b` — NaN lanes are
-/// kept: the AVX2 mask uses an unordered NEQ compare), so NaN/Inf rows
-/// propagate exactly like the exact kernel and -0.0 inputs are skipped
-/// like +0.0. Relative to kExact the only change is sum association,
-/// bounding the error by ~k ulps of the largest partial sum; the GEMM
-/// oracle test asserts a 1e-12 relative bound on conditioned inputs.
-void MatMulTBBlocked(const Scalar* a, size_t m, size_t k, const Scalar* bt,
-                     size_t n, Scalar* out);
 
 /// Element-wise sum; `b` may also be a 1xN row vector broadcast over
 /// `a`'s rows (bias add).

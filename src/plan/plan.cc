@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <unordered_set>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -70,12 +71,16 @@ const char* AggKindName(AggKind kind) {
 
 Result<PlanNodePtr> PlanNode::MakeScan(const Catalog& catalog,
                                        const std::string& table) {
-  AV_ASSIGN_OR_RETURN(const TableSchema* schema, catalog.GetTable(table));
+  // A copy, not GetTable()'s pointer: the rewriter builds view scans
+  // without a pin, and the view may be evicted meanwhile.
+  AV_ASSIGN_OR_RETURN(std::vector<ColumnSchema> columns,
+                      catalog.GetColumns(table));
   auto node = std::shared_ptr<PlanNode>(new PlanNode());
   node->op_ = PlanOp::kTableScan;
   node->table_ = table;
-  for (const auto& col : schema->columns()) {
-    node->output_.push_back({col.name, col.type});
+  node->output_.reserve(columns.size());
+  for (ColumnSchema& col : columns) {
+    node->output_.push_back({std::move(col.name), col.type});
   }
   return PlanNodePtr(node);
 }

@@ -50,6 +50,8 @@ const char* FailActionName(FailAction action);
 ///   serialize.load         corrupt  nn::LoadParameters (bit-flips buffer)
 ///   metadata.load          corrupt  MetadataStore::Load
 ///   executor.scan          error    Executor table scans
+///   rewriter.pin           error    Rewriter::RewriteServing (an
+///                                   indexed walk loses its pin race)
 class Failpoints {
  public:
   /// The process-wide registry. First call reads AUTOVIEW_FAILPOINTS.

@@ -108,10 +108,6 @@ void ViewStoreCounters::RecordTornWalTail() {
   torn_wal_tails_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ViewStoreCounters::RecordDeferredEviction() {
-  evictions_deferred_.fetch_add(1, std::memory_order_relaxed);
-}
-
 ViewStoreCounters::Snapshot ViewStoreCounters::Read() const {
   Snapshot s;
   s.evictions = evictions_.load(std::memory_order_relaxed);
@@ -120,7 +116,6 @@ ViewStoreCounters::Snapshot ViewStoreCounters::Read() const {
   s.async_builds = async_builds_.load(std::memory_order_relaxed);
   s.recovered_views = recovered_views_.load(std::memory_order_relaxed);
   s.torn_wal_tails = torn_wal_tails_.load(std::memory_order_relaxed);
-  s.evictions_deferred = evictions_deferred_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -131,7 +126,6 @@ void ViewStoreCounters::Reset() {
   async_builds_.store(0, std::memory_order_relaxed);
   recovered_views_.store(0, std::memory_order_relaxed);
   torn_wal_tails_.store(0, std::memory_order_relaxed);
-  evictions_deferred_.store(0, std::memory_order_relaxed);
 }
 
 ViewStoreCounters& GlobalViewStore() {

@@ -141,10 +141,6 @@ class ViewStoreCounters {
   /// One torn / checksum-failed WAL tail discarded by replay.
   void RecordTornWalTail();
 
-  /// One over-budget admission whose eviction was deferred to the
-  /// background sweep worker instead of running inline.
-  void RecordDeferredEviction();
-
   struct Snapshot {
     uint64_t evictions = 0;
     uint64_t evicted_bytes = 0;
@@ -152,7 +148,6 @@ class ViewStoreCounters {
     uint64_t async_builds = 0;
     uint64_t recovered_views = 0;
     uint64_t torn_wal_tails = 0;
-    uint64_t evictions_deferred = 0;
   };
   Snapshot Read() const;
 
@@ -169,7 +164,6 @@ class ViewStoreCounters {
   std::atomic<uint64_t> async_builds_{0};
   std::atomic<uint64_t> recovered_views_{0};
   std::atomic<uint64_t> torn_wal_tails_{0};
-  std::atomic<uint64_t> evictions_deferred_{0};
 };
 
 /// The process-wide view-store counters.

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "costmodel/encoders.h"
 #include "nn/modules.h"
@@ -162,20 +167,78 @@ TEST(NoGradTest, GuardSkipsGraphButKeepsValues) {
   EXPECT_TRUE(with_graph.requires_grad());
 }
 
-TEST(NoGradTest, MatMulTBBitIdenticalToMatMul) {
-  Rng rng(17);
-  const size_t m = 5, k = 7, n = 9;  // n % tile != 0 exercises the tail
-  std::vector<nn::Scalar> a(m * k), b(k * n), bt(n * k);
-  for (auto& v : a) v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(-2.0, 2.0);
-  for (auto& v : b) v = rng.Uniform(-2.0, 2.0);
+/// Bit patterns of `values`, so NaN results compare exactly too.
+std::vector<uint64_t> Bits(const std::vector<nn::Scalar>& values) {
+  std::vector<uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(uint64_t));
+  return bits;
+}
+
+/// MatMulTB of (m x k) `a` times (k x n) `b` (handed over transposed).
+std::vector<nn::Scalar> RunMatMulTB(const std::vector<nn::Scalar>& a,
+                                    const std::vector<nn::Scalar>& b,
+                                    size_t m, size_t k, size_t n) {
+  std::vector<nn::Scalar> bt(n * k);
   for (size_t p = 0; p < k; ++p) {
     for (size_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
   }
-  nn::Tensor ref =
-      nn::MatMul(nn::Tensor::FromData(a, m, k), nn::Tensor::FromData(b, k, n));
   std::vector<nn::Scalar> out(m * n, -1.0);
   nn::MatMulTB(a.data(), m, k, bt.data(), n, out.data());
-  EXPECT_EQ(out, ref.data());
+  return out;
+}
+
+TEST(NoGradTest, MatMulTBBitIdenticalToMatMul) {
+  struct Case {
+    size_t m, k, n;
+    std::vector<nn::Scalar> a, b;
+  };
+  Rng rng(17);
+  const auto random_case = [&rng](size_t m, size_t k, size_t n) {
+    Case c{m, k, n, std::vector<nn::Scalar>(m * k),
+           std::vector<nn::Scalar>(k * n)};
+    for (auto& v : c.a) v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(-2.0, 2.0);
+    for (auto& v : c.b) v = rng.Uniform(-2.0, 2.0);
+    return c;
+  };
+  std::vector<Case> cases;
+  // Shapes straddling the 4-column tile: k and n below, at, and past
+  // multiples of it, ragged tails on both dimensions.
+  const size_t shapes[][3] = {{5, 7, 9},  {1, 1, 1},  {1, 3, 1},
+                              {2, 4, 4},  {3, 7, 5},  {5, 16, 8},
+                              {8, 17, 9}, {4, 64, 3}, {7, 33, 13}};
+  for (const auto& shape : shapes) {
+    cases.push_back(random_case(shape[0], shape[1], shape[2]));
+  }
+  // NaN/Inf rows: row 0 carries two NaNs, row 1 +/-inf. The zero-skip
+  // must not skip them (NaN compares != 0), so row 0 comes out all NaN.
+  Case nan_inf = random_case(3, 9, 5);
+  nan_inf.a[2] = std::nan("");
+  nan_inf.a[8] = std::nan("");
+  nan_inf.a[9 + 1] = std::numeric_limits<nn::Scalar>::infinity();
+  nan_inf.a[9 + 7] = -std::numeric_limits<nn::Scalar>::infinity();
+  cases.push_back(nan_inf);
+  // An all-zero row (exact +0.0 out) and a unit row (picks out row 0 of
+  // b bit-exactly).
+  Case zero_unit = random_case(2, 8, 3);
+  std::fill(zero_unit.a.begin(), zero_unit.a.end(), 0.0);
+  zero_unit.a[8] = 1.0;
+  cases.push_back(zero_unit);
+
+  std::vector<std::vector<nn::Scalar>> outs;
+  for (const Case& c : cases) {
+    nn::Tensor ref = nn::MatMul(nn::Tensor::FromData(c.a, c.m, c.k),
+                                nn::Tensor::FromData(c.b, c.k, c.n));
+    outs.push_back(RunMatMulTB(c.a, c.b, c.m, c.k, c.n));
+    EXPECT_EQ(Bits(outs.back()), Bits(ref.data()))
+        << c.m << "x" << c.k << "x" << c.n;
+  }
+  const std::vector<nn::Scalar>& nan_out = outs[outs.size() - 2];
+  for (size_t j = 0; j < nan_inf.n; ++j) EXPECT_TRUE(std::isnan(nan_out[j]));
+  const std::vector<nn::Scalar>& unit_out = outs.back();
+  EXPECT_EQ(Bits({unit_out.begin(), unit_out.begin() + 3}),
+            Bits({0.0, 0.0, 0.0}));
+  EXPECT_EQ(Bits({unit_out.begin() + 3, unit_out.end()}),
+            Bits({zero_unit.b.begin(), zero_unit.b.begin() + 3}));
 }
 
 TEST(NoGradTest, MlpInferenceMatchesForwardAndRefreshes) {
