@@ -27,12 +27,15 @@ case "$mode" in
     # end-to-end serving loop (parse/rewrite/execute under churn);
     # view_store_test the WAL torn-tail/rollback and eviction paths;
     # advisor_test the streaming ingest/retire/re-index mutation paths
-    # (tail renumbering, column shifts) and the swap lifecycle.
-    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test"
+    # (tail renumbering, column shifts) and the swap lifecycle;
+    # engine_test, sort_limit_test, property_test and
+    # executor_golden_test the executor, whose scans read the stored
+    # tables in place for the whole plan.
+    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test loadgen_test view_store_test advisor_test rewrite_fast_path_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test"
     ;;
   tsan)
     sanitize=thread

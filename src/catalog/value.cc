@@ -14,6 +14,12 @@ int Value::Compare(const Value& other) const {
     const auto& b = other.AsString();
     return a < b ? -1 : (a == b ? 0 : 1);
   }
+  if (is_int() && other.is_int()) {
+    // Exact: ints past 2^53 that round to the same double stay apart.
+    const int64_t a = AsInt();
+    const int64_t b = other.AsInt();
+    return a < b ? -1 : (a == b ? 0 : 1);
+  }
   const double a = AsDouble();
   const double b = other.AsDouble();
   if (a < b) return -1;

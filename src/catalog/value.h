@@ -42,8 +42,9 @@ class Value {
   }
   const std::string& AsString() const { return std::get<std::string>(v_); }
 
-  /// Numeric coercion: ints and doubles compare by value; strings
-  /// lexicographically. Cross string/number comparison orders strings last.
+  /// Two ints compare exactly; an int and a double compare as doubles;
+  /// strings lexicographically. Cross string/number comparison orders
+  /// strings last.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
@@ -53,7 +54,8 @@ class Value {
   std::string ToString() const;
 
   /// Stable 64-bit hash consistent with operator== (int 3 and double 3.0
-  /// hash identically).
+  /// hash identically). Numbers hash by AsDouble(), so distinct ints past
+  /// 2^53 may collide; they still compare unequal.
   uint64_t Hash() const;
 
   /// Approximate in-memory byte size (for view space overhead).

@@ -33,8 +33,7 @@ Status Database::AddTable(TableSchema schema, std::vector<Row> rows) {
   table.rows = std::move(rows);
   const std::string name = schema.name();
   AV_RETURN_NOT_OK(catalog_.AddTable(std::move(schema)));
-  MutexLock lock(mu_);
-  tables_.emplace(name, std::move(table));
+  Store(name, std::move(table));
   return Status::OK();
 }
 
@@ -42,11 +41,15 @@ Status Database::AddMaterialized(const std::string& name, Table table) {
   std::vector<ColumnSchema> cols;
   for (const auto& col : table.columns) cols.push_back({col.name, col.type});
   AV_RETURN_NOT_OK(catalog_.AddTable(TableSchema(name, std::move(cols))));
-  {
-    MutexLock lock(mu_);
-    tables_.emplace(name, std::move(table));
-  }
+  Store(name, std::move(table));
   return ComputeStats(name);
+}
+
+void Database::Store(const std::string& name, Table table) {
+  // Sized outside the lock; the table is not shared yet.
+  const uint64_t byte_size = table.ByteSize();
+  MutexLock lock(mu_);
+  tables_.emplace(name, StoredTable{std::move(table), byte_size});
 }
 
 Status Database::DropTable(const std::string& name) {
@@ -59,21 +62,23 @@ Status Database::DropTable(const std::string& name) {
   return catalog_.RemoveTable(name);
 }
 
-Result<const Table*> Database::GetTable(const std::string& name) const {
+Result<const Table*> Database::GetTable(const std::string& name,
+                                        uint64_t* byte_size) const {
   MutexLock lock(mu_);
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("no such table: " + name);
-  return &it->second;
+  if (byte_size != nullptr) *byte_size = it->second.byte_size;
+  return &it->second.table;
 }
 
 Status Database::ComputeStats(const std::string& name, size_t buckets) {
   MutexLock lock(mu_);
   auto it = tables_.find(name);
   if (it == tables_.end()) return Status::NotFound("no such table: " + name);
-  const Table& table = it->second;
+  const Table& table = it->second.table;
   TableStats stats;
   stats.row_count = table.rows.size();
-  stats.byte_size = table.ByteSize();
+  stats.byte_size = it->second.byte_size;
   stats.columns.resize(table.columns.size());
   for (size_t c = 0; c < table.columns.size(); ++c) {
     ColumnStats& cs = stats.columns[c];

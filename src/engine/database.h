@@ -39,7 +39,10 @@ class Database {
     return catalog_.HasTable(name);
   }
 
-  Result<const Table*> GetTable(const std::string& name) const
+  /// The stored table. `*byte_size` (optional) gets its ByteSize(),
+  /// recorded once at registration: tables never change once added.
+  Result<const Table*> GetTable(const std::string& name,
+                                uint64_t* byte_size = nullptr) const
       AV_EXCLUDES(mu_);
 
   /// Recomputes TableStats (row/byte counts, distincts, min/max,
@@ -53,9 +56,17 @@ class Database {
   std::vector<std::string> TableNames() const { return catalog_.TableNames(); }
 
  private:
+  struct StoredTable {
+    Table table;
+    uint64_t byte_size = 0;  ///< table.ByteSize()
+  };
+
+  /// Registers `table` under `name` with its byte size.
+  void Store(const std::string& name, Table table) AV_EXCLUDES(mu_);
+
   Catalog catalog_;  // internally synchronized
   mutable Mutex mu_;
-  std::map<std::string, Table> tables_ AV_GUARDED_BY(mu_);
+  std::map<std::string, StoredTable> tables_ AV_GUARDED_BY(mu_);
 };
 
 }  // namespace autoview

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -48,16 +46,106 @@ void SplitJoinCondition(const Expr& cond, size_t left_width,
   residual->push_back(cond.ShiftColumns(0));
 }
 
-/// Deterministic composite hash key for a set of cells.
-std::string RowKey(const Row& row, const std::vector<size_t>& cols) {
-  std::string key;
-  for (size_t c : cols) {
-    key += row[c].ToString();
-    key += '\x1f';
-  }
-  return key;
+/// Sum of the cells' ByteSize(): one row's share of Table::ByteSize().
+uint64_t RowBytes(const Row& row) {
+  uint64_t total = 0;
+  for (const Value& cell : row) total += cell.ByteSize();
+  return total;
 }
 
+/// Composite hash of the cells `cols` of `row`. Value::Hash() hashes equal
+/// values alike (int 3 and double 3.0 included), so rows whose key cells
+/// are pairwise `==` hash alike.
+uint64_t KeyHash(const Row& row, const std::vector<size_t>& cols) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t c : cols) {
+    // splitmix64 finalizer: spreads the identity hash of small ints over
+    // the low bits the bucket mask keeps.
+    h += row[c].Hash();
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+/// True when a[a_cols[i]] == b[b_cols[i]] for every i (Value::operator==,
+/// the same equality filters use).
+bool KeysEqual(const Row& a, const std::vector<size_t>& a_cols, const Row& b,
+               const std::vector<size_t>& b_cols) {
+  for (size_t i = 0; i < a_cols.size(); ++i) {
+    if (!(a[a_cols[i]] == b[b_cols[i]])) return false;
+  }
+  return true;
+}
+
+/// A chained hash index over entries numbered 0, 1, 2, ... in order of
+/// Add(): join build rows, aggregate groups or distinct rows. The caller
+/// owns the entries and decides equality; the index keeps each entry's
+/// hash, so most chain mismatches are rejected without comparing Values.
+/// Each chain lists its entries in the order they were added.
+class KeyIndex {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  explicit KeyIndex(size_t expected) {
+    size_t buckets = 16;
+    while (buckets < expected) buckets *= 2;
+    heads_.assign(buckets, kNone);
+    tails_.assign(buckets, kNone);
+    hashes_.reserve(expected);
+    next_.reserve(expected);
+  }
+
+  /// Adds the next entry under `hash` and returns its id.
+  uint32_t Add(uint64_t hash) {
+    if (hashes_.size() == heads_.size()) Grow();
+    const auto id = static_cast<uint32_t>(hashes_.size());
+    hashes_.push_back(hash);
+    next_.push_back(kNone);
+    Link(id);
+    return id;
+  }
+
+  /// The first entry, in order of addition, whose hash is `hash` and for
+  /// which `match(entry)` holds; kNone if there is none. Calling with a
+  /// `match` that always returns false visits every candidate.
+  template <typename Match>
+  uint32_t Find(uint64_t hash, Match&& match) const {
+    for (uint32_t e = heads_[hash & (heads_.size() - 1)]; e != kNone;
+         e = next_[e]) {
+      if (hashes_[e] == hash && match(e)) return e;
+    }
+    return kNone;
+  }
+
+ private:
+  void Link(uint32_t id) {
+    const size_t b = hashes_[id] & (heads_.size() - 1);
+    if (tails_[b] == kNone) {
+      heads_[b] = id;
+    } else {
+      next_[tails_[b]] = id;
+    }
+    tails_[b] = id;
+  }
+
+  /// Doubles the buckets, relinking entries in id order so every chain
+  /// stays in order of addition.
+  void Grow() {
+    heads_.assign(heads_.size() * 2, kNone);
+    tails_.assign(heads_.size(), kNone);
+    for (uint32_t id = 0; id < hashes_.size(); ++id) {
+      next_[id] = kNone;
+      Link(id);
+    }
+  }
+
+  std::vector<uint32_t> heads_;
+  std::vector<uint32_t> tails_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> next_;
+};
 
 /// Accumulation state for one aggregate item.
 struct AggState {
@@ -72,21 +160,28 @@ struct AggState {
 
 Result<ExecResult> Executor::Execute(const PlanNode& plan) const {
   double cpu = 0.0;
-  AV_ASSIGN_OR_RETURN(NodeResult node, Exec(plan, &cpu));
+  AV_ASSIGN_OR_RETURN(NodeResult root, Exec(plan, &cpu));
   ExecResult result;
-  // Plans whose peak intermediate exceeds the memory budget pay the
-  // spill penalty on all their work (see CostConstants).
-  result.cost.cpu_units = cpu * consts_.SpillMultiplier(node.peak_bytes);
-  result.cost.peak_bytes = node.peak_bytes;
-  result.cost.output_rows = node.table.rows.size();
-  result.cost.output_bytes = node.table.ByteSize();
-  result.table = std::move(node.table);
+  result.cost = Report(root, cpu);
+  result.table = std::move(root).TakeTable();
   return result;
 }
 
 Result<CostReport> Executor::ExecuteForCost(const PlanNode& plan) const {
-  AV_ASSIGN_OR_RETURN(ExecResult result, Execute(plan));
-  return result.cost;
+  double cpu = 0.0;
+  AV_ASSIGN_OR_RETURN(NodeResult root, Exec(plan, &cpu));
+  return Report(root, cpu);
+}
+
+CostReport Executor::Report(const NodeResult& root, double cpu_units) const {
+  CostReport cost;
+  // Plans whose peak intermediate exceeds the memory budget pay the
+  // spill penalty on all their work (see CostConstants).
+  cost.cpu_units = cpu_units * consts_.SpillMultiplier(root.peak_bytes);
+  cost.peak_bytes = root.peak_bytes;
+  cost.output_rows = root.rows().size();
+  cost.output_bytes = root.bytes;
+  return cost;
 }
 
 Result<Executor::NodeResult> Executor::Exec(const PlanNode& node,
@@ -115,11 +210,14 @@ Result<Executor::NodeResult> Executor::Exec(const PlanNode& node,
 Result<Executor::NodeResult> Executor::ExecSort(const PlanNode& node,
                                                 double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  const double n = static_cast<double>(in.table.rows.size());
+  const double n = static_cast<double>(in.rows().size());
   *cpu += consts_.sort_row * n * std::log2(n + 2.0);
   const auto& keys = node.sort_keys();
+  NodeResult out;
+  out.bytes = in.bytes;
+  out.table = std::move(in).TakeTable();
   std::stable_sort(
-      in.table.rows.begin(), in.table.rows.end(),
+      out.table.rows.begin(), out.table.rows.end(),
       [&keys](const Row& a, const Row& b) {
         for (const auto& key : keys) {
           const int c = a[key.column].Compare(b[key.column]);
@@ -133,10 +231,8 @@ Result<Executor::NodeResult> Executor::ExecSort(const PlanNode& node,
         }
         return false;
       });
-  NodeResult out;
-  out.table = std::move(in.table);
   out.peak_bytes =
-      std::max(in.peak_bytes, static_cast<double>(out.table.ByteSize()) * 2);
+      std::max(in.peak_bytes, static_cast<double>(out.bytes) * 2);
   return out;
 }
 
@@ -144,30 +240,54 @@ Result<Executor::NodeResult> Executor::ExecLimit(const PlanNode& node,
                                                  double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
   const size_t n = static_cast<size_t>(node.limit());
-  if (in.table.rows.size() > n) in.table.rows.resize(n);
-  *cpu += consts_.limit_row * static_cast<double>(in.table.rows.size());
   NodeResult out;
-  out.table = std::move(in.table);
   out.peak_bytes = in.peak_bytes;
+  if (in.rows().size() <= n) {
+    out.bytes = in.bytes;
+    out.table = std::move(in).TakeTable();
+  } else {
+    if (in.borrowed != nullptr) {
+      out.table.columns = in.borrowed->columns;
+      out.table.rows.assign(in.rows().begin(), in.rows().begin() + n);
+    } else {
+      out.table = std::move(in.table);
+      out.table.rows.resize(n);
+    }
+    for (const Row& row : out.table.rows) out.bytes += RowBytes(row);
+  }
+  *cpu += consts_.limit_row * static_cast<double>(out.table.rows.size());
   return out;
 }
 
 Result<Executor::NodeResult> Executor::ExecDistinct(const PlanNode& node,
                                                     double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  *cpu += consts_.distinct_row * static_cast<double>(in.table.rows.size());
+  const std::vector<Row>& rows = in.rows();
+  *cpu += consts_.distinct_row * static_cast<double>(rows.size());
   NodeResult out;
   out.table.columns = node.output();
-  std::unordered_set<std::string> seen;
-  std::vector<size_t> all_cols(in.table.num_columns());
+  std::vector<size_t> all_cols(node.output().size());
   for (size_t c = 0; c < all_cols.size(); ++c) all_cols[c] = c;
-  for (auto& row : in.table.rows) {
-    if (seen.insert(RowKey(row, all_cols)).second) {
-      out.table.rows.push_back(std::move(row));
-    }
+  // Kept rows are moved out of an owned input, copied from a borrowed one.
+  std::vector<Row>* owned = in.borrowed == nullptr ? &in.table.rows : nullptr;
+  KeyIndex seen(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint64_t h = KeyHash(rows[i], all_cols);
+    const auto same = [&](uint32_t e) {
+      return KeysEqual(out.table.rows[e], all_cols, rows[i], all_cols);
+    };
+    if (seen.Find(h, same) != KeyIndex::kNone) continue;
+    seen.Add(h);
+    out.bytes += RowBytes(rows[i]);
+    out.table.rows.push_back(owned != nullptr ? std::move((*owned)[i])
+                                              : rows[i]);
   }
-  const double here = static_cast<double>(out.table.ByteSize()) +
-                      static_cast<double>(in.table.ByteSize());
+  // The kept rows plus only the duplicate input rows: the input is
+  // measured as if the kept rows had been moved out of it. This is part
+  // of the pinned cost contract; counting the whole input would change
+  // peak_bytes and, through SpillMultiplier, cpu_units.
+  const double here = static_cast<double>(out.bytes) +
+                      static_cast<double>(in.bytes - out.bytes);
   out.peak_bytes = std::max(in.peak_bytes, here);
   return out;
 }
@@ -175,47 +295,51 @@ Result<Executor::NodeResult> Executor::ExecDistinct(const PlanNode& node,
 Result<Executor::NodeResult> Executor::ExecScan(const PlanNode& node,
                                                 double* cpu) const {
   AV_FAILPOINT_STATUS("executor.scan");
-  AV_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(node.table()));
-  *cpu += consts_.scan_row * static_cast<double>(table->rows.size());
   NodeResult out;
-  out.table = *table;  // materialize a private copy
-  out.peak_bytes = static_cast<double>(out.table.ByteSize());
+  AV_ASSIGN_OR_RETURN(out.borrowed, db_->GetTable(node.table(), &out.bytes));
+  *cpu += consts_.scan_row * static_cast<double>(out.rows().size());
+  out.peak_bytes = static_cast<double>(out.bytes);
   return out;
 }
 
 Result<Executor::NodeResult> Executor::ExecFilter(const PlanNode& node,
                                                   double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  *cpu += consts_.filter_row * static_cast<double>(in.table.rows.size());
+  const std::vector<Row>& rows = in.rows();
+  *cpu += consts_.filter_row * static_cast<double>(rows.size());
+  // Owned input rows are moved to the output; borrowed ones are copied,
+  // and only when they pass.
+  std::vector<Row>* owned = in.borrowed == nullptr ? &in.table.rows : nullptr;
   NodeResult out;
   out.table.columns = node.output();
-  for (auto& row : in.table.rows) {
-    if (node.predicate()->EvalPredicate(row)) {
-      out.table.rows.push_back(std::move(row));
-    }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!node.predicate()->EvalPredicate(rows[i])) continue;
+    out.bytes += RowBytes(rows[i]);
+    out.table.rows.push_back(owned != nullptr ? std::move((*owned)[i])
+                                              : rows[i]);
   }
-  const double here = static_cast<double>(out.table.ByteSize());
-  out.peak_bytes = std::max(in.peak_bytes, here);
+  out.peak_bytes = std::max(in.peak_bytes, static_cast<double>(out.bytes));
   return out;
 }
 
 Result<Executor::NodeResult> Executor::ExecProject(const PlanNode& node,
                                                    double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  *cpu += consts_.project_row * static_cast<double>(in.table.rows.size());
+  const std::vector<Row>& rows = in.rows();
+  *cpu += consts_.project_row * static_cast<double>(rows.size());
   NodeResult out;
   out.table.columns = node.output();
-  out.table.rows.reserve(in.table.rows.size());
-  for (const auto& row : in.table.rows) {
+  out.table.rows.reserve(rows.size());
+  for (const Row& row : rows) {
     Row projected;
     projected.reserve(node.projections().size());
     for (const auto& item : node.projections()) {
       projected.push_back(item.expr->EvalScalar(row));
     }
+    out.bytes += RowBytes(projected);
     out.table.rows.push_back(std::move(projected));
   }
-  const double here = static_cast<double>(out.table.ByteSize());
-  out.peak_bytes = std::max(in.peak_bytes, here);
+  out.peak_bytes = std::max(in.peak_bytes, static_cast<double>(out.bytes));
   return out;
 }
 
@@ -224,6 +348,8 @@ Result<Executor::NodeResult> Executor::ExecJoin(const PlanNode& node,
   AV_ASSIGN_OR_RETURN(NodeResult left, Exec(*node.child(0), cpu));
   AV_ASSIGN_OR_RETURN(NodeResult right, Exec(*node.child(1), cpu));
   const size_t left_width = node.child(0)->num_output_columns();
+  const std::vector<Row>& left_rows = left.rows();
+  const std::vector<Row>& right_rows = right.rows();
 
   std::vector<EquiKey> keys;
   std::vector<ExprPtr> residual;
@@ -241,43 +367,43 @@ Result<Executor::NodeResult> Executor::ExecJoin(const PlanNode& node,
       if (!pred->EvalPredicate(combined)) return;
     }
     *cpu += consts_.join_output_row;
+    out.bytes += RowBytes(combined);
     out.table.rows.push_back(std::move(combined));
   };
 
   double aux_bytes = 0.0;
   if (!keys.empty()) {
-    // Hash join: build on the right child, probe with the left.
+    // Hash join: build on the right child, probe with the left. Build
+    // entry e is right row e, and chains keep entries in build order.
     std::vector<size_t> right_cols, left_cols;
     for (const auto& k : keys) {
       right_cols.push_back(k.right);
       left_cols.push_back(k.left);
     }
-    std::unordered_map<std::string, std::vector<const Row*>> build;
-    build.reserve(right.table.rows.size() * 2);
-    for (const auto& row : right.table.rows) {
-      build[RowKey(row, right_cols)].push_back(&row);
-    }
-    *cpu +=
-        consts_.join_build_row * static_cast<double>(right.table.rows.size());
-    aux_bytes = static_cast<double>(right.table.ByteSize());
-    for (const auto& l : left.table.rows) {
+    KeyIndex build(right_rows.size());
+    for (const Row& row : right_rows) build.Add(KeyHash(row, right_cols));
+    *cpu += consts_.join_build_row * static_cast<double>(right_rows.size());
+    aux_bytes = static_cast<double>(right.bytes);
+    for (const Row& l : left_rows) {
       *cpu += consts_.join_probe_row;
-      auto it = build.find(RowKey(l, left_cols));
-      if (it == build.end()) continue;
-      for (const Row* r : it->second) emit_if_match(l, *r);
+      build.Find(KeyHash(l, left_cols), [&](uint32_t e) {
+        const Row& r = right_rows[e];
+        if (KeysEqual(l, left_cols, r, right_cols)) emit_if_match(l, r);
+        return false;  // visit every candidate
+      });
     }
   } else {
     // Nested loop fallback.
     *cpu += consts_.nested_loop_pair *
-            static_cast<double>(left.table.rows.size()) *
-            static_cast<double>(right.table.rows.size());
-    for (const auto& l : left.table.rows) {
-      for (const auto& r : right.table.rows) emit_if_match(l, r);
+            static_cast<double>(left_rows.size()) *
+            static_cast<double>(right_rows.size());
+    for (const Row& l : left_rows) {
+      for (const Row& r : right_rows) emit_if_match(l, r);
     }
   }
 
-  const double here = static_cast<double>(out.table.ByteSize()) + aux_bytes +
-                      static_cast<double>(left.table.ByteSize());
+  const double here = static_cast<double>(out.bytes) + aux_bytes +
+                      static_cast<double>(left.bytes);
   out.peak_bytes = std::max({left.peak_bytes, right.peak_bytes, here});
   return out;
 }
@@ -285,23 +411,34 @@ Result<Executor::NodeResult> Executor::ExecJoin(const PlanNode& node,
 Result<Executor::NodeResult> Executor::ExecAggregate(const PlanNode& node,
                                                      double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  *cpu += consts_.agg_update_row * static_cast<double>(in.table.rows.size());
+  const std::vector<Row>& rows = in.rows();
+  *cpu += consts_.agg_update_row * static_cast<double>(rows.size());
 
   const auto& group_by = node.group_by();
   const auto& aggs = node.aggregates();
 
-  // std::map gives deterministic group output order.
-  std::map<std::string, std::pair<Row, std::vector<AggState>>> groups;
-  for (const auto& row : in.table.rows) {
-    std::string key = RowKey(row, group_by);
-    auto [it, inserted] = groups.try_emplace(key);
-    if (inserted) {
-      Row key_row;
-      for (size_t g : group_by) key_row.push_back(row[g]);
-      it->second.first = std::move(key_row);
-      it->second.second.resize(aggs.size());
+  // Groups in first-seen order; `index` finds a row's group by its key.
+  struct Group {
+    Row key;  ///< the group-by cells
+    std::vector<AggState> states;
+  };
+  std::vector<Group> groups;
+  std::vector<size_t> key_cols(group_by.size());
+  for (size_t g = 0; g < key_cols.size(); ++g) key_cols[g] = g;
+  KeyIndex index(16);
+  for (const Row& row : rows) {
+    const uint64_t h = KeyHash(row, group_by);
+    uint32_t e = index.Find(h, [&](uint32_t candidate) {
+      return KeysEqual(row, group_by, groups[candidate].key, key_cols);
+    });
+    if (e == KeyIndex::kNone) {
+      e = index.Add(h);
+      Group& group = groups.emplace_back();
+      group.key.reserve(group_by.size());
+      for (size_t g : group_by) group.key.push_back(row[g]);
+      group.states.resize(aggs.size());
     }
-    auto& states = it->second.second;
+    auto& states = groups[e].states;
     for (size_t a = 0; a < aggs.size(); ++a) {
       AggState& st = states[a];
       st.count += 1;
@@ -332,16 +469,16 @@ Result<Executor::NodeResult> Executor::ExecAggregate(const PlanNode& node,
 
   // Global aggregate over empty input still yields one row.
   if (groups.empty() && group_by.empty()) {
-    groups.try_emplace("", std::make_pair(Row{}, std::vector<AggState>(
-                                                     aggs.size())));
+    groups.push_back({Row{}, std::vector<AggState>(aggs.size())});
   }
 
   NodeResult out;
   out.table.columns = node.output();
-  for (auto& [_, entry] : groups) {
-    Row row = std::move(entry.first);
+  out.table.rows.reserve(groups.size());
+  for (Group& group : groups) {
+    Row row = std::move(group.key);
     for (size_t a = 0; a < aggs.size(); ++a) {
-      const AggState& st = entry.second[a];
+      const AggState& st = group.states[a];
       const ColumnType out_type = node.output()[group_by.size() + a].type;
       switch (aggs[a].kind) {
         case AggKind::kCountStar:
@@ -367,12 +504,13 @@ Result<Executor::NodeResult> Executor::ExecAggregate(const PlanNode& node,
           break;
       }
     }
+    out.bytes += RowBytes(row);
     out.table.rows.push_back(std::move(row));
   }
   *cpu += consts_.agg_output_row * static_cast<double>(out.table.rows.size());
 
-  const double here = static_cast<double>(out.table.ByteSize()) * 2.0 +
-                      static_cast<double>(in.table.ByteSize());
+  const double here = static_cast<double>(out.bytes) * 2.0 +
+                      static_cast<double>(in.bytes);
   out.peak_bytes = std::max(in.peak_bytes, here);
   return out;
 }

@@ -18,9 +18,27 @@ struct ExecResult {
 /// \brief Executes logical plans against a Database with cost metering.
 ///
 /// Operators: table scan, filter, projection, inner hash join (with a
-/// nested-loop fallback when the ON clause has no equi-key), and hash
-/// aggregation. All work is charged to a CostReport using CostConstants,
-/// giving bit-reproducible costs for a given plan and data.
+/// nested-loop fallback when the ON clause has no equi-key), hash
+/// aggregation, sort, limit and distinct. All work is charged to a
+/// CostReport using CostConstants, giving bit-reproducible costs for a
+/// given plan and data: cpu_units are charged per logical row, so they do
+/// not depend on the physical row layout or key representation.
+///
+/// Output order of each operator:
+///   * Scan — the stored table's row order.
+///   * Filter, Project — input order (Filter keeps the passing rows).
+///   * Join — left-major: for each left row in order, its matches in the
+///     right child's row order.
+///   * Aggregate — one row per group in first-seen order (the order in
+///     which each group's first input row arrives).
+///   * Sort — the sort keys, then the full row as a tie-break, so the
+///     order does not depend on the input order.
+///   * Limit — the first `limit` input rows.
+///   * Distinct — the first occurrence of each row, in input order.
+///
+/// Keys of join, aggregate and distinct are compared with
+/// Value::operator== (the equality filters use) and hashed with
+/// Value::Hash(); no per-row key string is built.
 class Executor {
  public:
   explicit Executor(const Database* db, CostConstants consts = CostConstants())
@@ -35,10 +53,27 @@ class Executor {
   const CostConstants& constants() const { return consts_; }
 
  private:
+  /// One operator's output. A scan borrows the stored table instead of
+  /// copying it; the borrowed rows stay valid as long as a
+  /// Database::GetTable() pointer does, which covers the whole plan
+  /// (base tables are never dropped, served views are pinned).
   struct NodeResult {
-    Table table;
+    Table table;                      ///< owned rows (unused if borrowed)
+    const Table* borrowed = nullptr;  ///< a scan's stored table
+    uint64_t bytes = 0;               ///< ByteSize() of rows()
     double peak_bytes = 0.0;
+
+    const std::vector<Row>& rows() const {
+      return borrowed != nullptr ? borrowed->rows : table.rows;
+    }
+    /// The rows as an owned table, copying only if they are borrowed.
+    Table TakeTable() && {
+      return borrowed != nullptr ? *borrowed : std::move(table);
+    }
   };
+
+  /// The CostReport of a finished plan whose root produced `root`.
+  CostReport Report(const NodeResult& root, double cpu_units) const;
 
   Result<NodeResult> Exec(const PlanNode& node, double* cpu_units) const;
   Result<NodeResult> ExecScan(const PlanNode& node, double* cpu) const;

@@ -2,6 +2,9 @@
 
 #include "catalog/catalog.h"
 #include "catalog/value.h"
+#include "engine/database.h"
+#include "engine/executor.h"
+#include "plan/builder.h"
 
 namespace autoview {
 namespace {
@@ -31,6 +34,82 @@ TEST(ValueTest, NumericCrossTypeComparison) {
   EXPECT_EQ(Value(int64_t{3}).Compare(Value(3.0)), 0);
   EXPECT_LT(Value(int64_t{2}).Compare(Value(2.5)), 0);
   EXPECT_GT(Value(4.5).Compare(Value(int64_t{4})), 0);
+}
+
+// 2^53 and 2^53 + 1 round to the same double, so comparing two ints
+// through AsDouble() would call them equal.
+constexpr int64_t kTwo53 = int64_t{1} << 53;
+
+TEST(ValueTest, IntCompareIsExactBeyondDoublePrecision) {
+  const Value a(kTwo53);
+  const Value b(kTwo53 + 1);
+  EXPECT_LT(a.Compare(b), 0);
+  EXPECT_GT(b.Compare(a), 0);
+  EXPECT_FALSE(a == b);
+  EXPECT_TRUE(a < b);
+  EXPECT_EQ(b.Compare(Value(kTwo53 + 1)), 0);
+  EXPECT_EQ(b.Hash(), Value(kTwo53 + 1).Hash());
+}
+
+/// Join and group-by keyed on 2^53 vs 2^53 + 1 agree with the `=` filter.
+class BigIntKeyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::vector<Row> l_rows = {{Value(int64_t{1}), Value(kTwo53)},
+                               {Value(int64_t{2}), Value(kTwo53 + 1)},
+                               {Value(int64_t{3}), Value(kTwo53)}};
+    std::vector<Row> r_rows = {{Value(int64_t{10}), Value(kTwo53 + 1)},
+                               {Value(int64_t{11}), Value(kTwo53)}};
+    ASSERT_TRUE(db_.AddTable(TableSchema("l", {{"id", ColumnType::kInt64},
+                                               {"k", ColumnType::kInt64}}),
+                             std::move(l_rows))
+                    .ok());
+    ASSERT_TRUE(db_.AddTable(TableSchema("r", {{"id", ColumnType::kInt64},
+                                               {"k", ColumnType::kInt64}}),
+                             std::move(r_rows))
+                    .ok());
+    ASSERT_TRUE(db_.ComputeAllStats().ok());
+  }
+
+  Table Run(const std::string& sql) {
+    PlanBuilder builder(&db_.catalog());
+    auto plan = builder.BuildFromSql(sql);
+    EXPECT_TRUE(plan.ok()) << sql << "\n" << plan.status().ToString();
+    if (!plan.ok()) return Table{};
+    auto result = Executor(&db_).Execute(*plan.value());
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(result).value().table : Table{};
+  }
+
+  Database db_;
+};
+
+TEST_F(BigIntKeyTest, JoinKeepsAdjacentBigIntsApart) {
+  Table joined =
+      Run("SELECT l.id AS lid, r.id AS rid FROM l INNER JOIN r ON l.k = r.k");
+  ASSERT_EQ(joined.num_rows(), 3u);
+  for (const Row& row : joined.rows) {
+    const int64_t lid = row[0].AsInt();
+    const int64_t rid = row[1].AsInt();
+    EXPECT_EQ(rid, lid == 2 ? 10 : 11) << lid;
+  }
+  // The `=` filter agrees: exactly one left row holds 2^53 + 1.
+  Table filtered = Run("SELECT id FROM l WHERE k = 9007199254740993");
+  ASSERT_EQ(filtered.num_rows(), 1u);
+  EXPECT_EQ(filtered.rows[0][0].AsInt(), 2);
+}
+
+TEST_F(BigIntKeyTest, GroupByKeepsAdjacentBigIntsApart) {
+  Table groups = Run("SELECT k, count(*) AS cnt FROM l GROUP BY k");
+  ASSERT_EQ(groups.num_rows(), 2u);
+  EXPECT_EQ(groups.rows[0][0].AsInt(), kTwo53);
+  EXPECT_EQ(groups.rows[0][1].AsInt(), 2);
+  EXPECT_EQ(groups.rows[1][0].AsInt(), kTwo53 + 1);
+  EXPECT_EQ(groups.rows[1][1].AsInt(), 1);
+  Table filtered =
+      Run("SELECT count(*) AS cnt FROM l WHERE k = 9007199254740992");
+  ASSERT_EQ(filtered.num_rows(), 1u);
+  EXPECT_EQ(filtered.rows[0][0].AsInt(), 2);
 }
 
 TEST(ValueTest, StringsOrderAfterNumbers) {

@@ -484,5 +484,112 @@ TEST_F(EngineTest, TablesEqualUnorderedDetectsDifferences) {
   EXPECT_FALSE(TablesEqualUnordered(a, b));
 }
 
+/// Keys whose %g renderings disagree with Value equality: 1234567.0 and
+/// 1234568.0 both render "1.23457e+06", while int 1234567 and double
+/// 1234567.0 are equal but render "1234567" and "1.23457e+06". Join,
+/// group-by and distinct must agree with the `a = b` filter.
+class KeyEqualityTest : public EngineTest {
+ protected:
+  void SetUp() override {
+    EngineTest::SetUp();
+    const std::vector<Value> left = {Value(1234567.0), Value(int64_t{1234567}),
+                                     Value(1234568.0), Value(7.5)};
+    const std::vector<Value> right = {Value(1234568.0), Value(1234567.0),
+                                      Value(7.5), Value(1234569.0)};
+    std::vector<Row> l_rows, r_rows, pair_rows;
+    for (size_t i = 0; i < left.size(); ++i) {
+      l_rows.push_back({Value(static_cast<int64_t>(i)), left[i]});
+    }
+    for (size_t j = 0; j < right.size(); ++j) {
+      r_rows.push_back({Value(static_cast<int64_t>(10 + j)), right[j]});
+    }
+    for (const Row& l : l_rows) {
+      for (const Row& r : r_rows) pair_rows.push_back({l[0], l[1], r[0], r[1]});
+    }
+    ASSERT_TRUE(db_.AddTable(TableSchema("l", {{"id", ColumnType::kInt64},
+                                               {"a", ColumnType::kDouble}}),
+                             std::move(l_rows))
+                    .ok());
+    ASSERT_TRUE(db_.AddTable(TableSchema("r", {{"id", ColumnType::kInt64},
+                                               {"b", ColumnType::kDouble}}),
+                             std::move(r_rows))
+                    .ok());
+    ASSERT_TRUE(db_.AddTable(TableSchema("p", {{"lid", ColumnType::kInt64},
+                                               {"a", ColumnType::kDouble},
+                                               {"rid", ColumnType::kInt64},
+                                               {"b", ColumnType::kDouble}}),
+                             std::move(pair_rows))
+                    .ok());
+    ASSERT_TRUE(db_.ComputeAllStats().ok());
+  }
+
+  Table Run(const std::string& sql) {
+    PlanNodePtr plan = MustBuild(sql);
+    return plan != nullptr ? MustExecute(plan).table : Table{};
+  }
+
+  int64_t FilterCount(const std::string& literal) {
+    Table t = Run("SELECT count(*) AS cnt FROM l WHERE a = " + literal);
+    return t.rows.empty() ? -1 : t.rows[0][0].AsInt();
+  }
+};
+
+TEST_F(KeyEqualityTest, HashJoinMatchesEqualityFilter) {
+  Table joined = Run(
+      "SELECT l.id AS lid, r.id AS rid FROM l INNER JOIN r ON l.a = r.b");
+  Table filtered = Run("SELECT lid, rid FROM p WHERE a = b");
+  EXPECT_EQ(filtered.num_rows(), 4u);
+  EXPECT_TRUE(TablesEqualUnordered(joined, filtered))
+      << joined.ToString() << filtered.ToString();
+}
+
+TEST_F(KeyEqualityTest, GroupByMatchesEqualityFilter) {
+  Table groups = Run("SELECT a, count(*) AS cnt FROM l GROUP BY a");
+  EXPECT_EQ(groups.num_rows(), 3u);
+  const std::pair<const char*, Value> keys[] = {
+      {"1234567", Value(int64_t{1234567})},
+      {"1234568.0", Value(1234568.0)},
+      {"7.5", Value(7.5)}};
+  for (const auto& [literal, key] : keys) {
+    size_t hits = 0;
+    for (const Row& row : groups.rows) {
+      if (row[0] != key) continue;
+      ++hits;
+      EXPECT_EQ(row[1].AsInt(), FilterCount(literal)) << literal;
+    }
+    EXPECT_EQ(hits, 1u) << literal;
+  }
+}
+
+TEST_F(KeyEqualityTest, DistinctMatchesEqualityFilter) {
+  Table distinct = Run("SELECT DISTINCT a FROM l");
+  EXPECT_EQ(distinct.num_rows(), 3u);
+  for (const Value& key : {Value(int64_t{1234567}), Value(1234568.0),
+                           Value(7.5)}) {
+    size_t hits = 0;
+    for (const Row& row : distinct.rows) hits += row[0] == key;
+    EXPECT_EQ(hits, 1u) << key.ToString();
+  }
+}
+
+TEST_F(EngineTest, GroupByEmitsGroupsInFirstSeenOrder) {
+  std::vector<Row> rows;
+  for (int64_t k : {2, 10, 2, 3, 10}) rows.push_back({Value(k)});
+  ASSERT_TRUE(db_.AddTable(TableSchema("g", {{"k", ColumnType::kInt64}}),
+                           std::move(rows))
+                  .ok());
+  auto result =
+      MustExecute(MustBuild("SELECT k, count(*) AS cnt FROM g GROUP BY k"));
+  ASSERT_EQ(result.table.num_rows(), 3u);
+  // First-seen order: neither numeric (2, 3, 10) nor the lexicographic
+  // order of rendered keys ("10" < "2" < "3").
+  EXPECT_EQ(result.table.rows[0][0].AsInt(), 2);
+  EXPECT_EQ(result.table.rows[1][0].AsInt(), 10);
+  EXPECT_EQ(result.table.rows[2][0].AsInt(), 3);
+  EXPECT_EQ(result.table.rows[0][1].AsInt(), 2);
+  EXPECT_EQ(result.table.rows[1][1].AsInt(), 2);
+  EXPECT_EQ(result.table.rows[2][1].AsInt(), 1);
+}
+
 }  // namespace
 }  // namespace autoview
