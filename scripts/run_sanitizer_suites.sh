@@ -30,12 +30,13 @@ case "$mode" in
     # (tail renumbering, column shifts) and the swap lifecycle;
     # engine_test, sort_limit_test, property_test and
     # executor_golden_test the executor, whose scans read the stored
-    # tables in place for the whole plan.
-    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test"
+    # tables in place for the whole plan; subquery_test the extracted
+    # subqueries' lifetimes (root candidates outliving their query).
+    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test"
     ;;
   tsan)
     sanitize=thread

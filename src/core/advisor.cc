@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "plan/builder.h"
+#include "plan/canonical.h"
 #include "select/iterview.h"
 #include "select/rlview.h"
 #include "util/random.h"
@@ -244,14 +245,43 @@ Status OnlineAdvisor::AddViewLocked(const std::string& key) {
           static_cast<size_t>(row_it - row_ids_.begin()), benefit});
     }
   }
+
+  // Fig. 2's conflict rule: two candidates overlap when one's plan
+  // occurs inside the other's. The live views this one contains are
+  // those whose key is among its subtree keys; the live views that
+  // contain it are indexed under its own key.
+  view.subtree_keys = SubtreeCanonicalKeys(*view.plan);
+  std::sort(view.subtree_keys.begin(), view.subtree_keys.end());
+  view.subtree_keys.erase(
+      std::unique(view.subtree_keys.begin(), view.subtree_keys.end()),
+      view.subtree_keys.end());
   std::vector<size_t> overlapping;
-  for (size_t k = 0; k < views_.size(); ++k) {
-    if (CanonicalPlansOverlap(*views_[k].plan, *view.plan)) {
-      overlapping.push_back(k);
+  for (const std::string& subtree_key : view.subtree_keys) {
+    const auto it = view_of_key_.find(subtree_key);
+    if (it != view_of_key_.end()) overlapping.push_back(it->second);
+  }
+  if (const auto containing = views_with_subtree_.find(key);
+      containing != views_with_subtree_.end()) {
+    for (const uint64_t id : containing->second) {
+      // views_ ascends by id, so an id's column is a binary search.
+      const auto it = std::lower_bound(
+          views_.begin(), views_.end(), id,
+          [](const ViewState& v, uint64_t want) { return v.id < want; });
+      if (it == views_.end() || it->id != id) {
+        return Status::Internal("AddView: subtree index names a dead view");
+      }
+      overlapping.push_back(static_cast<size_t>(it - views_.begin()));
     }
   }
+  std::sort(overlapping.begin(), overlapping.end());
+  overlapping.erase(std::unique(overlapping.begin(), overlapping.end()),
+                    overlapping.end());
   AV_RETURN_NOT_OK(
       index_.AddCandidateView(view.estimates.overhead, column, overlapping));
+  view.id = next_view_id_++;
+  for (const std::string& subtree_key : view.subtree_keys) {
+    views_with_subtree_[subtree_key].push_back(view.id);
+  }
   view_of_key_[key] = views_.size();
   views_.push_back(std::move(view));
   return Status::OK();
@@ -264,6 +294,20 @@ Status OnlineAdvisor::RemoveViewLocked(const std::string& key) {
   }
   const size_t j = it->second;
   AV_RETURN_NOT_OK(index_.RetireCandidateView(j));
+  const ViewState& view = views_[j];
+  for (const std::string& subtree_key : view.subtree_keys) {
+    const auto bucket = views_with_subtree_.find(subtree_key);
+    if (bucket == views_with_subtree_.end()) {
+      return Status::Internal("RemoveView: subtree key not indexed");
+    }
+    std::vector<uint64_t>& ids = bucket->second;
+    const auto pos = std::lower_bound(ids.begin(), ids.end(), view.id);
+    if (pos == ids.end() || *pos != view.id) {
+      return Status::Internal("RemoveView: view missing from subtree index");
+    }
+    ids.erase(pos);
+    if (ids.empty()) views_with_subtree_.erase(bucket);
+  }
   views_.erase(views_.begin() + j);
   view_of_key_.erase(it);
   for (auto& entry : view_of_key_) {

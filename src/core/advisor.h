@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/streaming_problem.h"
@@ -156,9 +157,14 @@ class OnlineAdvisor {
  private:
   /// One candidate column the index knows about.
   struct ViewState {
+    /// Stable handle for views_with_subtree_; ascends with column order.
+    uint64_t id = 0;
     std::string key;
     PlanNodePtr plan;
     ViewEstimates estimates;
+    /// Distinct canonical keys of the plan's subtrees, root included,
+    /// ascending.
+    std::vector<std::string> subtree_keys;
   };
 
   Status IngestPlanLocked(uint64_t query_id, const PlanNodePtr& plan)
@@ -166,7 +172,8 @@ class OnlineAdvisor {
   Status RetireQueryLocked(uint64_t query_id) AV_REQUIRES(mu_);
 
   /// Appends candidate `key` as the index's next column (estimates,
-  /// benefit cells over the cluster's live queries, overlap partners).
+  /// benefit cells over the cluster's live queries, overlap partners
+  /// found through view_of_key_ and views_with_subtree_).
   Status AddViewLocked(const std::string& key) AV_REQUIRES(mu_);
 
   /// Removes candidate `key`'s column; later views shift down one.
@@ -205,6 +212,12 @@ class OnlineAdvisor {
   /// Column j of index_ is views_[j]; view_of_key_ inverts it.
   std::vector<ViewState> views_ AV_GUARDED_BY(mu_);
   std::map<std::string, size_t> view_of_key_ AV_GUARDED_BY(mu_);
+  /// Inverted subtree-key index: ids of the live views whose plan
+  /// contains a subtree with that canonical key, ascending. A view is
+  /// indexed under key k exactly when it is live and contains k.
+  std::unordered_map<std::string, std::vector<uint64_t>> views_with_subtree_
+      AV_GUARDED_BY(mu_);
+  uint64_t next_view_id_ AV_GUARDED_BY(mu_) = 0;
 
   /// Keys selected by the last re-selection (the warm start of the
   /// next) and their utility at selection time.

@@ -25,6 +25,20 @@ CompareOp FlipOp(CompareOp op) {
   }
 }
 
+/// Appends the keys of `node`'s subtree to `keys` in pre-order.
+void AppendSubtreeKeys(const PlanNode& node, std::vector<std::string>* keys) {
+  const size_t pos = keys->size();
+  keys->emplace_back();
+  std::vector<std::string> child_keys;
+  child_keys.reserve(node.children().size());
+  for (const auto& child : node.children()) {
+    const size_t child_pos = keys->size();
+    AppendSubtreeKeys(*child, keys);
+    child_keys.push_back((*keys)[child_pos]);
+  }
+  (*keys)[pos] = CanonicalKeyWithChildren(node, child_keys);
+}
+
 }  // namespace
 
 std::string CanonicalExprKey(const Expr& expr) {
@@ -127,6 +141,12 @@ std::string CanonicalKey(const PlanNode& node) {
     child_keys.push_back(CanonicalKey(*child));
   }
   return CanonicalKeyWithChildren(node, child_keys);
+}
+
+std::vector<std::string> SubtreeCanonicalKeys(const PlanNode& root) {
+  std::vector<std::string> keys;
+  AppendSubtreeKeys(root, &keys);
+  return keys;
 }
 
 uint64_t CanonicalHash(const PlanNode& node) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "plan/plan.h"
 
@@ -30,6 +31,13 @@ std::string CanonicalKey(const PlanNode& node);
 /// of the O(plan²) of calling CanonicalKey at each node).
 std::string CanonicalKeyWithChildren(const PlanNode& node,
                                      const std::vector<std::string>& child_keys);
+
+/// Canonical keys of every subtree of `root`, in Subtrees() pre-order:
+/// `SubtreeCanonicalKeys(root)[i] == CanonicalKey(*root.Subtrees()[i])`,
+/// duplicates included. One bottom-up walk composes each key from its
+/// children's with CanonicalKeyWithChildren, so the cost is the total
+/// key length rather than the O(plan²) of calling CanonicalKey per node.
+std::vector<std::string> SubtreeCanonicalKeys(const PlanNode& root);
 
 /// 64-bit hash of CanonicalKey (cheap map key).
 uint64_t CanonicalHash(const PlanNode& node);

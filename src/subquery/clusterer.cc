@@ -354,13 +354,17 @@ Status ClustererSession::IngestQuery(uint64_t query_id,
     return Status::AlreadyExists("query id already live");
   }
   SubqueryExtractor extractor(options_.extractor);
-  std::vector<PlanNodePtr> subs = extractor.Extract(plan);
+  std::vector<size_t> positions;
+  std::vector<PlanNodePtr> subs = extractor.Extract(plan, &positions);
+  // One bottom-up walk keys every node of the plan; each subquery reads
+  // its key by pre-order position.
+  std::vector<std::string> subtree_keys = SubtreeCanonicalKeys(*plan);
 
   std::vector<std::string>& keys = queries_[query_id];
   keys.reserve(subs.size());
   std::map<std::string, bool> was_candidate;  // touched clusters, key asc
   for (size_t ordinal = 0; ordinal < subs.size(); ++ordinal) {
-    std::string key = CanonicalKey(*subs[ordinal]);
+    std::string key = std::move(subtree_keys[positions[ordinal]]);
     auto [it, inserted] = clusters_.emplace(key, ClusterState{});
     if (inserted) was_candidate.emplace(key, false);
     else was_candidate.emplace(key, IsCandidate(it->second));

@@ -152,7 +152,11 @@ class SubqueryClusterer {
 
 /// Overlap per Definition 5 evaluated on canonical subtree keys, so two
 /// equivalent-but-structurally-different subplans still register their
-/// common subtrees.
+/// common subtrees. Re-keys both plans per call, so it serves two roles
+/// only: the exact verifier behind the batch clusterer's hash prefilter
+/// (and its all-pairs oracle), and the all-pairs oracle behind
+/// OnlineAdvisor::DenseOracleProblem. The advisor's own ingest finds
+/// overlap partners through its subtree-key index instead.
 bool CanonicalPlansOverlap(const PlanNode& a, const PlanNode& b);
 
 namespace internal {

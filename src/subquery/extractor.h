@@ -27,8 +27,12 @@ class SubqueryExtractor {
   explicit SubqueryExtractor(ExtractorOptions options = ExtractorOptions())
       : options_(options) {}
 
-  /// All subqueries of `query`, in pre-order.
-  std::vector<PlanNodePtr> Extract(const PlanNodePtr& query) const;
+  /// All subqueries of `query`, in pre-order. Every returned pointer
+  /// owns its node (the root subquery is `query` itself), so the
+  /// subqueries outlive the caller's handle on `query`. When `positions`
+  /// is set it receives each subquery's index in `query->Subtrees()`.
+  std::vector<PlanNodePtr> Extract(
+      const PlanNodePtr& query, std::vector<size_t>* positions = nullptr) const;
 
   /// Extract() over every query, parallelized across `pool`
   /// (DefaultPool() when null). out[i] == Extract(queries[i]); queries

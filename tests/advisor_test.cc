@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -29,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/database.h"
 #include "engine/view_store.h"
 #include "ilp/problem.h"
 #include "ilp/problem_index.h"
@@ -150,11 +152,20 @@ struct AdvisorRig {
 };
 
 /// The index-layer bit-identity oracle: the incrementally mutated index
-/// must equal an index rebuilt from scratch over the dense instance.
-void ExpectIndexMatchesOracle(const OnlineAdvisor& advisor) {
+/// must equal an index rebuilt from scratch over the dense instance,
+/// whose overlap flags come from the all-pairs CanonicalPlansOverlap
+/// scan. Returns the oracle's count of overlapping candidate pairs.
+size_t ExpectIndexMatchesOracle(const OnlineAdvisor& advisor) {
   const Result<MvsProblem> dense = advisor.DenseOracleProblem();
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-  EXPECT_TRUE(MvsProblemIndex(dense.value()) == advisor.CopyIndex());
+  EXPECT_TRUE(dense.ok()) << dense.status().ToString();
+  if (!dense.ok()) return 0;
+  EXPECT_EQ(MvsProblemIndex(dense.value()), advisor.CopyIndex());
+  size_t pairs = 0;
+  const auto& overlap = dense.value().overlap;
+  for (size_t j = 0; j < overlap.size(); ++j) {
+    for (size_t k = j + 1; k < overlap.size(); ++k) pairs += overlap[j][k];
+  }
+  return pairs;
 }
 
 // ---------------------------------------------------------------------
@@ -235,6 +246,130 @@ TEST(AdvisorIndexTest, SlidingWindowChurnMatchesRebuiltIndex) {
   const OnlineAdvisorStats stats = rig.advisor->stats();
   EXPECT_EQ(stats.live_queries, options.window_queries);
   EXPECT_EQ(stats.retired, stats.ingested - options.window_queries);
+}
+
+/// Fig. 2's two tables with a few rows each, statistics computed.
+std::unique_ptr<Database> Fig2Database() {
+  auto db = std::make_unique<Database>();
+  std::vector<Row> memo;
+  std::vector<Row> action;
+  for (int64_t i = 0; i < 40; ++i) {
+    memo.push_back({Value(i % 10), Value(i % 3 == 0 ? "pen" : "ink"),
+                    Value(i % 2 == 0 ? "1010" : "1011"),
+                    Value(i % 4 == 0 ? "book" : "pen")});
+    action.push_back({Value(i % 10), Value(i % 5 == 0 ? "buy" : "view"),
+                      Value(i % 3), Value(i % 2 == 0 ? "1010" : "1011")});
+  }
+  EXPECT_TRUE(db->AddTable(TableSchema("user_memo",
+                                       {{"user_id", ColumnType::kInt64},
+                                        {"memo", ColumnType::kString},
+                                        {"dt", ColumnType::kString},
+                                        {"memo_type", ColumnType::kString}}),
+                           std::move(memo))
+                  .ok());
+  EXPECT_TRUE(db->AddTable(TableSchema("user_action",
+                                       {{"user_id", ColumnType::kInt64},
+                                        {"action", ColumnType::kString},
+                                        {"type", ColumnType::kInt64},
+                                        {"dt", ColumnType::kString}}),
+                           std::move(action))
+                  .ok());
+  EXPECT_TRUE(db->ComputeAllStats().ok());
+  return db;
+}
+
+TEST(AdvisorIndexTest, OverlapAdjacencyMatchesAllPairsOracle) {
+  // s1 and s2 are Fig. 2's filtered projections and s3 their join, so
+  // s3 contains s1 and s2 (Fig. 2's conflict); "s1 join scan" contains
+  // s1 alone, and two queries share nothing.
+  const std::string s1 =
+      "(select user_id, memo from user_memo "
+      "where dt = '1010' and memo_type = 'pen') t1";
+  const std::string s2 =
+      "(select user_id, action from user_action "
+      "where type = 1 and dt = '1010') t2";
+  const std::string fig2 = "select t1.user_id, count(*) as cnt from " + s1 +
+                           " inner join " + s2 +
+                           " on t1.user_id = t2.user_id group by t1.user_id";
+  const std::string by_memo = "select t1.memo, count(*) as c from " + s1 +
+                              " inner join " + s2 +
+                              " on t1.user_id = t2.user_id group by t1.memo";
+  const std::string s1_scan = "select t1.user_id from " + s1 +
+                              " inner join user_action a "
+                              "on t1.user_id = a.user_id";
+  const std::string s2_book =
+      "select t2.user_id, count(*) as n from " + s2 +
+      " inner join (select user_id, memo from user_memo "
+      "where memo_type = 'book') t3 on t2.user_id = t3.user_id "
+      "group by t2.user_id";
+  const std::string other_action =
+      "select user_id, count(*) as c from user_action where type = 2 "
+      "group by user_id";
+  const std::string other_memo =
+      "select memo, count(*) as c from user_memo where dt = '1011' "
+      "group by memo";
+  const std::vector<std::string> stream = {
+      fig2,    by_memo, s1_scan, fig2,       s2_book,    by_memo,
+      s1_scan, fig2,    s2_book, other_memo, other_action, by_memo,
+      fig2,    s1_scan, fig2,    s2_book,    other_memo};
+
+  const std::unique_ptr<Database> db = Fig2Database();
+  OnlineAdvisorOptions options;
+  options.epoch_queries = 1u << 30;  // index mutations only, no swaps
+  options.window_queries = 3;
+  MaterializedViewStore store(db.get(), ViewStoreOptions{});
+  OnlineAdvisor advisor(db.get(), &store, options);
+
+  // A session over the same stream and window shows which candidate
+  // mutations the stream drives: equal plans tie on any cost, so a
+  // candidate is replanned when the query holding its member retires.
+  const PlanBuilder builder(&db->catalog());
+  ClustererSession mirror(options.cluster);
+  ClustererSession::MutationEffects effects;
+  std::vector<uint64_t> ids;
+  size_t max_overlap_pairs = 0;
+  const auto ingest_stream = [&](OnlineAdvisor& target, bool mirrored) {
+    for (const std::string& sql : stream) {
+      const Result<uint64_t> id = target.IngestSql(sql);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      max_overlap_pairs =
+          std::max(max_overlap_pairs, ExpectIndexMatchesOracle(target));
+      if (!mirrored) continue;
+      ids.push_back(id.value());
+      ASSERT_TRUE(mirror.IngestQuery(id.value(),
+                                     builder.BuildFromSql(sql).value(),
+                                     &effects)
+                      .ok());
+      if (ids.size() > options.window_queries) {
+        ASSERT_TRUE(mirror
+                        .RetireQuery(ids[ids.size() - 1 -
+                                         options.window_queries],
+                                     &effects)
+                        .ok());
+      }
+    }
+  };
+  ingest_stream(advisor, /*mirrored=*/true);
+  EXPECT_GT(max_overlap_pairs, 0u);
+  EXPECT_GT(effects.candidates_added.size(), 0u);
+  EXPECT_GT(effects.candidates_replanned.size(), 0u);
+  EXPECT_GT(effects.candidates_removed.size(), 0u);
+
+  // Retire the whole window, then re-ingest the stream: no view may
+  // leave an entry behind in the subtree-key index.
+  for (size_t n = ids.size() - options.window_queries; n < ids.size(); ++n) {
+    ASSERT_TRUE(advisor.RetireQuery(ids[n]).ok());
+    ExpectIndexMatchesOracle(advisor);
+  }
+  EXPECT_EQ(advisor.stats().live_queries, 0u);
+  EXPECT_EQ(advisor.stats().candidate_views, 0u);
+  ingest_stream(advisor, /*mirrored=*/false);
+
+  MaterializedViewStore fresh_store(db.get(), ViewStoreOptions{});
+  OnlineAdvisor fresh(db.get(), &fresh_store, options);
+  ingest_stream(fresh, /*mirrored=*/false);
+  EXPECT_EQ(advisor.CopyIndex(), fresh.CopyIndex());
+  EXPECT_EQ(advisor.stats().candidate_views, fresh.stats().candidate_views);
 }
 
 // ---------------------------------------------------------------------

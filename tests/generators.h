@@ -4,7 +4,14 @@
 
 #pragma once
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "catalog/catalog.h"
 #include "ilp/problem.h"
+#include "plan/plan.h"
 #include "util/random.h"
 
 namespace autoview {
@@ -67,6 +74,74 @@ inline MvsProblem RandomSparseProblem(size_t nq, size_t nz, uint64_t seed,
     }
   }
   return p;
+}
+
+/// A random plan over `tables` (registered in `catalog`), at most `depth`
+/// operators from root to leaf. Every PlanOp kind can appear, and about a
+/// third of the joins put one subtree on both sides, so Subtrees() of the
+/// result repeats canonical keys.
+inline PlanNodePtr RandomPlan(const Catalog& catalog,
+                              const std::vector<std::string>& tables,
+                              size_t depth, Rng& rng) {
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  if (depth <= 1 || rng.Bernoulli(0.15)) {
+    return PlanNode::MakeScan(catalog, tables[pick(tables.size())]).value();
+  }
+  const PlanNodePtr child = RandomPlan(catalog, tables, depth - 1, rng);
+  const std::vector<OutputColumn>& out = child->output();
+  const size_t col = pick(out.size());
+  const ExprPtr column = Expr::Column(col, out[col].name, out[col].type);
+  switch (rng.UniformInt(0, 6)) {
+    case 0: {
+      const int64_t n = rng.UniformInt(0, 9);
+      const Value literal = out[col].type == ColumnType::kString
+                                ? Value("v" + std::to_string(n))
+                                : out[col].type == ColumnType::kDouble
+                                      ? Value(static_cast<double>(n))
+                                      : Value(n);
+      ExprPtr predicate = Expr::Compare(
+          rng.Bernoulli(0.5) ? CompareOp::kEq : CompareOp::kLt,
+          rng.Bernoulli(0.5) ? column : Expr::Literal(literal),
+          rng.Bernoulli(0.5) ? Expr::Literal(literal) : column);
+      return PlanNode::MakeFilter(child, std::move(predicate)).value();
+    }
+    case 1: {
+      std::vector<ProjectItem> items;
+      for (size_t i = 0; i < out.size(); ++i) {
+        if (i == col || rng.Bernoulli(0.5)) {
+          items.push_back(ProjectItem{
+              Expr::Column(i, out[i].name, out[i].type), out[i].name});
+        }
+      }
+      if (rng.Bernoulli(0.5)) std::reverse(items.begin(), items.end());
+      return PlanNode::MakeProject(child, std::move(items)).value();
+    }
+    case 2: {
+      const PlanNodePtr right = rng.Bernoulli(0.35)
+                                    ? child
+                                    : RandomPlan(catalog, tables, depth - 1, rng);
+      const size_t rcol = pick(right->output().size());
+      const OutputColumn& r = right->output()[rcol];
+      ExprPtr condition = Expr::Compare(
+          CompareOp::kEq, column,
+          Expr::Column(out.size() + rcol, r.name, r.type));
+      return PlanNode::MakeJoin(child, right, std::move(condition)).value();
+    }
+    case 3: {
+      std::vector<AggItem> aggs;
+      aggs.push_back(AggItem{AggKind::kCountStar, std::nullopt, "*", "cnt"});
+      return PlanNode::MakeAggregate(child, {col}, std::move(aggs)).value();
+    }
+    case 4:
+      return PlanNode::MakeSort(child, {SortKey{col, rng.Bernoulli(0.5)}})
+          .value();
+    case 5:
+      return PlanNode::MakeLimit(child, rng.UniformInt(1, 100)).value();
+    default:
+      return PlanNode::MakeDistinct(child).value();
+  }
 }
 
 }  // namespace testing

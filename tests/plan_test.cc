@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "catalog/catalog.h"
+#include "generators.h"
 #include "plan/builder.h"
 #include "plan/canonical.h"
 #include "plan/plan.h"
@@ -232,6 +235,30 @@ TEST_F(PlanTest, CanonicalDistinguishesDifferentLiterals) {
   auto b = MustBuild("SELECT * FROM user_action WHERE type = 2");
   ASSERT_TRUE(a && b);
   EXPECT_FALSE(PlansEquivalent(*a, *b));
+}
+
+TEST_F(PlanTest, SubtreeCanonicalKeysMatchPerNodeCanonicalKey) {
+  // The bottom-up walk must give every node of Subtrees() (pre-order,
+  // repeated subtrees included) exactly the key CanonicalKey renders
+  // for that node on its own.
+  const std::vector<std::string> tables = {"user_memo", "user_action"};
+  Rng rng(7);
+  std::set<PlanOp> ops_seen;
+  size_t repeated_keys = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const PlanNodePtr plan = testing::RandomPlan(catalog_, tables, 7, rng);
+    const std::vector<PlanNodePtr> nodes = plan->Subtrees();
+    const std::vector<std::string> keys = SubtreeCanonicalKeys(*plan);
+    ASSERT_EQ(keys.size(), nodes.size());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      EXPECT_EQ(keys[i], CanonicalKey(*nodes[i])) << "node " << i;
+      ops_seen.insert(nodes[i]->op());
+    }
+    repeated_keys +=
+        keys.size() - std::set<std::string>(keys.begin(), keys.end()).size();
+  }
+  EXPECT_EQ(ops_seen.size(), 8u);  // every PlanOp kind was generated
+  EXPECT_GT(repeated_keys, 0u);
 }
 
 TEST_F(PlanTest, ScannedTables) {

@@ -166,6 +166,59 @@ TEST_F(SubqueryTest, CandidatePicksCheapestMember) {
   EXPECT_GT(calls, 0);
 }
 
+// With include_root the query's own root is a subquery. The candidate
+// that stands for it must own its node: the caller's plan handle is
+// gone by the time the candidate is read.
+
+TEST_F(SubqueryTest, RootCandidateOutlivesQueryPlansInSession) {
+  SubqueryClusterer::Options opts;
+  opts.extractor.include_root = true;
+  ClustererSession session(opts);
+  std::string root_key;
+  size_t root_operators = 0;
+  {
+    PlanNodePtr q1 = MustBuild(kFig2Sql);
+    PlanNodePtr q2 = MustBuild(kFig2Sql);
+    ASSERT_TRUE(q1 && q2);
+    root_key = CanonicalKey(*q1);
+    root_operators = q1->NumOperators();
+    ASSERT_TRUE(session.IngestQuery(0, q1).ok());
+    ASSERT_TRUE(session.IngestQuery(1, q2).ok());
+  }
+  const auto info = session.Candidate(root_key);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_GT(info->plan.use_count(), 0);  // owning, not a dangling alias
+  EXPECT_EQ(info->plan->NumOperators(), root_operators);
+  EXPECT_EQ(CanonicalKey(*info->plan), root_key);
+}
+
+TEST_F(SubqueryTest, RootCandidateOutlivesQueryPlansInBatchAnalyses) {
+  SubqueryClusterer::Options opts;
+  opts.extractor.include_root = true;
+  const SubqueryClusterer clusterer(opts);
+  const PlanNodePtr reference = MustBuild(kFig2Sql);
+  ASSERT_NE(reference, nullptr);
+  const std::string root_key = CanonicalKey(*reference);
+
+  // AnalyzeStreaming's pass 2 re-plans the argmin query and keeps only
+  // the extracted candidate; Analyze gets plans the caller then drops.
+  const WorkloadAnalysis streamed = clusterer.AnalyzeStreaming(
+      2, [this](size_t) { return MustBuild(kFig2Sql); });
+  const WorkloadAnalysis batch =
+      clusterer.Analyze({MustBuild(kFig2Sql), MustBuild(kFig2Sql)});
+  for (const WorkloadAnalysis* analysis : {&streamed, &batch}) {
+    const SubqueryCluster* root = nullptr;
+    for (const auto& cluster : analysis->clusters) {
+      if (cluster.canonical_key == root_key) root = &cluster;
+    }
+    ASSERT_NE(root, nullptr);
+    ASSERT_NE(root->candidate, nullptr);
+    EXPECT_GT(root->candidate.use_count(), 0);
+    EXPECT_EQ(root->candidate->NumOperators(), reference->NumOperators());
+    EXPECT_EQ(CanonicalKey(*root->candidate), root_key);
+  }
+}
+
 TEST(VerifyTest, ExecutionVerificationAgreesWithCanonicalizer) {
   Database db;
   std::vector<Row> rows;
