@@ -31,12 +31,15 @@ case "$mode" in
     # engine_test, sort_limit_test, property_test and
     # executor_golden_test the executor, whose scans read the stored
     # tables in place for the whole plan; subquery_test the extracted
-    # subqueries' lifetimes (root candidates outliving their query).
-    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test"
+    # subqueries' lifetimes (root candidates outliving their query);
+    # nn_tensor_test the autograd tape's node lifetimes and Backward's
+    # visit stamps; problem_index_test RLView's replay memory, whose
+    # transitions share one feature matrix between consecutive steps.
+    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test problem_index_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test problem_index_test"
     ;;
   tsan)
     sanitize=thread

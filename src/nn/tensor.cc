@@ -1,8 +1,8 @@
 #include "nn/tensor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <unordered_set>
 
 namespace autoview {
 namespace nn {
@@ -13,6 +13,14 @@ namespace {
 
 /// Depth of nested NoGradGuards on this thread.
 thread_local int no_grad_depth = 0;
+
+/// Source of Backward() traversal stamps. Process-wide rather than
+/// thread_local: a model's parameter nodes can be back-propagated from
+/// different pool threads over their life, and a per-thread counter
+/// could hand out a stamp a node already carries from another thread's
+/// traversal, which would skip it. Relaxed ordering suffices: a stamp
+/// only has to be unique, and it publishes no data.
+std::atomic<uint64_t> last_visit_stamp{0};
 
 std::shared_ptr<Node> NewNode(size_t rows, size_t cols, bool requires_grad) {
   auto node = std::make_shared<Node>();
@@ -84,18 +92,21 @@ void Tensor::Backward() const {
   AV_CHECK_EQ(node_->size(), 1u);
   // Results produced under a NoGradGuard have no gradient storage.
   AV_CHECK(!node_->grad.empty());
-  // Topological order via iterative post-order DFS.
+  // Topological order via iterative post-order DFS. A node is visited
+  // when it carries this traversal's stamp, so no per-call visited set
+  // is built.
+  const uint64_t stamp =
+      last_visit_stamp.fetch_add(1, std::memory_order_relaxed) + 1;
   std::vector<Node*> order;
-  std::unordered_set<Node*> visited;
   std::vector<std::pair<Node*, size_t>> stack = {{node_.get(), 0}};
-  visited.insert(node_.get());
+  node_->visit_stamp = stamp;
   while (!stack.empty()) {
     auto& [node, next_child] = stack.back();
     if (next_child < node->parents.size()) {
       Node* parent = node->parents[next_child].get();
       ++next_child;
-      if (parent->requires_grad && !visited.count(parent)) {
-        visited.insert(parent);
+      if (parent->requires_grad && parent->visit_stamp != stamp) {
+        parent->visit_stamp = stamp;
         stack.push_back({parent, 0});
       }
     } else {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -27,6 +28,9 @@ struct Node {
   bool requires_grad = false;
   std::vector<std::shared_ptr<Node>> parents;
   std::function<void(Node&)> backward;
+  /// Stamp of the last Backward() traversal that reached this node; a
+  /// node is visited once per traversal (see Tensor::Backward).
+  uint64_t visit_stamp = 0;
 
   size_t size() const { return rows * cols; }
   Scalar& at(size_t r, size_t c) { return value[r * cols + c]; }

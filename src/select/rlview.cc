@@ -12,14 +12,20 @@ namespace {
 
 using nn::Tensor;
 
-/// One replay-memory entry: the full (|Z| x dim) action-feature matrix
-/// of the state, the chosen action, the reward, and the successor
-/// state's feature matrix (for the max_a Q(e', a) target).
+/// A state's row-major (|Z| x dim) action-feature matrix. Built once
+/// per step and shared, never copied: the step's successor matrix is
+/// the next step's state matrix, so consecutive transitions hold the
+/// same buffer.
+using FeatureMatrix = std::shared_ptr<const std::vector<nn::Scalar>>;
+
+/// One replay-memory entry: the state's action-feature matrix, the
+/// chosen action, the reward, and the successor state's feature matrix
+/// (for the max_a Q(e', a) target).
 struct Transition {
-  std::vector<nn::Scalar> state_actions;
+  FeatureMatrix state_actions;
   size_t action = 0;
   double reward = 0.0;
-  std::vector<nn::Scalar> next_actions;
+  FeatureMatrix next_actions;
   size_t num_actions = 0;
 };
 
@@ -41,6 +47,19 @@ class QNet {
     Tensor mean_a = MeanRows(a);                    // 1 x 1
     Tensor v = value_.Forward(MeanRows(x));         // 1 x 1
     return Add(Add(a, Scale(mean_a, -1.0)), v);     // broadcast over rows
+  }
+
+  /// Q(e, a) for the one action `action` (1 x 1, differentiable). The
+  /// plain network is row-wise — Q(e,a) reads only row a of the
+  /// features — so it tapes just that row; ForwardAll's other rows would
+  /// back-propagate exact zeros. The dueling head's mean_a A(e,a)
+  /// couples every row, so it needs the full pass.
+  Tensor ForwardAction(const std::vector<nn::Scalar>& phis, size_t n,
+                       size_t feature_dim, size_t action) const {
+    if (dueling_) return SelectRow(ForwardAll(phis, n, feature_dim), action);
+    const auto row = phis.begin() + action * feature_dim;
+    return advantage_.Forward(Tensor::FromData(
+        std::vector<nn::Scalar>(row, row + feature_dim), 1, feature_dim));
   }
 
   std::vector<double> Values(const std::vector<nn::Scalar>& phis, size_t n,
@@ -112,34 +131,6 @@ class QNet {
 };
 
 }  // namespace
-
-std::vector<nn::Scalar> RLViewSelector::ActionFeatures(
-    const MvsProblem& problem, const std::vector<bool>& z,
-    const std::vector<double>& b_cur, double utility_norm, size_t j) const {
-  // Kept for interface completeness; Select() uses the batched builder.
-  double o_max = 0.0, o_cur = 0.0, b_max_total = 0.0, b_cur_total = 0.0;
-  for (size_t k = 0; k < problem.num_views(); ++k) {
-    o_max += problem.overhead[k];
-    if (z[k]) o_cur += problem.overhead[k];
-    b_cur_total += b_cur[k];
-    b_max_total += problem.MaxBenefit(k);
-  }
-  size_t overlap_degree = 0;
-  for (size_t k = 0; k < problem.num_views(); ++k) {
-    if (problem.overlap[j][k]) ++overlap_degree;
-  }
-  const double nz = static_cast<double>(problem.num_views());
-  return {
-      z[j] ? 1.0 : 0.0,
-      problem.overhead[j] / std::max(o_max, 1e-12),
-      problem.MaxBenefit(j) / std::max(b_max_total, 1e-12),
-      b_cur[j] / std::max(b_cur_total, 1e-12),
-      static_cast<double>(overlap_degree) / std::max(nz, 1.0),
-      utility_norm,
-      o_cur / std::max(o_max, 1e-12),
-      1.0,
-  };
-}
 
 Result<MvsSolution> RLViewSelector::Select(const MvsProblem& problem) {
   AV_RETURN_NOT_OK(problem.Validate());
@@ -224,9 +215,9 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
       if (z[k]) o_cur += problem.overhead[k];
       b_cur_total += b_cur[k];
     }
-    std::vector<nn::Scalar> phis(nz * kFeatureDim);
+    auto phis = std::make_shared<std::vector<nn::Scalar>>(nz * kFeatureDim);
     for (size_t j = 0; j < nz; ++j) {
-      nn::Scalar* row = &phis[j * kFeatureDim];
+      nn::Scalar* row = &(*phis)[j * kFeatureDim];
       row[0] = z[j] ? 1.0 : 0.0;
       row[1] = problem.overhead[j] / std::max(o_max, 1e-12);
       row[2] = max_benefit[j] / std::max(b_max_total, 1e-12);
@@ -236,7 +227,7 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
       row[6] = o_cur / std::max(o_max, 1e-12);
       row[7] = 1.0;
     }
-    return phis;
+    return FeatureMatrix(std::move(phis));
   };
 
   for (size_t episode = 0; episode < options_.episodes && !timed_out;
@@ -251,7 +242,7 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
     std::vector<std::vector<bool>> y = state.y;
     double utility = EvaluateUtility(problem, z, y);
     std::vector<double> b_cur = benefits_of(y);
-    std::vector<nn::Scalar> phis = features_of(z, b_cur, utility);
+    FeatureMatrix phis = features_of(z, b_cur, utility);
 
     size_t t = 0;
     double reward = 0.0;
@@ -268,7 +259,7 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
         action = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(nz) - 1));
       } else {
-        std::vector<double> q = dqn.Values(phis, nz, kFeatureDim);
+        std::vector<double> q = dqn.Values(*phis, nz, kFeatureDim);
         action = static_cast<size_t>(
             std::max_element(q.begin(), q.end()) - q.begin());
       }
@@ -289,7 +280,7 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
       reward = next_utility - utility;
 
       b_cur = benefits_of(y);
-      std::vector<nn::Scalar> next_phis = features_of(z, b_cur, next_utility);
+      FeatureMatrix next_phis = features_of(z, b_cur, next_utility);
 
       Transition transition;
       transition.state_actions = phis;
@@ -318,12 +309,12 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
               0, static_cast<int64_t>(memory.size()) - 1))];
           const QNet& bootstrap = use_target ? target_net : dqn;
           std::vector<double> next_q =
-              bootstrap.Values(tr.next_actions, tr.num_actions, kFeatureDim);
+              bootstrap.Values(*tr.next_actions, tr.num_actions, kFeatureDim);
           const double target =
               tr.reward +
               options_.gamma * *std::max_element(next_q.begin(), next_q.end());
           Tensor q_all =
-              dqn.ForwardAll(tr.state_actions, tr.num_actions, kFeatureDim);
+              dqn.ForwardAll(*tr.state_actions, tr.num_actions, kFeatureDim);
           preds.push_back(SelectRow(q_all, tr.action));
           targets.push_back(Tensor::Full(1, 1, target));
         }
@@ -353,8 +344,9 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
 /// re-sum over the CSR support — O(nnz) cells instead of |Q| x |Z| —
 /// b_cur is re-derived only for views whose usage changed, and every
 /// DQN action-scoring call runs through the no-grad inference path.
-/// Training (ForwardAll + Adam) keeps the autograd tape; the inference
-/// snapshots refresh after each parameter update.
+/// Training keeps the autograd tape but, for the plain network, tapes
+/// only each sample's chosen-action row (QNet::ForwardAction); the
+/// inference snapshots refresh after each parameter update.
 Result<MvsSolution> RLViewSelector::SelectIncremental(
     const MvsProblem& problem) {
   const MvsProblemIndex index(problem);
@@ -451,9 +443,9 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
       if (z[k]) o_cur += overhead[k];
       b_cur_total += b_cur[k];
     }
-    std::vector<nn::Scalar> phis(nz * kFeatureDim);
+    auto phis = std::make_shared<std::vector<nn::Scalar>>(nz * kFeatureDim);
     for (size_t j = 0; j < nz; ++j) {
-      nn::Scalar* row = &phis[j * kFeatureDim];
+      nn::Scalar* row = &(*phis)[j * kFeatureDim];
       row[0] = z[j] ? 1.0 : 0.0;
       row[1] = overhead[j] / std::max(o_max, 1e-12);
       row[2] = max_benefit[j] / std::max(b_max_total, 1e-12);
@@ -463,7 +455,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
       row[6] = o_cur / std::max(o_max, 1e-12);
       row[7] = 1.0;
     }
-    return phis;
+    return FeatureMatrix(std::move(phis));
   };
 
   // The episode start state is fixed, so its utility and per-view
@@ -490,7 +482,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
     std::vector<std::vector<bool>> y = state.y;
     double utility = state_utility;
     std::vector<double> b_cur = state_b_cur;
-    std::vector<nn::Scalar> phis = features_of(z, b_cur, utility);
+    FeatureMatrix phis = features_of(z, b_cur, utility);
 
     size_t t = 0;
     double reward = 0.0;
@@ -507,7 +499,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
         action = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(nz) - 1));
       } else {
-        std::vector<double> q = dqn.ValuesFast(phis, nz, kFeatureDim);
+        std::vector<double> q = dqn.ValuesFast(*phis, nz, kFeatureDim);
         action = static_cast<size_t>(
             std::max_element(q.begin(), q.end()) - q.begin());
       }
@@ -537,7 +529,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
         b_cur[j] = index.CurrentBenefit(j, y);
         view_dirty[j] = false;
       }
-      std::vector<nn::Scalar> next_phis = features_of(z, b_cur, next_utility);
+      FeatureMatrix next_phis = features_of(z, b_cur, next_utility);
 
       Transition transition;
       transition.state_actions = phis;
@@ -559,7 +551,11 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
 
       // Fine-tune the DQN once the replay memory is warm (line 16).
       // Bootstrap targets need no gradients, so they use the fast
-      // scorer; the prediction pass keeps the autograd tape.
+      // scorer. The prediction pass tapes one row per sample (see
+      // QNet::ForwardAction). Each sample stays its own subgraph under
+      // ConcatRows, so Backward accumulates the samples in SelectNaive's
+      // order and the weights stay bit-identical; batching the samples
+      // into one matmul would reorder those float sums.
       if (memory.size() >= options_.min_memory) {
         adam.ZeroGrad();
         std::vector<Tensor> preds, targets;
@@ -568,13 +564,12 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
               0, static_cast<int64_t>(memory.size()) - 1))];
           QNet& bootstrap = use_target ? target_net : dqn;
           std::vector<double> next_q = bootstrap.ValuesFast(
-              tr.next_actions, tr.num_actions, kFeatureDim);
+              *tr.next_actions, tr.num_actions, kFeatureDim);
           const double target =
               tr.reward +
               options_.gamma * *std::max_element(next_q.begin(), next_q.end());
-          Tensor q_all =
-              dqn.ForwardAll(tr.state_actions, tr.num_actions, kFeatureDim);
-          preds.push_back(SelectRow(q_all, tr.action));
+          preds.push_back(dqn.ForwardAction(*tr.state_actions, tr.num_actions,
+                                            kFeatureDim, tr.action));
           targets.push_back(Tensor::Full(1, 1, target));
         }
         MseLoss(nn::ConcatRows(preds), nn::ConcatRows(targets)).Backward();

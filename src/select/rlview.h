@@ -84,12 +84,6 @@ class RLViewSelector : public ViewSelector {
  private:
   static constexpr size_t kFeatureDim = 8;
 
-  /// Feature vector phi(e, a_j) for flipping z_j in state (z, b_cur).
-  std::vector<nn::Scalar> ActionFeatures(const MvsProblem& problem,
-                                         const std::vector<bool>& z,
-                                         const std::vector<double>& b_cur,
-                                         double utility_norm, size_t j) const;
-
   /// The two engines behind Select() (see Options::engine).
   Result<MvsSolution> SelectNaive(const MvsProblem& problem);
   Result<MvsSolution> SelectIncremental(const MvsProblem& problem);

@@ -278,6 +278,50 @@ TEST(ModulesTest, MlpDqnShape) {
       dqn.Parameters(), [&] { return Sum(dqn.Forward(x)); }, 1e-4);
 }
 
+TEST(ModulesTest, MlpOneRowTrainingMatchesFullPass) {
+  // A row-wise network's Q(e,a) reads only row a, so taping just that
+  // row must train exactly like taping the whole (n x 8) matrix and
+  // selecting row a: the skipped rows only add zeros to the weight
+  // gradients. Checked bitwise over a run of Adam steps with 16
+  // one-row subgraphs per step, as RLView's DQN trains.
+  Rng rng(20);
+  Mlp full({8, 16, 64, 16, 1}, &rng), row({8, 16, 64, 16, 1}, &rng);
+  row.CopyFrom(full);
+  Adam full_adam(full.Parameters()), row_adam(row.Parameters());
+  const size_t n = 40, dim = 8, batch = 16;
+  for (int step = 0; step < 20; ++step) {
+    std::vector<Tensor> full_preds, row_preds, targets;
+    for (size_t b = 0; b < batch; ++b) {
+      std::vector<Scalar> phis(n * dim);
+      for (Scalar& v : phis) v = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0, 1);
+      const size_t action =
+          static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+      full_preds.push_back(
+          SelectRow(full.Forward(Tensor::FromData(phis, n, dim)), action));
+      std::vector<Scalar> one(phis.begin() + action * dim,
+                              phis.begin() + (action + 1) * dim);
+      row_preds.push_back(row.Forward(Tensor::FromData(one, 1, dim)));
+      targets.push_back(Tensor::Full(1, 1, rng.Uniform(-1, 1)));
+    }
+    full_adam.ZeroGrad();
+    row_adam.ZeroGrad();
+    Tensor full_loss = MseLoss(ConcatRows(full_preds), ConcatRows(targets));
+    Tensor row_loss = MseLoss(ConcatRows(row_preds), ConcatRows(targets));
+    ASSERT_EQ(full_loss.item(), row_loss.item()) << "step " << step;
+    full_loss.Backward();
+    row_loss.Backward();
+    const std::vector<Tensor> fp = full.Parameters(), rp = row.Parameters();
+    for (size_t i = 0; i < fp.size(); ++i) {
+      ASSERT_EQ(fp[i].grad(), rp[i].grad())
+          << "step " << step << " param " << i;
+    }
+    full_adam.Step();
+    row_adam.Step();
+  }
+  const std::vector<Tensor> fp = full.Parameters(), rp = row.Parameters();
+  for (size_t i = 0; i < fp.size(); ++i) EXPECT_EQ(fp[i].data(), rp[i].data());
+}
+
 TEST(ModulesTest, MlpCopyFrom) {
   Rng rng(19);
   Mlp a({3, 4, 1}, &rng), b({3, 4, 1}, &rng);

@@ -275,6 +275,43 @@ TEST(IncrementalEquivalenceTest, RLViewVariantsMatchNaive) {
   }
 }
 
+TEST(IncrementalEquivalenceTest, RLViewDefaultTrainingMatchesNaive) {
+  // The cases above reach the training branch for a handful of steps.
+  // Here the replay and batch settings are the defaults (batch 16,
+  // min_memory 32), the memory is small enough to wrap, and the episodes
+  // run hundreds of training steps, so the incremental engine's
+  // one-row training pass is checked against the naive engine's full
+  // ForwardAll pass over a long run of Adam updates.
+  const MvsProblem p = RandomSparseProblem(20, 40, /*seed=*/11, 0.1,
+                                           /*negative_fraction=*/0.1);
+  for (const bool dueling : {false, true}) {
+    RLViewSelector::Options naive_opts;
+    naive_opts.engine = SelectionEngine::kNaive;
+    naive_opts.seed = 21;
+    naive_opts.init_iterations = 4;
+    naive_opts.episodes = 9;
+    naive_opts.memory_capacity = 64;
+    naive_opts.dueling = dueling;
+    ASSERT_EQ(naive_opts.batch_size, 16u);
+    ASSERT_EQ(naive_opts.min_memory, 32u);
+    RLViewSelector::Options fast_opts = naive_opts;
+    fast_opts.engine = SelectionEngine::kIncremental;
+    RLViewSelector naive(naive_opts), fast(fast_opts);
+    auto a = naive.Select(p);
+    auto b = fast.Select(p);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ExpectSameSolution(a.value(), b.value());
+    EXPECT_EQ(naive.utility_trace(), fast.utility_trace())
+        << "dueling=" << dueling;
+    // Every episode step is one trace entry; each step from the 32nd on
+    // trains, and the memory wraps past its 64 entries.
+    const size_t steps =
+        naive.utility_trace().size() - naive_opts.init_iterations;
+    EXPECT_GE(steps, naive_opts.episodes * p.num_views());
+    EXPECT_GE(steps - naive_opts.min_memory, 300u);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Deadline / cancellation equivalence.
 
