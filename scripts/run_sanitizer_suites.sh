@@ -34,19 +34,21 @@ case "$mode" in
     # subqueries' lifetimes (root candidates outliving their query);
     # nn_tensor_test the autograd tape's node lifetimes and Backward's
     # visit stamps; problem_index_test RLView's replay memory, whose
-    # transitions share one feature matrix between consecutive steps.
-    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test problem_index_test"
+    # transitions share one feature matrix between consecutive steps;
+    # traditional_test the estimator's bottom-up walk, whose per-node
+    # table lists point at the plan's own table names.
+    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test problem_index_test traditional_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test problem_index_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test problem_index_test traditional_test"
     ;;
   tsan)
     sanitize=thread
     # problem_index_test covers the incremental selection engine across
     # pool sizes (shared MvsProblemIndex read by concurrent trials);
     # subquery_test the chunked/streaming clusterer (parallel extraction
-    # and bucketed overlap); loadgen_test the multi-client serving loop;
+    # and key-index overlap); loadgen_test the multi-client serving loop;
     # view_store_test pins/evictions/async builds racing on the store;
     # advisor_test concurrent pinned serving racing generation hot swaps.
     suites="thread_pool_test static_analysis_test parallel_determinism_test problem_index_test subquery_test loadgen_test view_store_test advisor_test rewrite_fast_path_test"

@@ -73,12 +73,15 @@ struct StreamingProblem {
 /// Streaming shape: per-view arrays are O(|Z|); query rows are estimated
 /// chunk-by-chunk (plans transient, each task owns its row slot) and
 /// appended to the ShardedProblemBuilder in ascending row order, exactly
-/// the layout MvsProblemIndex's compact constructor expects. The dense
-/// equivalent of the same instance is what BuildDenseProblem returns —
-/// the scale tests assert the two produce EXPECT_EQ-identical indexes.
+/// the layout MvsProblemIndex's compact constructor expects. Each plan
+/// is priced by one bottom-up walk (TraditionalEstimator::
+/// EstimatePlanCost). The dense equivalent of the same instance is what
+/// BuildDenseProblem returns — the scale tests assert the two produce
+/// EXPECT_EQ-identical indexes.
 ///
-/// `query_fn` must be re-invocable and thread-safe for distinct indices
-/// (the same contract as SubqueryClusterer::AnalyzeStreaming).
+/// `query_fn` is called once per associated query, concurrently for
+/// distinct indices; after AnalyzeStreaming that is a second call for
+/// those queries, so it must be re-invocable.
 Result<StreamingProblem> BuildStreamingProblem(
     const Catalog& catalog, const WorkloadAnalysis& analysis,
     const SubqueryClusterer::QueryFn& query_fn,

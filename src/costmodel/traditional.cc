@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 namespace autoview {
 
@@ -128,57 +130,62 @@ double CardinalityEstimator::EstimateSelectivity(const Expr& pred,
   }
 }
 
-double CardinalityEstimator::EstimateRows(const PlanNode& plan) const {
+double CardinalityEstimator::RowsFromChildren(const PlanNode& plan,
+                                              double child0,
+                                              double child1) const {
   switch (plan.op()) {
     case PlanOp::kTableScan:
       return static_cast<double>(catalog_->GetStats(plan.table()).row_count);
     case PlanOp::kFilter:
-      return EstimateRows(*plan.child(0)) *
-             EstimateSelectivity(*plan.predicate(), *plan.child(0));
+      return child0 * EstimateSelectivity(*plan.predicate(), *plan.child(0));
     case PlanOp::kProject:
-      return EstimateRows(*plan.child(0));
+      return child0;
     case PlanOp::kJoin: {
-      const double left = EstimateRows(*plan.child(0));
-      const double right = EstimateRows(*plan.child(1));
       // Combined row used only for column resolution of the condition.
       double sel = EstimateSelectivity(*plan.join_condition(), plan);
-      return std::max(1.0, left * right * sel);
+      return std::max(1.0, child0 * child1 * sel);
     }
     case PlanOp::kAggregate: {
-      const double input = EstimateRows(*plan.child(0));
       if (plan.group_by().empty()) return 1.0;
       double groups = 1.0;
       for (size_t g : plan.group_by()) {
         groups *= DistinctOf(*plan.child(0), g);
       }
-      return std::min(input, groups);
+      return std::min(child0, groups);
     }
     case PlanOp::kSort:
-      return EstimateRows(*plan.child(0));
+      return child0;
     case PlanOp::kLimit:
-      return std::min(EstimateRows(*plan.child(0)),
-                      static_cast<double>(plan.limit()));
+      return std::min(child0, static_cast<double>(plan.limit()));
     case PlanOp::kDistinct: {
-      const double input = EstimateRows(*plan.child(0));
       double groups = 1.0;
       for (size_t c = 0; c < plan.num_output_columns(); ++c) {
         groups *= DistinctOf(*plan.child(0), c);
       }
-      return std::min(input, groups);
+      return std::min(child0, groups);
     }
   }
   return 1.0;
 }
 
-double CardinalityEstimator::EstimateBytes(const PlanNode& plan) const {
+double CardinalityEstimator::EstimateRows(const PlanNode& plan) const {
+  const auto& children = plan.children();
+  const double child0 = children.empty() ? 0.0 : EstimateRows(*children[0]);
+  const double child1 = children.size() < 2 ? 0.0 : EstimateRows(*children[1]);
+  return RowsFromChildren(plan, child0, child1);
+}
+
+double CardinalityEstimator::BytesFromRows(
+    const PlanNode& plan, double rows,
+    const std::vector<const std::string*>& tables) const {
   // Average row width from the scanned base tables, scaled by the
   // fraction of columns this plan outputs.
   double total_bytes = 0, total_rows = 0, total_cols = 0;
-  for (const auto& table : plan.ScannedTables()) {
-    const TableStats& stats = catalog_->GetStats(table);
+  for (const std::string* table : tables) {
+    const TableStats& stats = catalog_->GetStats(*table);
     total_bytes += static_cast<double>(stats.byte_size);
     total_rows += static_cast<double>(stats.row_count);
-    auto schema = catalog_->GetTable(table);
+    auto schema = catalog_->GetTable(*table);
     if (schema.ok()) {
       total_cols += static_cast<double>(schema.value()->num_columns());
     }
@@ -186,62 +193,105 @@ double CardinalityEstimator::EstimateBytes(const PlanNode& plan) const {
   const double avg_cell = total_rows > 0 && total_cols > 0
                               ? total_bytes / total_rows / total_cols
                               : 8.0;
-  return EstimateRows(plan) * avg_cell *
-         static_cast<double>(plan.num_output_columns());
+  return rows * avg_cell * static_cast<double>(plan.num_output_columns());
+}
+
+double CardinalityEstimator::EstimateBytes(const PlanNode& plan) const {
+  const std::vector<std::string> tables = plan.ScannedTables();
+  std::vector<const std::string*> names;
+  names.reserve(tables.size());
+  for (const std::string& table : tables) names.push_back(&table);
+  return BytesFromRows(plan, EstimateRows(plan), names);
 }
 
 namespace {
 
-/// Mirrors Executor's per-operator charging with estimated cardinalities.
-double EstimatedCpuUnits(const CardinalityEstimator& card,
-                         const CostConstants& consts, const PlanNode& plan) {
-  double units = 0.0;
+/// One node's terms from the bottom-up walk.
+struct SubtreeEstimate {
+  double rows = 0.0;
+  double cpu_units = 0.0;  ///< the whole subtree's estimated cpu units
+  /// Distinct scanned base tables, ascending by name (ScannedTables()).
+  std::vector<const std::string*> tables;
+};
+
+/// Bottom-up walk pricing every node once. Mirrors Executor's
+/// per-operator charging with estimated cardinalities: a node's units
+/// are its own charge plus its children's subtree units, added in child
+/// order. `bytes` receives each node's estimated output bytes in
+/// Subtrees() pre-order.
+SubtreeEstimate EstimateSubtree(const CardinalityEstimator& card,
+                                const CostConstants& consts,
+                                const PlanNode& plan,
+                                std::vector<double>* bytes) {
+  const size_t slot = bytes->size();
+  bytes->push_back(0.0);
+  std::vector<SubtreeEstimate> children;
+  children.reserve(plan.children().size());
+  for (const auto& child : plan.children()) {
+    children.push_back(EstimateSubtree(card, consts, *child, bytes));
+  }
+  const double child0 = children.empty() ? 0.0 : children[0].rows;
+  const double child1 = children.size() < 2 ? 0.0 : children[1].rows;
+
+  SubtreeEstimate est;
+  est.rows = card.RowsFromChildren(plan, child0, child1);
   switch (plan.op()) {
     case PlanOp::kTableScan:
-      return consts.scan_row * card.EstimateRows(plan);
+      est.cpu_units = consts.scan_row * est.rows;
+      break;
     case PlanOp::kFilter:
-      units = consts.filter_row * card.EstimateRows(*plan.child(0));
+      est.cpu_units = consts.filter_row * child0;
       break;
     case PlanOp::kProject:
-      units = consts.project_row * card.EstimateRows(*plan.child(0));
+      est.cpu_units = consts.project_row * child0;
       break;
     case PlanOp::kJoin:
-      units = consts.join_build_row * card.EstimateRows(*plan.child(1)) +
-              consts.join_probe_row * card.EstimateRows(*plan.child(0)) +
-              consts.join_output_row * card.EstimateRows(plan);
+      est.cpu_units = consts.join_build_row * child1 +
+                      consts.join_probe_row * child0 +
+                      consts.join_output_row * est.rows;
       break;
     case PlanOp::kAggregate:
-      units = consts.agg_update_row * card.EstimateRows(*plan.child(0)) +
-              consts.agg_output_row * card.EstimateRows(plan);
+      est.cpu_units = consts.agg_update_row * child0 +
+                      consts.agg_output_row * est.rows;
       break;
-    case PlanOp::kSort: {
-      const double n = card.EstimateRows(*plan.child(0));
-      units = consts.sort_row * n * std::log2(n + 2.0);
+    case PlanOp::kSort:
+      est.cpu_units = consts.sort_row * child0 * std::log2(child0 + 2.0);
       break;
-    }
     case PlanOp::kLimit:
-      units = consts.limit_row * card.EstimateRows(plan);
+      est.cpu_units = consts.limit_row * est.rows;
       break;
     case PlanOp::kDistinct:
-      units = consts.distinct_row * card.EstimateRows(*plan.child(0));
+      est.cpu_units = consts.distinct_row * child0;
       break;
   }
-  for (const auto& child : plan.children()) {
-    units += EstimatedCpuUnits(card, consts, *child);
+  for (const auto& child : children) est.cpu_units += child.cpu_units;
+
+  if (plan.op() == PlanOp::kTableScan) {
+    est.tables.push_back(&plan.table());
+  } else if (children.size() == 1) {
+    est.tables = std::move(children[0].tables);
+  } else if (children.size() == 2) {
+    const auto by_name = [](const std::string* a, const std::string* b) {
+      return *a < *b;
+    };
+    std::set_union(children[0].tables.begin(), children[0].tables.end(),
+                   children[1].tables.begin(), children[1].tables.end(),
+                   std::back_inserter(est.tables), by_name);
   }
-  return units;
+  (*bytes)[slot] = card.BytesFromRows(plan, est.rows, est.tables);
+  return est;
 }
 
 }  // namespace
 
 double TraditionalEstimator::EstimatePlanCost(const PlanNode& plan) const {
+  std::vector<double> bytes;
   CostReport report;
-  report.cpu_units = EstimatedCpuUnits(cardinality_, pricing_.consts, plan);
+  report.cpu_units =
+      EstimateSubtree(cardinality_, pricing_.consts, plan, &bytes).cpu_units;
   // Peak memory approximated by the largest estimated intermediate.
   double peak = 0.0;
-  for (const auto& node : plan.Subtrees()) {
-    peak = std::max(peak, cardinality_.EstimateBytes(*node));
-  }
+  for (const double b : bytes) peak = std::max(peak, b);
   report.peak_bytes = peak;
   // Model the engine's spill penalty with the *estimated* peak; the
   // cardinality error feeds through the nonlinearity, which is where

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "costmodel/estimator.h"
 #include "engine/cost.h"
@@ -25,6 +26,17 @@ class CardinalityEstimator {
 
   /// Estimated selectivity of `pred` over `input`'s output.
   double EstimateSelectivity(const Expr& pred, const PlanNode& input) const;
+
+  /// EstimateRows(plan) given its children's estimated rows (`child0`,
+  /// `child1`; ignored past the node's arity), so a bottom-up walk can
+  /// estimate every node once.
+  double RowsFromChildren(const PlanNode& plan, double child0,
+                          double child1) const;
+
+  /// EstimateBytes(plan) given its estimated `rows` and its scanned
+  /// base tables (distinct, ascending by name, as ScannedTables()).
+  double BytesFromRows(const PlanNode& plan, double rows,
+                       const std::vector<const std::string*>& tables) const;
 
  private:
   /// Column-statistics lookup: traces output column `index` of `node`
@@ -57,7 +69,8 @@ class TraditionalEstimator : public CostEstimator {
   std::string name() const override { return "Optimizer"; }
 
   /// Estimated execution cost ($) of a single plan (also used by the
-  /// DeepLearn baseline for the view-scan term).
+  /// DeepLearn baseline for the view-scan term). One bottom-up walk
+  /// estimates each node's rows, cpu units and bytes once.
   double EstimatePlanCost(const PlanNode& plan) const;
 
   /// Estimated cost ($) of scanning the materialization of `view_plan`.

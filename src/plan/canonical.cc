@@ -1,7 +1,9 @@
 #include "plan/canonical.h"
 
 #include <algorithm>
-#include <functional>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -25,6 +27,22 @@ CompareOp FlipOp(CompareOp op) {
   }
 }
 
+/// Exact literal rendering: Value::ToString formats doubles with %g,
+/// which maps distinct values (1.0000001 and 1.0000002) to one string.
+/// Integral doubles render like the equal int64 (3 and 3.0 stay one key,
+/// as they compare equal); every other double uses the shortest string
+/// that round-trips, so distinct values never share a key.
+std::string LiteralKey(const Value& value) {
+  if (!value.is_double()) return value.ToString();
+  const double d = value.AsDouble();
+  if (d == std::floor(d) && std::fabs(d) < 9e15) {
+    return std::to_string(static_cast<int64_t>(d));
+  }
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), d);
+  return std::string(buf, result.ptr);
+}
+
 /// Appends the keys of `node`'s subtree to `keys` in pre-order.
 void AppendSubtreeKeys(const PlanNode& node, std::vector<std::string>* keys) {
   const size_t pos = keys->size();
@@ -46,7 +64,7 @@ std::string CanonicalExprKey(const Expr& expr) {
     case ExprKind::kColumn:
       return "col:" + expr.column_name();
     case ExprKind::kLiteral:
-      return "lit:" + expr.literal().ToString();
+      return "lit:" + LiteralKey(expr.literal());
     case ExprKind::kCompare: {
       std::string l = CanonicalExprKey(*expr.children()[0]);
       std::string r = CanonicalExprKey(*expr.children()[1]);
@@ -147,10 +165,6 @@ std::vector<std::string> SubtreeCanonicalKeys(const PlanNode& root) {
   std::vector<std::string> keys;
   AppendSubtreeKeys(root, &keys);
   return keys;
-}
-
-uint64_t CanonicalHash(const PlanNode& node) {
-  return std::hash<std::string>{}(CanonicalKey(node));
 }
 
 bool PlansEquivalent(const PlanNode& a, const PlanNode& b) {

@@ -39,11 +39,9 @@ std::string CanonicalKeyWithChildren(const PlanNode& node,
 /// key length rather than the O(plan²) of calling CanonicalKey per node.
 std::vector<std::string> SubtreeCanonicalKeys(const PlanNode& root);
 
-/// 64-bit hash of CanonicalKey (cheap map key).
-uint64_t CanonicalHash(const PlanNode& node);
-
 /// Canonical rendering of an expression, with the normalizations above.
-/// Column references are rendered by name.
+/// Column references are rendered by name; literals exactly (distinct
+/// numeric values never share a rendering).
 std::string CanonicalExprKey(const Expr& expr);
 
 /// True iff the two plans are semantically equivalent under the

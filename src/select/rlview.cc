@@ -135,6 +135,7 @@ class QNet {
 Result<MvsSolution> RLViewSelector::Select(const MvsProblem& problem) {
   AV_RETURN_NOT_OK(problem.Validate());
   trace_.clear();
+  trained_weights_.clear();
   if (problem.num_views() == 0) {
     MvsSolution empty;
     empty.y.assign(problem.num_queries(), {});
@@ -334,6 +335,9 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
   // The warm start already recorded its own timeout; only count the
   // episode phase here to keep one user-visible Select() == one record.
   if (timed_out && !state.timed_out) GlobalRobustness().RecordTimeout();
+  for (const Tensor& param : dqn.Parameters()) {
+    trained_weights_.push_back(param.data());
+  }
   return best;
 }
 
@@ -371,6 +375,7 @@ Result<MvsSolution> RLViewSelector::ReselectDelta(
     return Status::InvalidArgument("warm_z size does not match index views");
   }
   trace_.clear();
+  trained_weights_.clear();
   if (index.num_views() == 0) {
     MvsSolution empty;
     empty.y.assign(index.num_queries(), {});
@@ -590,6 +595,9 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
   // The warm start already recorded its own timeout; only count the
   // episode phase here to keep one user-visible Select() == one record.
   if (timed_out && !state.timed_out) GlobalRobustness().RecordTimeout();
+  for (const Tensor& param : dqn.Parameters()) {
+    trained_weights_.push_back(param.data());
+  }
   return best;
 }
 

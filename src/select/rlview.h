@@ -81,6 +81,14 @@ class RLViewSelector : public ViewSelector {
 
   std::string name() const override { return "RLView"; }
 
+  /// The DQN's parameters after the last Select or ReselectDelta, one
+  /// vector per parameter tensor in the network's Parameters() order;
+  /// empty when that call built no network. Both engines must leave the
+  /// same weights bit for bit.
+  const std::vector<std::vector<double>>& trained_weights() const {
+    return trained_weights_;
+  }
+
  private:
   static constexpr size_t kFeatureDim = 8;
 
@@ -98,6 +106,7 @@ class RLViewSelector : public ViewSelector {
                                       const MvsSolution& state);
 
   Options options_;
+  std::vector<std::vector<double>> trained_weights_;
 };
 
 }  // namespace autoview

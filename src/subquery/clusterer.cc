@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "plan/canonical.h"
@@ -34,6 +34,23 @@ struct KeyedSubquery {
   std::string key;
 };
 
+/// `query`'s subqueries in extraction order, keyed from one
+/// SubtreeCanonicalKeys walk of the whole plan: each subquery reads its
+/// key by pre-order position instead of re-rendering its subtree.
+std::vector<KeyedSubquery> ExtractKeyed(const SubqueryExtractor& extractor,
+                                        const PlanNodePtr& query) {
+  std::vector<size_t> positions;
+  std::vector<PlanNodePtr> subs = extractor.Extract(query, &positions);
+  std::vector<KeyedSubquery> keyed;
+  if (subs.empty()) return keyed;
+  std::vector<std::string> keys = SubtreeCanonicalKeys(*query);
+  keyed.reserve(subs.size());
+  for (size_t i = 0; i < subs.size(); ++i) {
+    keyed.push_back({std::move(subs[i]), std::move(keys[positions[i]])});
+  }
+  return keyed;
+}
+
 /// Exhaustive pairwise scan (the oracle): task j owns overlapping[j],
 /// scanning k > j in order, so the table is independent of scheduling.
 std::vector<std::vector<size_t>> ComputeOverlapsAllPairs(
@@ -50,73 +67,46 @@ std::vector<std::vector<size_t>> ComputeOverlapsAllPairs(
   return overlapping;
 }
 
-/// Signature pre-partition: a pair can overlap only if one plan's root
-/// hash appears among the other's subtree hashes (equal canonical keys
-/// always hash equal, so this never drops a true pair). Each row task
-/// gathers its hash-level candidates from two bucket maps — root-hash ->
-/// plans and subtree-hash -> plans — then confirms every hit with the
-/// exact string comparison, making the result bit-identical to the
-/// all-pairs scan. Peak memory is the signature index, O(total subtree
-/// count), and per-pair key rendering happens only on hash hits instead
-/// of all |Z|²/2 pairs.
-std::vector<std::vector<size_t>> ComputeOverlapsBucketed(
-    const std::vector<PlanNodePtr>& plans, ThreadPool& pool) {
+/// Exact key index: candidates j and k overlap iff one's cluster key is
+/// the key of a proper subtree of the other's plan. Cluster keys are
+/// unique, so a lookup from key to candidate needs no verification, and
+/// one SubtreeCanonicalKeys walk per candidate finds every candidate it
+/// contains. Each pair is filed under its smaller id, then rows are
+/// sorted, so the table equals the all-pairs scan's. The working set is
+/// the key index (|Z| views into the clusters' keys) plus one plan's
+/// subtree keys per task.
+std::vector<std::vector<size_t>> ComputeOverlapsKeyIndex(
+    const std::vector<PlanNodePtr>& plans,
+    const std::vector<std::string_view>& keys, ThreadPool& pool) {
   const size_t z = plans.size();
-  std::vector<uint64_t> root_hash(z);
-  std::vector<std::vector<uint64_t>> subtree_hashes(z);
-  pool.ParallelFor(0, z, [&](size_t j) {
-    root_hash[j] = CanonicalHash(*plans[j]);
-    auto& hashes = subtree_hashes[j];
-    for (const auto& node : plans[j]->Subtrees()) {
-      hashes.push_back(CanonicalHash(*node));
-    }
-    std::sort(hashes.begin(), hashes.end());
-    hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
-  });
+  std::unordered_map<std::string_view, size_t> candidate_of_key;
+  candidate_of_key.reserve(z);
+  for (size_t k = 0; k < z; ++k) candidate_of_key.emplace(keys[k], k);
 
-  // Bucket maps (sequential build => ascending plan ids per bucket).
-  std::unordered_map<uint64_t, std::vector<size_t>> by_root;
-  std::unordered_map<uint64_t, std::vector<size_t>> by_subtree;
-  for (size_t j = 0; j < z; ++j) by_root[root_hash[j]].push_back(j);
-  for (size_t j = 0; j < z; ++j) {
-    for (uint64_t h : subtree_hashes[j]) by_subtree[h].push_back(j);
-  }
+  std::vector<std::vector<size_t>> contained(z);
+  pool.ParallelFor(0, z, [&](size_t j) {
+    const std::vector<std::string> subtree_keys =
+        SubtreeCanonicalKeys(*plans[j]);
+    for (size_t i = 1; i < subtree_keys.size(); ++i) {
+      const auto it = candidate_of_key.find(subtree_keys[i]);
+      if (it != candidate_of_key.end() && it->second != j) {
+        contained[j].push_back(it->second);
+      }
+    }
+  });
 
   std::vector<std::vector<size_t>> overlapping(z);
+  for (size_t j = 0; j < z; ++j) {
+    for (size_t k : contained[j]) {
+      overlapping[std::min(j, k)].push_back(std::max(j, k));
+    }
+  }
   pool.ParallelFor(0, z, [&](size_t j) {
-    std::vector<size_t> maybe;
-    // k's root occurs among j's subtrees...
-    for (uint64_t h : subtree_hashes[j]) {
-      auto it = by_root.find(h);
-      if (it == by_root.end()) continue;
-      for (size_t k : it->second) {
-        if (k > j) maybe.push_back(k);
-      }
-    }
-    // ...or j's root occurs among k's subtrees.
-    auto it = by_subtree.find(root_hash[j]);
-    if (it != by_subtree.end()) {
-      for (size_t k : it->second) {
-        if (k > j) maybe.push_back(k);
-      }
-    }
-    std::sort(maybe.begin(), maybe.end());
-    maybe.erase(std::unique(maybe.begin(), maybe.end()), maybe.end());
-    for (size_t k : maybe) {
-      if (CanonicalPlansOverlap(*plans[j], *plans[k])) {
-        overlapping[j].push_back(k);
-      }
-    }
+    auto& row = overlapping[j];
+    std::sort(row.begin(), row.end());
+    row.erase(std::unique(row.begin(), row.end()), row.end());
   });
   return overlapping;
-}
-
-std::vector<std::vector<size_t>> ComputeOverlaps(
-    const std::vector<PlanNodePtr>& plans,
-    SubqueryClusterer::OverlapAlgorithm algorithm, ThreadPool& pool) {
-  return algorithm == SubqueryClusterer::OverlapAlgorithm::kAllPairs
-             ? ComputeOverlapsAllPairs(plans, pool)
-             : ComputeOverlapsBucketed(plans, pool);
 }
 
 }  // namespace
@@ -140,12 +130,17 @@ void FinishAnalysis(const SubqueryClusterer::Options& options,
   analysis->associated_queries.assign(associated.begin(), associated.end());
 
   std::vector<PlanNodePtr> candidate_plans;
+  std::vector<std::string_view> candidate_keys;
   candidate_plans.reserve(analysis->candidates.size());
+  candidate_keys.reserve(analysis->candidates.size());
   for (size_t cand : analysis->candidates) {
     candidate_plans.push_back(analysis->clusters[cand].candidate);
+    candidate_keys.push_back(analysis->clusters[cand].canonical_key);
   }
   analysis->overlapping =
-      ComputeOverlaps(candidate_plans, options.overlap, pool);
+      options.overlap == SubqueryClusterer::OverlapAlgorithm::kAllPairs
+          ? ComputeOverlapsAllPairs(candidate_plans, pool)
+          : ComputeOverlapsKeyIndex(candidate_plans, candidate_keys, pool);
 }
 
 }  // namespace internal
@@ -158,30 +153,27 @@ WorkloadAnalysis SubqueryClusterer::Analyze(
   analysis.num_queries = queries.size();
   ThreadPool& pool = options_.pool ? *options_.pool : DefaultPool();
 
-  // Extraction + canonical-key computation (the expensive part — keys
-  // render whole subtrees) runs parallel within chunks of at most
+  // Extraction + canonical-key computation (the expensive part — one
+  // key walk per query plan) runs parallel within chunks of at most
   // extract_chunk queries; each task owns its query's output slot and
   // chunks merge in query order, so the clustering is identical to a
   // sequential pass while transient memory stays O(chunk).
   SubqueryExtractor extractor(options_.extractor);
   const size_t chunk = std::max<size_t>(1, options_.extract_chunk);
-  std::map<std::string, size_t> key_to_cluster;
+  std::unordered_map<std::string, size_t> key_to_cluster;
   std::vector<std::vector<KeyedSubquery>> buffer;
   for (size_t base = 0; base < queries.size(); base += chunk) {
     const size_t end = std::min(queries.size(), base + chunk);
     buffer.assign(end - base, {});
     pool.ParallelFor(base, end, [&](size_t qi) {
-      for (auto& sub : extractor.Extract(queries[qi])) {
-        std::string key = CanonicalKey(*sub);
-        buffer[qi - base].push_back({std::move(sub), std::move(key)});
-      }
+      buffer[qi - base] = ExtractKeyed(extractor, queries[qi]);
     });
 
     for (size_t qi = base; qi < end; ++qi) {
       for (const auto& sub : buffer[qi - base]) {
         ++analysis.num_subqueries;
         auto [it, inserted] =
-            key_to_cluster.emplace(sub.key, analysis.clusters.size());
+            key_to_cluster.try_emplace(sub.key, analysis.clusters.size());
         if (inserted) {
           SubqueryCluster cluster;
           cluster.canonical_key = sub.key;
@@ -227,19 +219,19 @@ WorkloadAnalysis SubqueryClusterer::AnalyzeStreaming(
   SubqueryExtractor extractor(options_.extractor);
   const size_t chunk = std::max<size_t>(1, options_.extract_chunk);
 
-  // Pass 1: per-cluster aggregates only; plans live for one chunk.
+  // One pass of per-cluster aggregates; query plans live for one chunk.
   // Clusters are numbered in first-appearance order over the same
   // query-ordered merge Analyze() uses, and the argmin runs over the
-  // same occurrence sequence with the same strict-< tie-break, so for a
-  // pure cost oracle the chosen member is identical.
+  // same occurrence sequence with the same tie-break (first member, then
+  // strictly lower cost), so for a pure cost oracle the chosen member is
+  // identical. Each cluster keeps only its current argmin subplan.
   struct ClusterBuild {
     size_t count = 0;
     std::vector<size_t> query_indices;  // ascending by construction
-    double best_cost = std::numeric_limits<double>::infinity();
-    size_t best_query = 0;
-    size_t best_ordinal = 0;  // position in that query's extraction
+    double best_cost = 0.0;
+    PlanNodePtr best;  // the argmin member; null until the first one
   };
-  std::map<std::string, size_t> key_to_cluster;
+  std::unordered_map<std::string, size_t> key_to_cluster;
   std::vector<ClusterBuild> builds;
 
   std::vector<std::vector<KeyedSubquery>> buffer;
@@ -247,20 +239,15 @@ WorkloadAnalysis SubqueryClusterer::AnalyzeStreaming(
     const size_t end = std::min(num_queries, base + chunk);
     buffer.assign(end - base, {});
     pool.ParallelFor(base, end, [&](size_t qi) {
-      PlanNodePtr plan = query_fn(qi);
-      if (plan == nullptr) return;
-      for (auto& sub : extractor.Extract(plan)) {
-        std::string key = CanonicalKey(*sub);
-        buffer[qi - base].push_back({std::move(sub), std::move(key)});
-      }
+      const PlanNodePtr plan = query_fn(qi);
+      if (plan != nullptr) buffer[qi - base] = ExtractKeyed(extractor, plan);
     });
 
     for (size_t qi = base; qi < end; ++qi) {
-      const auto& subs = buffer[qi - base];
-      for (size_t ordinal = 0; ordinal < subs.size(); ++ordinal) {
-        const KeyedSubquery& sub = subs[ordinal];
+      for (const KeyedSubquery& sub : buffer[qi - base]) {
         ++analysis.num_subqueries;
-        auto [it, inserted] = key_to_cluster.emplace(sub.key, builds.size());
+        auto [it, inserted] =
+            key_to_cluster.try_emplace(sub.key, builds.size());
         if (inserted) {
           builds.emplace_back();
           SubqueryCluster cluster;
@@ -275,10 +262,9 @@ WorkloadAnalysis SubqueryClusterer::AnalyzeStreaming(
         const double cost =
             cost_fn_ ? cost_fn_(*sub.plan)
                      : static_cast<double>(sub.plan->NumOperators());
-        if (cost < build.best_cost) {
+        if (build.best == nullptr || cost < build.best_cost) {
           build.best_cost = cost;
-          build.best_query = qi;
-          build.best_ordinal = ordinal;
+          build.best = sub.plan;
         }
       }
     }
@@ -288,35 +274,9 @@ WorkloadAnalysis SubqueryClusterer::AnalyzeStreaming(
     SubqueryCluster& cluster = analysis.clusters[ci];
     cluster.occurrence_count = builds[ci].count;
     cluster.query_indices = std::move(builds[ci].query_indices);
+    cluster.candidate = std::move(builds[ci].best);
     analysis.num_equivalent_pairs += cluster.num_equivalent_pairs();
   }
-
-  // Pass 2: re-extract only the argmin queries to materialize candidate
-  // plans. Each task owns the clusters anchored at its query, so writes
-  // are disjoint.
-  std::unordered_map<size_t, std::vector<size_t>> clusters_of_query;
-  for (size_t ci = 0; ci < builds.size(); ++ci) {
-    if (builds[ci].count > 0) {
-      clusters_of_query[builds[ci].best_query].push_back(ci);
-    }
-  }
-  std::vector<size_t> anchor_queries;
-  anchor_queries.reserve(clusters_of_query.size());
-  for (const auto& [qi, unused] : clusters_of_query) {
-    anchor_queries.push_back(qi);
-  }
-  std::sort(anchor_queries.begin(), anchor_queries.end());
-  pool.ParallelFor(0, anchor_queries.size(), [&](size_t t) {
-    const size_t qi = anchor_queries[t];
-    PlanNodePtr plan = query_fn(qi);
-    if (plan == nullptr) return;
-    std::vector<PlanNodePtr> subs = extractor.Extract(plan);
-    for (size_t ci : clusters_of_query.find(qi)->second) {
-      if (builds[ci].best_ordinal < subs.size()) {
-        analysis.clusters[ci].candidate = subs[builds[ci].best_ordinal];
-      }
-    }
-  });
 
   FinishAnalysis(options_, pool, &analysis);
   return analysis;
@@ -353,27 +313,23 @@ Status ClustererSession::IngestQuery(uint64_t query_id,
   if (queries_.count(query_id) != 0) {
     return Status::AlreadyExists("query id already live");
   }
-  SubqueryExtractor extractor(options_.extractor);
-  std::vector<size_t> positions;
-  std::vector<PlanNodePtr> subs = extractor.Extract(plan, &positions);
-  // One bottom-up walk keys every node of the plan; each subquery reads
-  // its key by pre-order position.
-  std::vector<std::string> subtree_keys = SubtreeCanonicalKeys(*plan);
+  std::vector<KeyedSubquery> subs =
+      ExtractKeyed(SubqueryExtractor(options_.extractor), plan);
 
   std::vector<std::string>& keys = queries_[query_id];
   keys.reserve(subs.size());
   std::map<std::string, bool> was_candidate;  // touched clusters, key asc
   for (size_t ordinal = 0; ordinal < subs.size(); ++ordinal) {
-    std::string key = std::move(subtree_keys[positions[ordinal]]);
+    std::string key = std::move(subs[ordinal].key);
     auto [it, inserted] = clusters_.emplace(key, ClusterState{});
     if (inserted) was_candidate.emplace(key, false);
     else was_candidate.emplace(key, IsCandidate(it->second));
     ClusterState& cluster = it->second;
     Member member;
-    member.cost = cost_fn_
-                      ? cost_fn_(*subs[ordinal])
-                      : static_cast<double>(subs[ordinal]->NumOperators());
-    member.plan = subs[ordinal];
+    const PlanNode& sub = *subs[ordinal].plan;
+    member.cost = cost_fn_ ? cost_fn_(sub)
+                           : static_cast<double>(sub.NumOperators());
+    member.plan = std::move(subs[ordinal].plan);
     cluster.members.emplace(std::make_pair(query_id, ordinal),
                             std::move(member));
     ++cluster.per_query[query_id];

@@ -76,28 +76,29 @@ struct WorkloadAnalysis {
 /// comparison (see plan/canonical.h).
 ///
 /// The two expensive phases — per-query subquery extraction with
-/// canonical-key computation, and candidate-overlap detection — run
-/// across Options::pool. Both are deterministic under any thread count:
-/// extraction results are merged on the calling thread in query order
-/// (so cluster ids match a sequential run), and each overlap task owns
-/// exactly one row of the overlap table.
+/// canonical-key computation (one SubtreeCanonicalKeys walk per query
+/// plan), and candidate-overlap detection — run across Options::pool.
+/// Both are deterministic under any thread count: extraction results
+/// are merged on the calling thread in query order (so cluster ids
+/// match a sequential run), and overlap rows are sorted after the
+/// parallel lookups.
 ///
 /// Memory bounds (DESIGN.md §10): extraction is chunked so at most
-/// `extract_chunk` queries' plans are in flight; overlap detection uses
-/// a canonical-hash signature pre-partition (kBucketed) whose working
-/// set is the signature index, O(total subtree count), instead of
-/// rendering canonical-key strings for all |Z|²/2 pairs. The exhaustive
-/// pairwise scan survives as the kAllPairs oracle; both algorithms
-/// produce bit-identical overlap tables (hash hits are verified with
-/// the exact string comparison, and equal keys always hash equal, so
-/// the prefilter has no false negatives).
+/// `extract_chunk` queries' plans are in flight; overlap detection
+/// (kKeyIndex) indexes the candidates' cluster keys, which are unique,
+/// and looks up every proper-subtree key of each candidate plan in it,
+/// so it is exact without a verification step and never renders keys
+/// for all |Z|²/2 pairs. Its working set is the |Z|-entry index plus one
+/// plan's subtree keys per task. The exhaustive pairwise scan survives
+/// as the kAllPairs oracle; both produce identical overlap tables.
 class SubqueryClusterer {
  public:
   /// Candidate-overlap detection algorithm.
   enum class OverlapAlgorithm {
-    /// Canonical-hash signature buckets + exact verification (default).
-    kBucketed,
-    /// The historical exhaustive pairwise scan (oracle for tests).
+    /// Exact lookup of each candidate's subtree keys in an index of the
+    /// candidates' cluster keys (default).
+    kKeyIndex,
+    /// The exhaustive pairwise scan (oracle for tests).
     kAllPairs,
   };
 
@@ -109,7 +110,7 @@ class SubqueryClusterer {
     /// Executor for the parallel phases; null => DefaultPool().
     ThreadPool* pool = nullptr;
     /// Overlap detection algorithm; results are identical either way.
-    OverlapAlgorithm overlap = OverlapAlgorithm::kBucketed;
+    OverlapAlgorithm overlap = OverlapAlgorithm::kKeyIndex;
     /// Queries whose extracted plans may be in flight at once during
     /// the extraction phase (peak transient memory is O(extract_chunk),
     /// not O(|Q|)).
@@ -120,9 +121,10 @@ class SubqueryClusterer {
   /// member as the candidate; when absent the smallest plan wins.
   using CostFn = std::function<double(const PlanNode&)>;
 
-  /// Re-invocable plan source for the streaming path: returns query
-  /// `qi`'s plan (nullptr to skip). May be called more than once per
-  /// query and concurrently for distinct indices.
+  /// Plan source for the streaming paths: returns query `qi`'s plan
+  /// (nullptr to skip). Called concurrently for distinct indices;
+  /// AnalyzeStreaming calls it once per query, and BuildStreamingProblem
+  /// calls it again for each associated query.
   using QueryFn = std::function<PlanNodePtr(size_t)>;
 
   SubqueryClusterer() : options_() {}
@@ -132,12 +134,12 @@ class SubqueryClusterer {
   /// Runs extraction + equivalence clustering + overlap detection.
   WorkloadAnalysis Analyze(const std::vector<PlanNodePtr>& queries) const;
 
-  /// Memory-bounded two-pass variant for paper-scale workloads: pass 1
-  /// streams queries in chunks, keeping only per-cluster aggregates
-  /// (key, count, query indices, running argmin cost) while plans stay
-  /// transient; pass 2 re-invokes `query_fn` for just the argmin
-  /// queries to materialize each cluster's candidate plan. Peak memory
-  /// is O(extract_chunk + clusters), never O(all occurrence plans).
+  /// Memory-bounded one-pass variant for paper-scale workloads: streams
+  /// queries in chunks (`query_fn` once per query), keeping only
+  /// per-cluster aggregates (key, count, query indices, and the current
+  /// argmin subplan with its cost) while query plans stay transient.
+  /// Peak memory is O(extract_chunk + clusters), never O(all occurrence
+  /// plans): each cluster holds one subplan, as its candidate.
   ///
   /// Produces the same clusters (order, keys, counts, query indices,
   /// candidates, overlap table) as Analyze() for a pure cost oracle —
@@ -152,11 +154,11 @@ class SubqueryClusterer {
 
 /// Overlap per Definition 5 evaluated on canonical subtree keys, so two
 /// equivalent-but-structurally-different subplans still register their
-/// common subtrees. Re-keys both plans per call, so it serves two roles
-/// only: the exact verifier behind the batch clusterer's hash prefilter
-/// (and its all-pairs oracle), and the all-pairs oracle behind
-/// OnlineAdvisor::DenseOracleProblem. The advisor's own ingest finds
-/// overlap partners through its subtree-key index instead.
+/// common subtrees. Re-keys both plans per call, so it is used only by
+/// oracles: the batch clusterer's kAllPairs scan and the all-pairs
+/// rebuild behind OnlineAdvisor::DenseOracleProblem. The batch
+/// clusterer (kKeyIndex) and the advisor's ingest find overlap partners
+/// through subtree-key indexes instead.
 bool CanonicalPlansOverlap(const PlanNode& a, const PlanNode& b);
 
 namespace internal {
@@ -181,7 +183,7 @@ void FinishAnalysis(const SubqueryClusterer::Options& options,
 ///
 /// Members are retained (plan + cost per occurrence), so memory is
 /// O(live occurrences) — sized for a sliding window, not the unbounded
-/// history AnalyzeStreaming's two-pass aggregate path covers.
+/// history AnalyzeStreaming's one-pass aggregate path covers.
 ///
 /// Not internally synchronized: the owner (OnlineAdvisor) serializes
 /// access.

@@ -237,6 +237,27 @@ TEST_F(PlanTest, CanonicalDistinguishesDifferentLiterals) {
   EXPECT_FALSE(PlansEquivalent(*a, *b));
 }
 
+TEST_F(PlanTest, CanonicalKeysRenderFloatLiteralsExactly) {
+  // printf's %g keeps six significant digits, so each pair would render
+  // as one literal and two different queries would share a key.
+  const std::pair<const char*, const char*> pairs[] = {
+      {"1.0000001", "1.0000002"}, {"123456789.5", "123456789.0"}};
+  const std::string prefix = "SELECT * FROM user_action WHERE type < ";
+  for (const auto& [x, y] : pairs) {
+    auto a = MustBuild(prefix + x);
+    auto b = MustBuild(prefix + y);
+    ASSERT_TRUE(a && b);
+    EXPECT_NE(CanonicalKey(*a), CanonicalKey(*b)) << x << " vs " << y;
+    EXPECT_FALSE(PlansEquivalent(*a, *b));
+  }
+  // Equal values keep one key: 3 and 3.0 compare equal.
+  auto int_literal = MustBuild("SELECT * FROM user_action WHERE type = 3");
+  auto double_literal =
+      MustBuild("SELECT * FROM user_action WHERE type = 3.0");
+  ASSERT_TRUE(int_literal && double_literal);
+  EXPECT_EQ(CanonicalKey(*int_literal), CanonicalKey(*double_literal));
+}
+
 TEST_F(PlanTest, SubtreeCanonicalKeysMatchPerNodeCanonicalKey) {
   // The bottom-up walk must give every node of Subtrees() (pre-order,
   // repeated subtrees included) exactly the key CanonicalKey renders

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "generators.h"
@@ -241,6 +242,23 @@ RLViewSelector::Options RlOptions(SelectionEngine engine, uint64_t seed) {
   return o;
 }
 
+/// Both engines must leave the same trained DQN, bit for bit (memcmp, so
+/// -0.0 vs 0.0 or NaN payloads would also show).
+void ExpectSameWeights(const RLViewSelector& naive,
+                       const RLViewSelector& fast) {
+  const auto& a = naive.trained_weights();
+  const auto& b = fast.trained_weights();
+  ASSERT_FALSE(a.empty());
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t t = 0; t < a.size(); ++t) {
+    ASSERT_EQ(a[t].size(), b[t].size()) << "tensor " << t;
+    EXPECT_EQ(std::memcmp(a[t].data(), b[t].data(),
+                          a[t].size() * sizeof(double)),
+              0)
+        << "tensor " << t;
+  }
+}
+
 TEST(IncrementalEquivalenceTest, RLViewMatchesNaive) {
   for (uint64_t seed : {2u, 13u}) {
     const MvsProblem p = RandomSparseProblem(15, 24, seed, 0.12,
@@ -252,6 +270,7 @@ TEST(IncrementalEquivalenceTest, RLViewMatchesNaive) {
     ASSERT_TRUE(a.ok() && b.ok());
     ExpectSameSolution(a.value(), b.value());
     EXPECT_EQ(naive.utility_trace(), fast.utility_trace()) << "seed " << seed;
+    ExpectSameWeights(naive, fast);
   }
 }
 
@@ -271,6 +290,7 @@ TEST(IncrementalEquivalenceTest, RLViewVariantsMatchNaive) {
       ExpectSameSolution(a.value(), b.value());
       EXPECT_EQ(naive.utility_trace(), fast.utility_trace())
           << "dueling=" << dueling << " target_sync=" << target_sync;
+      ExpectSameWeights(naive, fast);
     }
   }
 }
@@ -303,6 +323,7 @@ TEST(IncrementalEquivalenceTest, RLViewDefaultTrainingMatchesNaive) {
     ExpectSameSolution(a.value(), b.value());
     EXPECT_EQ(naive.utility_trace(), fast.utility_trace())
         << "dueling=" << dueling;
+    ExpectSameWeights(naive, fast);
     // Every episode step is one trace entry; each step from the 32nd on
     // trains, and the memory wraps past its 64 entries.
     const size_t steps =

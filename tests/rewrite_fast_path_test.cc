@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -303,6 +304,50 @@ TEST_F(RewriteFastPathTest, ServingCacheHitsAndInvalidatesOnSwap) {
   EXPECT_EQ(snap.misses, 2u);
   auto swapped = MustExecute(third.value().plan);
   EXPECT_TRUE(TablesEqualUnordered(original.table, swapped.table));
+}
+
+TEST_F(RewriteFastPathTest, ServingKeepsNearbyFloatLiteralsApart) {
+  // Each pair differs past %g's six significant digits. The serving path
+  // caches rewrites and matches views by canonical key, so a key that
+  // rounded the literal would hand the second query the first one's
+  // plan or view.
+  std::vector<Row> rows;
+  const double values[] = {1.0,         1.0000001,   1.00000015,
+                           1.0000002,   123456789.0, 123456789.25};
+  for (size_t i = 0; i < std::size(values); ++i) {
+    rows.push_back({Value(static_cast<int64_t>(i)), Value(values[i])});
+  }
+  ASSERT_TRUE(db_.AddTable(TableSchema("readings",
+                                       {{"id", ColumnType::kInt64},
+                                        {"v", ColumnType::kDouble}}),
+                           std::move(rows))
+                  .ok());
+  ASSERT_TRUE(db_.ComputeAllStats().ok());
+
+  Executor exec(&db_);
+  MaterializedViewStore store(&db_, ViewStoreOptions{});
+  Rewriter rewriter(&db_.catalog());
+  const std::pair<const char*, const char*> pairs[] = {
+      {"1.0000001", "1.0000002"}, {"123456789.0", "123456789.5"}};
+  for (const auto& [x, y] : pairs) {
+    PlanNodePtr a =
+        MustBuild(std::string("SELECT id, v FROM readings WHERE v < ") + x);
+    PlanNodePtr b =
+        MustBuild(std::string("SELECT id, v FROM readings WHERE v < ") + y);
+    ASSERT_TRUE(a && b);
+    ASSERT_NE(MustExecute(a).table.num_rows(), MustExecute(b).table.num_rows());
+
+    const auto view = store.Materialize(a, exec);  // only `a` has a view
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    for (const PlanNodePtr& query : {a, b, a, b}) {
+      auto serving = rewriter.RewriteServing(query, &store);
+      ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+      EXPECT_EQ(serving.value().num_substitutions, query == a ? 1u : 0u);
+      EXPECT_TRUE(TablesEqualUnordered(MustExecute(query).table,
+                                       MustExecute(serving.value().plan).table))
+          << query->ToString();
+    }
+  }
 }
 
 TEST_F(RewriteFastPathTest, ServingHealsCacheAfterEviction) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "catalog/catalog.h"
 #include "engine/database.h"
+#include "generators.h"
 #include "plan/builder.h"
 #include "plan/canonical.h"
 #include "subquery/clusterer.h"
@@ -200,8 +204,8 @@ TEST_F(SubqueryTest, RootCandidateOutlivesQueryPlansInBatchAnalyses) {
   ASSERT_NE(reference, nullptr);
   const std::string root_key = CanonicalKey(*reference);
 
-  // AnalyzeStreaming's pass 2 re-plans the argmin query and keeps only
-  // the extracted candidate; Analyze gets plans the caller then drops.
+  // AnalyzeStreaming keeps only the argmin subplan of a plan it drops
+  // after the chunk; Analyze gets plans the caller then drops.
   const WorkloadAnalysis streamed = clusterer.AnalyzeStreaming(
       2, [this](size_t) { return MustBuild(kFig2Sql); });
   const WorkloadAnalysis batch =
@@ -271,10 +275,46 @@ TEST_F(SubqueryTest, EmptyWorkload) {
   EXPECT_TRUE(analysis.candidates.empty());
 }
 
+TEST_F(SubqueryTest, KeyIndexOverlapsMatchAllPairsOnRandomPlans) {
+  // Random plans with nested and repeated subtrees (a third of the joins
+  // put one subtree on both sides), each also submitted alongside one of
+  // its own subtrees, so candidates contain each other across queries.
+  const std::vector<std::string> tables = {"user_memo", "user_action"};
+  for (const uint64_t seed : {3u, 4u}) {
+    Rng rng(seed);
+    std::vector<PlanNodePtr> queries;
+    for (int i = 0; i < 40; ++i) {
+      const PlanNodePtr plan = testing::RandomPlan(catalog_, tables, 7, rng);
+      const std::vector<PlanNodePtr> nodes = plan->Subtrees();
+      queries.push_back(plan);
+      queries.push_back(nodes[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(nodes.size()) - 1))]);
+    }
+    for (const size_t min_sharing : {1u, 2u}) {
+      for (const size_t threads : {1u, 4u}) {
+        ThreadPool pool(threads);
+        SubqueryClusterer::Options key_index;
+        key_index.extractor.include_root = true;
+        key_index.min_sharing = min_sharing;
+        key_index.pool = &pool;
+        SubqueryClusterer::Options all_pairs = key_index;
+        all_pairs.overlap = SubqueryClusterer::OverlapAlgorithm::kAllPairs;
+        const auto a = SubqueryClusterer(key_index).Analyze(queries);
+        const auto b = SubqueryClusterer(all_pairs).Analyze(queries);
+        EXPECT_GT(a.num_overlapping_pairs(), 0u)
+            << "seed " << seed << " min_sharing " << min_sharing;
+        EXPECT_EQ(a.overlapping, b.overlapping)
+            << "seed " << seed << " min_sharing " << min_sharing
+            << " threads " << threads;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
-// Memory-bounded clustering: the bucketed overlap prefilter and the
-// streaming two-pass analysis must be *bit-identical* to the historical
-// all-pairs / batch paths — the contract DESIGN.md §10 pins.
+// Memory-bounded clustering: the key-index overlap detection and the
+// one-pass streaming analysis must be *bit-identical* to the all-pairs
+// oracle / batch path — the contract DESIGN.md §10 pins.
 
 std::vector<PlanNodePtr> BuildWorkloadPlans(const GeneratedWorkload& w) {
   std::vector<PlanNodePtr> plans;
@@ -289,8 +329,8 @@ std::vector<PlanNodePtr> BuildWorkloadPlans(const GeneratedWorkload& w) {
 }
 
 /// Everything except per-occurrence plans must agree; candidate plans
-/// are compared by canonical key (the streaming path re-extracts its
-/// anchor occurrence, so pointer identity is not expected).
+/// are compared by canonical key (the streaming path plans each query
+/// itself, so pointer identity is not expected).
 void ExpectAnalysesEquivalent(const WorkloadAnalysis& a,
                               const WorkloadAnalysis& b) {
   EXPECT_EQ(a.num_queries, b.num_queries);
@@ -312,19 +352,19 @@ void ExpectAnalysesEquivalent(const WorkloadAnalysis& a,
   EXPECT_EQ(a.overlapping, b.overlapping);
 }
 
-TEST(ClustererScaleTest, BucketedOverlapMatchesAllPairs) {
+TEST(ClustererScaleTest, KeyIndexOverlapMatchesAllPairs) {
   for (const uint64_t seed : {11u, 12u}) {
     CloudWorkloadSpec spec = Wk1Spec(0.6);
     spec.seed = seed;
     const GeneratedWorkload workload = GenerateCloudWorkload(spec);
     const auto plans = BuildWorkloadPlans(workload);
 
-    SubqueryClusterer::Options bucketed;
-    bucketed.overlap = SubqueryClusterer::OverlapAlgorithm::kBucketed;
+    SubqueryClusterer::Options key_index;
+    key_index.overlap = SubqueryClusterer::OverlapAlgorithm::kKeyIndex;
     SubqueryClusterer::Options all_pairs;
     all_pairs.overlap = SubqueryClusterer::OverlapAlgorithm::kAllPairs;
 
-    const auto a = SubqueryClusterer(bucketed).Analyze(plans);
+    const auto a = SubqueryClusterer(key_index).Analyze(plans);
     const auto b = SubqueryClusterer(all_pairs).Analyze(plans);
     EXPECT_GT(a.num_overlapping_pairs(), 0u);
     EXPECT_EQ(a.overlapping, b.overlapping);
@@ -335,12 +375,16 @@ TEST(ClustererScaleTest, BucketedOverlapMatchesAllPairs) {
 TEST(ClustererScaleTest, StreamingMatchesBatchAcrossChunksAndThreads) {
   const GeneratedWorkload workload = GenerateCloudWorkload(Wk2Spec(0.5));
   const auto plans = BuildWorkloadPlans(workload);
-  const auto query_fn = [&plans](size_t qi) { return plans[qi]; };
 
   const WorkloadAnalysis batch = SubqueryClusterer().Analyze(plans);
 
   for (const size_t chunk : {1u, 7u, 1024u}) {
     for (const size_t threads : {1u, 4u}) {
+      const auto calls = std::make_unique<std::atomic<int>[]>(plans.size());
+      const auto query_fn = [&](size_t qi) {
+        calls[qi].fetch_add(1, std::memory_order_relaxed);
+        return plans[qi];
+      };
       ThreadPool pool(threads);
       SubqueryClusterer::Options opts;
       opts.extract_chunk = chunk;
@@ -348,6 +392,11 @@ TEST(ClustererScaleTest, StreamingMatchesBatchAcrossChunksAndThreads) {
       const WorkloadAnalysis streaming =
           SubqueryClusterer(opts).AnalyzeStreaming(plans.size(), query_fn);
       ExpectAnalysesEquivalent(batch, streaming);
+      // One pass: each query is planned exactly once.
+      for (size_t qi = 0; qi < plans.size(); ++qi) {
+        EXPECT_EQ(calls[qi].load(), 1)
+            << "query " << qi << " chunk " << chunk << " threads " << threads;
+      }
       // The streaming path never retains member plans.
       for (const auto& cluster : streaming.clusters) {
         EXPECT_TRUE(cluster.occurrences.empty());

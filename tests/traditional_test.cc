@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "costmodel/traditional.h"
 #include "engine/database.h"
 #include "engine/executor.h"
+#include "generators.h"
 #include "plan/builder.h"
 #include "util/random.h"
+#include "workload/generator.h"
 
 namespace autoview {
 namespace {
@@ -150,6 +155,137 @@ TEST_F(TraditionalTest, EstimateOnUniformDataIsAccurate) {
   ASSERT_TRUE(full.ok());
   const double full_cost = Pricing{}.QueryCost(full.value().cost);
   EXPECT_LT(predicted, full_cost);
+}
+
+// ---------------------------------------------------------------------
+// Bit-identity oracle: the recursive estimator that the bottom-up walk
+// in EstimatePlanCost replaced. Every node re-estimates its subtree's
+// rows, and every subtree re-derives its scanned tables.
+
+/// EstimateBytes as a ScannedTables() loop over the recursive row count.
+double OracleBytes(const Catalog& catalog, const CardinalityEstimator& card,
+                   const PlanNode& plan) {
+  double total_bytes = 0, total_rows = 0, total_cols = 0;
+  for (const auto& table : plan.ScannedTables()) {
+    const TableStats& stats = catalog.GetStats(table);
+    total_bytes += static_cast<double>(stats.byte_size);
+    total_rows += static_cast<double>(stats.row_count);
+    auto schema = catalog.GetTable(table);
+    if (schema.ok()) {
+      total_cols += static_cast<double>(schema.value()->num_columns());
+    }
+  }
+  const double avg_cell = total_rows > 0 && total_cols > 0
+                              ? total_bytes / total_rows / total_cols
+                              : 8.0;
+  return card.EstimateRows(plan) * avg_cell *
+         static_cast<double>(plan.num_output_columns());
+}
+
+/// Executor-style per-operator charging, recursing into every child.
+double OracleCpuUnits(const CardinalityEstimator& card,
+                      const CostConstants& consts, const PlanNode& plan) {
+  double units = 0.0;
+  switch (plan.op()) {
+    case PlanOp::kTableScan:
+      return consts.scan_row * card.EstimateRows(plan);
+    case PlanOp::kFilter:
+      units = consts.filter_row * card.EstimateRows(*plan.child(0));
+      break;
+    case PlanOp::kProject:
+      units = consts.project_row * card.EstimateRows(*plan.child(0));
+      break;
+    case PlanOp::kJoin:
+      units = consts.join_build_row * card.EstimateRows(*plan.child(1)) +
+              consts.join_probe_row * card.EstimateRows(*plan.child(0)) +
+              consts.join_output_row * card.EstimateRows(plan);
+      break;
+    case PlanOp::kAggregate:
+      units = consts.agg_update_row * card.EstimateRows(*plan.child(0)) +
+              consts.agg_output_row * card.EstimateRows(plan);
+      break;
+    case PlanOp::kSort: {
+      const double n = card.EstimateRows(*plan.child(0));
+      units = consts.sort_row * n * std::log2(n + 2.0);
+      break;
+    }
+    case PlanOp::kLimit:
+      units = consts.limit_row * card.EstimateRows(plan);
+      break;
+    case PlanOp::kDistinct:
+      units = consts.distinct_row * card.EstimateRows(*plan.child(0));
+      break;
+  }
+  for (const auto& child : plan.children()) {
+    units += OracleCpuUnits(card, consts, *child);
+  }
+  return units;
+}
+
+double OraclePlanCost(const Catalog& catalog, const Pricing& pricing,
+                      const PlanNode& plan) {
+  const CardinalityEstimator card(&catalog);
+  CostReport report;
+  report.cpu_units = OracleCpuUnits(card, pricing.consts, plan);
+  double peak = 0.0;
+  for (const auto& node : plan.Subtrees()) {
+    peak = std::max(peak, OracleBytes(catalog, card, *node));
+  }
+  report.peak_bytes = peak;
+  report.cpu_units *= pricing.consts.SpillMultiplier(peak);
+  return pricing.QueryCost(report);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// memcmp-compares EstimatePlanCost and EstimateBytes with the oracle on
+/// every subtree of every plan; returns the number of subtrees checked.
+size_t ExpectMatchesOracle(const Catalog& catalog,
+                           const std::vector<PlanNodePtr>& plans) {
+  const Pricing pricing;
+  const TraditionalEstimator estimator(&catalog, pricing);
+  const CardinalityEstimator card(&catalog);
+  size_t checked = 0;
+  for (const PlanNodePtr& plan : plans) {
+    for (const PlanNodePtr& node : plan->Subtrees()) {
+      const double cost = estimator.EstimatePlanCost(*node);
+      const double oracle_cost = OraclePlanCost(catalog, pricing, *node);
+      EXPECT_TRUE(SameBits(cost, oracle_cost))
+          << cost << " vs " << oracle_cost << "\n" << node->ToString();
+      const double bytes = card.EstimateBytes(*node);
+      const double oracle_bytes = OracleBytes(catalog, card, *node);
+      EXPECT_TRUE(SameBits(bytes, oracle_bytes))
+          << bytes << " vs " << oracle_bytes << "\n" << node->ToString();
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+TEST_F(TraditionalTest, PlanCostWalkMatchesRecursiveOracleOnRandomPlans) {
+  // All eight operator kinds, joins with one subtree on both sides.
+  const std::vector<std::string> tables = {"facts", "dims"};
+  Rng rng(17);
+  std::vector<PlanNodePtr> plans;
+  for (int i = 0; i < 200; ++i) {
+    plans.push_back(testing::RandomPlan(db_.catalog(), tables, 7, rng));
+  }
+  EXPECT_GT(ExpectMatchesOracle(db_.catalog(), plans), 200u);
+}
+
+TEST(TraditionalOracleTest, PlanCostWalkMatchesRecursiveOracleOnWk1) {
+  const GeneratedWorkload workload = GenerateCloudWorkload(Wk1Spec(0.5));
+  PlanBuilder builder(&workload.db->catalog());
+  std::vector<PlanNodePtr> plans;
+  for (const std::string& sql : workload.sql) {
+    auto plan = builder.BuildFromSql(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    plans.push_back(std::move(plan).value());
+  }
+  EXPECT_GT(ExpectMatchesOracle(workload.db->catalog(), plans),
+            plans.size());
 }
 
 }  // namespace
