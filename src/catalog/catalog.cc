@@ -1,5 +1,7 @@
 #include "catalog/catalog.h"
 
+#include <algorithm>
+
 namespace autoview {
 
 Status Catalog::AddTable(TableSchema schema) {
@@ -30,34 +32,33 @@ Status Catalog::SetStats(const std::string& table, TableStats stats) {
   return Status::OK();
 }
 
-Result<const TableSchema*> Catalog::GetTable(const std::string& table) const {
+Result<const TableSchema*> Catalog::GetTable(std::string_view table) const {
   MutexLock lock(mu_);
   auto it = tables_.find(table);
   if (it == tables_.end()) {
-    return Status::NotFound("no such table: " + table);
+    return Status::NotFound("no such table: " + std::string(table));
   }
   return &it->second;
 }
 
-Result<std::vector<ColumnSchema>> Catalog::GetColumns(
-    const std::string& table) const {
+Result<SharedColumns> Catalog::GetColumns(std::string_view table) const {
   MutexLock lock(mu_);
   auto it = tables_.find(table);
   if (it == tables_.end()) {
-    return Status::NotFound("no such table: " + table);
+    return Status::NotFound("no such table: " + std::string(table));
   }
-  return it->second.columns();
+  return it->second.shared_columns();
 }
 
-const TableStats& Catalog::GetStats(const std::string& table) const {
+const TableStats& Catalog::GetStats(std::string_view table) const {
   MutexLock lock(mu_);
   auto it = stats_.find(table);
   return it == stats_.end() ? empty_stats_ : it->second;
 }
 
-bool Catalog::HasTable(const std::string& table) const {
+bool Catalog::HasTable(std::string_view table) const {
   MutexLock lock(mu_);
-  return tables_.count(table) > 0;
+  return tables_.find(table) != tables_.end();
 }
 
 size_t Catalog::num_tables() const {
@@ -66,10 +67,13 @@ size_t Catalog::num_tables() const {
 }
 
 std::vector<std::string> Catalog::TableNames() const {
-  MutexLock lock(mu_);
   std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, _] : tables_) names.push_back(name);
+  {
+    MutexLock lock(mu_);
+    names.reserve(tables_.size());
+    for (const auto& [name, _] : tables_) names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
   return names;
 }
 

@@ -17,8 +17,9 @@ const char* ColumnTypeName(ColumnType type) {
 }
 
 std::optional<size_t> TableSchema::FindColumn(const std::string& column) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == column) return i;
+  const std::vector<ColumnSchema>& cols = *columns_;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (cols[i].name == column) return i;
   }
   return std::nullopt;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,27 +25,44 @@ struct ColumnSchema {
   bool operator==(const ColumnSchema&) const = default;
 };
 
+/// \brief An immutable, shareable column list. Plan nodes that keep
+/// their input's columns (scans of a table, filters, sorts, ...) hold
+/// the same list instead of copying it.
+using SharedColumns = std::shared_ptr<const std::vector<ColumnSchema>>;
+
 /// \brief A table definition: name plus ordered columns.
+///
+/// The columns are immutable and shared: copying a schema, or handing
+/// out columns(), never copies the column names.
 class TableSchema {
  public:
-  TableSchema() = default;
+  TableSchema() : TableSchema("", {}) {}
   TableSchema(std::string name, std::vector<ColumnSchema> columns)
-      : name_(std::move(name)), columns_(std::move(columns)) {}
+      : name_(std::move(name)),
+        columns_(std::make_shared<const std::vector<ColumnSchema>>(
+            std::move(columns))) {}
+  // Copy-only (a move would leave columns_ null): copying shares the
+  // column list.
+  TableSchema(const TableSchema&) = default;
+  TableSchema& operator=(const TableSchema&) = default;
 
   const std::string& name() const { return name_; }
-  const std::vector<ColumnSchema>& columns() const { return columns_; }
-  size_t num_columns() const { return columns_.size(); }
+  const std::vector<ColumnSchema>& columns() const { return *columns_; }
+  const SharedColumns& shared_columns() const { return columns_; }
+  size_t num_columns() const { return columns_->size(); }
 
   /// Index of `column` or nullopt.
   std::optional<size_t> FindColumn(const std::string& column) const;
 
-  const ColumnSchema& column(size_t i) const { return columns_[i]; }
+  const ColumnSchema& column(size_t i) const { return (*columns_)[i]; }
 
-  bool operator==(const TableSchema&) const = default;
+  bool operator==(const TableSchema& other) const {
+    return name_ == other.name_ && *columns_ == *other.columns_;
+  }
 
  private:
   std::string name_;
-  std::vector<ColumnSchema> columns_;
+  SharedColumns columns_;  // never null
 };
 
 /// \brief Equi-width histogram over a numeric column's value range.

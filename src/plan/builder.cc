@@ -1,7 +1,5 @@
 #include "plan/builder.h"
 
-#include <unordered_set>
-
 #include "sql/parser.h"
 #include "util/strings.h"
 
@@ -22,6 +20,8 @@ class StmtBuilder {
   StmtBuilder(const Catalog* catalog) : catalog_(catalog) {}
 
   Result<PlanNodePtr> Build(const SelectStmt& stmt) {
+    scopes_.reserve(1 + stmt.joins.size());
+    combined_.reserve(16);
     // 1. FROM + JOIN chain.
     AV_ASSIGN_OR_RETURN(PlanNodePtr plan, BuildTableRef(stmt.from));
     PushScope(stmt.from, plan);
@@ -29,13 +29,15 @@ class StmtBuilder {
       AV_ASSIGN_OR_RETURN(PlanNodePtr right, BuildTableRef(join.right));
       PushScope(join.right, right);
       AV_ASSIGN_OR_RETURN(ExprPtr cond, ResolveExpr(*join.condition));
-      AV_ASSIGN_OR_RETURN(plan, PlanNode::MakeJoin(plan, right, cond));
+      AV_ASSIGN_OR_RETURN(
+          plan, PlanNode::MakeJoin(std::move(plan), right, std::move(cond)));
     }
 
     // 2. WHERE.
     if (stmt.where) {
       AV_ASSIGN_OR_RETURN(ExprPtr pred, ResolveExpr(*stmt.where));
-      AV_ASSIGN_OR_RETURN(plan, PlanNode::MakeFilter(plan, pred));
+      AV_ASSIGN_OR_RETURN(
+          plan, PlanNode::MakeFilter(std::move(plan), std::move(pred)));
     }
 
     // 3. SELECT list (+ GROUP BY).
@@ -60,6 +62,7 @@ class StmtBuilder {
     }
     if (!stmt.order_by.empty()) {
       std::vector<SortKey> keys;
+      keys.reserve(stmt.order_by.size());
       for (const auto& key : stmt.order_by) {
         std::optional<size_t> idx;
         for (size_t c = 0; c < plan->output().size(); ++c) {
@@ -90,17 +93,9 @@ class StmtBuilder {
     scope.alias = !ref.alias.empty() ? ref.alias : ref.table;
     scope.start = combined_.size();
     scope.node = node;
-    // Mirror MakeJoin's duplicate-name disambiguation so resolved
-    // expressions carry the final combined-row column names.
-    for (const auto& col : node->output()) {
-      std::string name = col.name;
-      int suffix = 2;
-      while (combined_names_.count(name)) {
-        name = col.name + "_" + std::to_string(suffix++);
-      }
-      combined_names_.insert(name);
-      combined_.push_back({name, col.type});
-    }
+    // MakeJoin's naming rule, so resolved expressions carry the final
+    // combined-row column names.
+    AppendUniqueColumns(node->output(), &combined_);
     scopes_.push_back(std::move(scope));
   }
 
@@ -172,11 +167,12 @@ class StmtBuilder {
         } else {
           return Status::Unsupported("comparison op: " + ast.op);
         }
-        return Expr::Compare(op, l, r);
+        return Expr::Compare(op, std::move(l), std::move(r));
       }
       case AstExprKind::kAnd:
       case AstExprKind::kOr: {
         std::vector<ExprPtr> kids;
+        kids.reserve(ast.children.size());
         for (const auto& child : ast.children) {
           AV_ASSIGN_OR_RETURN(ExprPtr k, ResolveExpr(*child));
           kids.push_back(std::move(k));
@@ -186,7 +182,7 @@ class StmtBuilder {
       }
       case AstExprKind::kNot: {
         AV_ASSIGN_OR_RETURN(ExprPtr k, ResolveExpr(*ast.children[0]));
-        return Expr::Not(k);
+        return Expr::Not(std::move(k));
       }
       default:
         return Status::Unsupported("expression kind not valid here");
@@ -201,6 +197,7 @@ class StmtBuilder {
       return plan;
     }
     std::vector<ProjectItem> items;
+    items.reserve(stmt.items.size());
     for (const auto& item : stmt.items) {
       if (item.expr->kind == AstExprKind::kStar) {
         return Status::Unsupported("* mixed with other select items");
@@ -220,6 +217,7 @@ class StmtBuilder {
   Result<PlanNodePtr> BuildAggregate(const SelectStmt& stmt,
                                      PlanNodePtr plan) const {
     std::vector<size_t> group_cols;
+    group_cols.reserve(stmt.group_by.size());
     for (const auto& g : stmt.group_by) {
       if (g->kind != AstExprKind::kColumnRef) {
         return Status::Unsupported("GROUP BY must list columns");
@@ -232,6 +230,9 @@ class StmtBuilder {
     // target[i]: the aggregate-output position select item i maps to.
     std::vector<size_t> target;
     std::vector<std::string> names;
+    aggs.reserve(stmt.items.size());
+    target.reserve(stmt.items.size());
+    names.reserve(stmt.items.size());
     for (const auto& item : stmt.items) {
       if (item.expr->kind == AstExprKind::kAggCall) {
         AggItem agg;
@@ -295,6 +296,7 @@ class StmtBuilder {
     if (identity) return agg_plan;
 
     std::vector<ProjectItem> items;
+    items.reserve(target.size());
     for (size_t i = 0; i < target.size(); ++i) {
       const auto& col = agg_plan->output()[target[i]];
       items.push_back({Expr::Column(target[i], col.name, col.type),
@@ -306,7 +308,6 @@ class StmtBuilder {
   const Catalog* catalog_;
   std::vector<Scope> scopes_;
   std::vector<OutputColumn> combined_;
-  std::unordered_set<std::string> combined_names_;
 };
 
 }  // namespace

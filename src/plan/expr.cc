@@ -52,7 +52,7 @@ const char* CompareOpSymbol(CompareOp op) {
 }
 
 ExprPtr Expr::Column(size_t index, std::string name, ColumnType type) {
-  auto e = std::shared_ptr<Expr>(new Expr());
+  auto e = std::make_shared<Expr>(Key());
   e->kind_ = ExprKind::kColumn;
   e->column_index_ = index;
   e->column_name_ = std::move(name);
@@ -61,24 +61,26 @@ ExprPtr Expr::Column(size_t index, std::string name, ColumnType type) {
 }
 
 ExprPtr Expr::Literal(Value v) {
-  auto e = std::shared_ptr<Expr>(new Expr());
+  auto e = std::make_shared<Expr>(Key());
   e->kind_ = ExprKind::kLiteral;
   e->literal_ = std::move(v);
   return e;
 }
 
 ExprPtr Expr::Compare(CompareOp op, ExprPtr left, ExprPtr right) {
-  auto e = std::shared_ptr<Expr>(new Expr());
+  auto e = std::make_shared<Expr>(Key());
   e->kind_ = ExprKind::kCompare;
   e->compare_op_ = op;
-  e->children_ = {std::move(left), std::move(right)};
+  e->children_.reserve(2);
+  e->children_.push_back(std::move(left));
+  e->children_.push_back(std::move(right));
   return e;
 }
 
 ExprPtr Expr::And(std::vector<ExprPtr> children) {
   AV_CHECK(!children.empty());
   if (children.size() == 1) return children[0];
-  auto e = std::shared_ptr<Expr>(new Expr());
+  auto e = std::make_shared<Expr>(Key());
   e->kind_ = ExprKind::kAnd;
   e->children_ = std::move(children);
   return e;
@@ -87,16 +89,16 @@ ExprPtr Expr::And(std::vector<ExprPtr> children) {
 ExprPtr Expr::Or(std::vector<ExprPtr> children) {
   AV_CHECK(!children.empty());
   if (children.size() == 1) return children[0];
-  auto e = std::shared_ptr<Expr>(new Expr());
+  auto e = std::make_shared<Expr>(Key());
   e->kind_ = ExprKind::kOr;
   e->children_ = std::move(children);
   return e;
 }
 
 ExprPtr Expr::Not(ExprPtr child) {
-  auto e = std::shared_ptr<Expr>(new Expr());
+  auto e = std::make_shared<Expr>(Key());
   e->kind_ = ExprKind::kNot;
-  e->children_ = {std::move(child)};
+  e->children_.push_back(std::move(child));
   return e;
 }
 

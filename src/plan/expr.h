@@ -31,7 +31,14 @@ using ExprPtr = std::shared_ptr<const Expr>;
 /// evaluation) and the column name (used for display and for the plan
 /// feature sequences). Expressions are immutable and shared.
 class Expr {
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
+  /// Public only for std::make_shared; use the factories below.
+  explicit Expr(Key) {}
+
   static ExprPtr Column(size_t index, std::string name, ColumnType type);
   static ExprPtr Literal(Value v);
   static ExprPtr Compare(CompareOp op, ExprPtr left, ExprPtr right);
@@ -77,8 +84,6 @@ class Expr {
                        const std::vector<std::string>& names) const;
 
  private:
-  Expr() = default;
-
   ExprKind kind_ = ExprKind::kLiteral;
   size_t column_index_ = 0;
   std::string column_name_;

@@ -16,8 +16,20 @@ uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
 }
 
+/// One past the largest column index `expr` references (0 if none).
+size_t ColumnSpan(const Expr& expr) {
+  if (expr.kind() == ExprKind::kColumn) return expr.column_index() + 1;
+  size_t span = 0;
+  for (const ExprPtr& child : expr.children()) {
+    span = std::max(span, ColumnSpan(*child));
+  }
+  return span;
+}
+
 /// Validates that every column referenced by `expr` is within bounds.
 Status CheckColumnBounds(const Expr& expr, size_t width) {
+  if (ColumnSpan(expr) <= width) return Status::OK();
+  // Error path only: name the smallest out-of-range column.
   for (size_t col : ReferencedColumns(expr)) {
     if (col >= width) {
       return Status::InvalidArgument(
@@ -29,6 +41,29 @@ Status CheckColumnBounds(const Expr& expr, size_t width) {
 }
 
 }  // namespace
+
+void AppendUniqueColumns(const std::vector<OutputColumn>& cols,
+                         std::vector<OutputColumn>* out) {
+  // Outputs are narrow, so a scan of the names so far beats hashing them.
+  const auto taken = [out](const std::string& name) {
+    for (const OutputColumn& c : *out) {
+      if (c.name == name) return true;
+    }
+    return false;
+  };
+  for (const OutputColumn& col : cols) {
+    if (!taken(col.name)) {
+      out->push_back(col);
+      continue;
+    }
+    std::string name;
+    int suffix = 2;
+    do {
+      name = col.name + "_" + std::to_string(suffix++);
+    } while (taken(name));
+    out->push_back({std::move(name), col.type});
+  }
+}
 
 const char* PlanOpName(PlanOp op) {
   switch (op) {
@@ -69,33 +104,42 @@ const char* AggKindName(AggKind kind) {
   return "?";
 }
 
+std::shared_ptr<PlanNode> PlanNode::New(PlanOp op, PlanNodePtr left,
+                                        PlanNodePtr right) {
+  auto node = std::make_shared<PlanNode>(Key());
+  node->op_ = op;
+  if (!left) return node;
+  node->children_.reserve(right ? 2 : 1);
+  for (PlanNodePtr* child : {&left, &right}) {
+    if (!*child) continue;
+    node->num_operators_ += (*child)->num_operators_;
+    node->height_ = std::max(node->height_, (*child)->height_ + 1);
+    node->children_.push_back(std::move(*child));
+  }
+  return node;
+}
+
 Result<PlanNodePtr> PlanNode::MakeScan(const Catalog& catalog,
                                        const std::string& table) {
-  // A copy, not GetTable()'s pointer: the rewriter builds view scans
-  // without a pin, and the view may be evicted meanwhile.
-  AV_ASSIGN_OR_RETURN(std::vector<ColumnSchema> columns,
-                      catalog.GetColumns(table));
-  auto node = std::shared_ptr<PlanNode>(new PlanNode());
-  node->op_ = PlanOp::kTableScan;
+  // The catalog's shared column list, not GetTable()'s pointer: the
+  // rewriter builds view scans without a pin, and the list outlives the
+  // view's RemoveTable() if it is evicted meanwhile.
+  AV_ASSIGN_OR_RETURN(SharedColumns columns, catalog.GetColumns(table));
+  auto node = New(PlanOp::kTableScan);
   node->table_ = table;
-  node->output_.reserve(columns.size());
-  for (ColumnSchema& col : columns) {
-    node->output_.push_back({std::move(col.name), col.type});
-  }
-  return PlanNodePtr(node);
+  node->output_ = std::move(columns);
+  return PlanNodePtr(std::move(node));
 }
 
 Result<PlanNodePtr> PlanNode::MakeFilter(PlanNodePtr child, ExprPtr predicate) {
   if (!child || !predicate) {
     return Status::InvalidArgument("filter requires a child and a predicate");
   }
-  AV_RETURN_NOT_OK(CheckColumnBounds(*predicate, child->output_.size()));
-  auto node = std::shared_ptr<PlanNode>(new PlanNode());
-  node->op_ = PlanOp::kFilter;
+  AV_RETURN_NOT_OK(CheckColumnBounds(*predicate, child->output_->size()));
+  auto node = New(PlanOp::kFilter, std::move(child));
   node->predicate_ = std::move(predicate);
-  node->output_ = child->output_;
-  node->children_ = {std::move(child)};
-  return PlanNodePtr(node);
+  node->output_ = node->children_[0]->output_;
+  return PlanNodePtr(std::move(node));
 }
 
 Result<PlanNodePtr> PlanNode::MakeProject(PlanNodePtr child,
@@ -103,19 +147,21 @@ Result<PlanNodePtr> PlanNode::MakeProject(PlanNodePtr child,
   if (!child || items.empty()) {
     return Status::InvalidArgument("project requires a child and items");
   }
-  auto node = std::shared_ptr<PlanNode>(new PlanNode());
-  node->op_ = PlanOp::kProject;
+  const size_t width = child->output_->size();
+  auto output = std::make_shared<std::vector<OutputColumn>>();
+  output->reserve(items.size());
   for (const auto& item : items) {
     if (!item.expr) return Status::InvalidArgument("null projection expr");
-    AV_RETURN_NOT_OK(CheckColumnBounds(*item.expr, child->output_.size()));
+    AV_RETURN_NOT_OK(CheckColumnBounds(*item.expr, width));
     ColumnType type = item.expr->kind() == ExprKind::kColumn
                           ? item.expr->column_type()
                           : item.expr->literal().type();
-    node->output_.push_back({item.name, type});
+    output->push_back({item.name, type});
   }
+  auto node = New(PlanOp::kProject, std::move(child));
   node->projections_ = std::move(items);
-  node->children_ = {std::move(child)};
-  return PlanNodePtr(node);
+  node->output_ = std::move(output);
+  return PlanNodePtr(std::move(node));
 }
 
 Result<PlanNodePtr> PlanNode::MakeJoin(PlanNodePtr left, PlanNodePtr right,
@@ -123,26 +169,17 @@ Result<PlanNodePtr> PlanNode::MakeJoin(PlanNodePtr left, PlanNodePtr right,
   if (!left || !right || !condition) {
     return Status::InvalidArgument("join requires two children and an ON");
   }
-  const size_t width = left->output_.size() + right->output_.size();
+  const size_t width = left->output_->size() + right->output_->size();
   AV_RETURN_NOT_OK(CheckColumnBounds(*condition, width));
-  auto node = std::shared_ptr<PlanNode>(new PlanNode());
-  node->op_ = PlanOp::kJoin;
-  node->predicate_ = std::move(condition);
   // Concatenate output schemas; disambiguate duplicated names.
-  std::unordered_set<std::string> seen;
-  for (const auto* side : {&left->output_, &right->output_}) {
-    for (const auto& col : *side) {
-      std::string name = col.name;
-      int suffix = 2;
-      while (seen.count(name)) {
-        name = col.name + "_" + std::to_string(suffix++);
-      }
-      seen.insert(name);
-      node->output_.push_back({name, col.type});
-    }
-  }
-  node->children_ = {std::move(left), std::move(right)};
-  return PlanNodePtr(node);
+  auto output = std::make_shared<std::vector<OutputColumn>>();
+  output->reserve(width);
+  AppendUniqueColumns(*left->output_, output.get());
+  AppendUniqueColumns(*right->output_, output.get());
+  auto node = New(PlanOp::kJoin, std::move(left), std::move(right));
+  node->predicate_ = std::move(condition);
+  node->output_ = std::move(output);
+  return PlanNodePtr(std::move(node));
 }
 
 Result<PlanNodePtr> PlanNode::MakeAggregate(PlanNodePtr child,
@@ -152,15 +189,15 @@ Result<PlanNodePtr> PlanNode::MakeAggregate(PlanNodePtr child,
   if (group_by.empty() && aggregates.empty()) {
     return Status::InvalidArgument("aggregate with no groups and no funcs");
   }
-  const size_t width = child->output_.size();
-  auto node = std::shared_ptr<PlanNode>(new PlanNode());
-  node->op_ = PlanOp::kAggregate;
+  const std::vector<OutputColumn>& in = *child->output_;
+  const size_t width = in.size();
+  auto output = std::make_shared<std::vector<OutputColumn>>();
+  output->reserve(group_by.size() + aggregates.size());
   for (size_t g : group_by) {
     if (g >= width) {
       return Status::InvalidArgument("group-by column out of range");
     }
-    node->output_.push_back(
-        {child->output_[g].name, child->output_[g].type});
+    output->push_back(in[g]);
   }
   for (auto& agg : aggregates) {
     ColumnType type = ColumnType::kInt64;
@@ -168,8 +205,8 @@ Result<PlanNodePtr> PlanNode::MakeAggregate(PlanNodePtr child,
       if (!agg.input_column || *agg.input_column >= width) {
         return Status::InvalidArgument("aggregate input column out of range");
       }
-      agg.input_name = child->output_[*agg.input_column].name;
-      const ColumnType in = child->output_[*agg.input_column].type;
+      agg.input_name = in[*agg.input_column].name;
+      const ColumnType in_type = in[*agg.input_column].type;
       switch (agg.kind) {
         case AggKind::kCount:
           type = ColumnType::kInt64;
@@ -178,10 +215,10 @@ Result<PlanNodePtr> PlanNode::MakeAggregate(PlanNodePtr child,
           type = ColumnType::kDouble;
           break;
         default:
-          type = in;
+          type = in_type;
       }
       if ((agg.kind == AggKind::kSum || agg.kind == AggKind::kAvg) &&
-          in == ColumnType::kString) {
+          in_type == ColumnType::kString) {
         return Status::TypeError("SUM/AVG over a string column");
       }
     }
@@ -189,12 +226,13 @@ Result<PlanNodePtr> PlanNode::MakeAggregate(PlanNodePtr child,
       agg.name = ToLower(AggKindName(agg.kind)) +
                  (agg.input_name.empty() ? "" : "_" + agg.input_name);
     }
-    node->output_.push_back({agg.name, type});
+    output->push_back({agg.name, type});
   }
+  auto node = New(PlanOp::kAggregate, std::move(child));
   node->group_by_ = std::move(group_by);
   node->aggregates_ = std::move(aggregates);
-  node->children_ = {std::move(child)};
-  return PlanNodePtr(node);
+  node->output_ = std::move(output);
+  return PlanNodePtr(std::move(node));
 }
 
 Result<PlanNodePtr> PlanNode::MakeSort(PlanNodePtr child,
@@ -203,37 +241,31 @@ Result<PlanNodePtr> PlanNode::MakeSort(PlanNodePtr child,
     return Status::InvalidArgument("sort requires a child and keys");
   }
   for (const auto& key : keys) {
-    if (key.column >= child->output().size()) {
+    if (key.column >= child->output_->size()) {
       return Status::InvalidArgument("sort key column out of range");
     }
   }
-  auto node = std::shared_ptr<PlanNode>(new PlanNode());
-  node->op_ = PlanOp::kSort;
+  auto node = New(PlanOp::kSort, std::move(child));
   node->sort_keys_ = std::move(keys);
-  node->output_ = child->output();
-  node->children_ = {std::move(child)};
-  return PlanNodePtr(node);
+  node->output_ = node->children_[0]->output_;
+  return PlanNodePtr(std::move(node));
 }
 
 Result<PlanNodePtr> PlanNode::MakeLimit(PlanNodePtr child, int64_t limit) {
   if (!child || limit < 0) {
     return Status::InvalidArgument("limit requires a child and n >= 0");
   }
-  auto node = std::shared_ptr<PlanNode>(new PlanNode());
-  node->op_ = PlanOp::kLimit;
+  auto node = New(PlanOp::kLimit, std::move(child));
   node->limit_ = limit;
-  node->output_ = child->output();
-  node->children_ = {std::move(child)};
-  return PlanNodePtr(node);
+  node->output_ = node->children_[0]->output_;
+  return PlanNodePtr(std::move(node));
 }
 
 Result<PlanNodePtr> PlanNode::MakeDistinct(PlanNodePtr child) {
   if (!child) return Status::InvalidArgument("distinct requires a child");
-  auto node = std::shared_ptr<PlanNode>(new PlanNode());
-  node->op_ = PlanOp::kDistinct;
-  node->output_ = child->output();
-  node->children_ = {std::move(child)};
-  return PlanNodePtr(node);
+  auto node = New(PlanOp::kDistinct, std::move(child));
+  node->output_ = node->children_[0]->output_;
+  return PlanNodePtr(std::move(node));
 }
 
 std::string PlanNode::OperatorString() const {
@@ -457,18 +489,6 @@ std::vector<std::string> PlanNode::ScannedTables() const {
     if (node->op() == PlanOp::kTableScan) tables.insert(node->table());
   }
   return {tables.begin(), tables.end()};
-}
-
-size_t PlanNode::NumOperators() const {
-  size_t n = 1;
-  for (const auto& child : children_) n += child->NumOperators();
-  return n;
-}
-
-size_t PlanNode::Height() const {
-  size_t h = 0;
-  for (const auto& child : children_) h = std::max(h, child->Height());
-  return h + 1;
 }
 
 bool PlansOverlap(const PlanNode& a, const PlanNode& b) {

@@ -33,13 +33,16 @@ enum class AggKind { kCountStar, kCount, kSum, kMin, kMax, kAvg };
 
 const char* AggKindName(AggKind kind);
 
-/// \brief One output column of a plan node.
-struct OutputColumn {
-  std::string name;
-  ColumnType type = ColumnType::kInt64;
+/// \brief One output column of a plan node: a name and a type, the
+/// same shape as a catalog column, so a scan shares its table's list.
+using OutputColumn = ColumnSchema;
 
-  bool operator==(const OutputColumn&) const = default;
-};
+/// Appends `cols` to `out`, renaming each column whose name is already
+/// in `out` with the first free positional suffix (user_id ->
+/// user_id_2, user_id_3, ...). MakeJoin names its output this way, and
+/// the planner's name resolution uses it to predict that output.
+void AppendUniqueColumns(const std::vector<OutputColumn>& cols,
+                         std::vector<OutputColumn>* out);
 
 /// \brief One projection item: a scalar expression and its output name.
 struct ProjectItem {
@@ -70,14 +73,23 @@ using PlanNodePtr = std::shared_ptr<const PlanNode>;
 ///
 /// Nodes are constructed through the Make* factories, which validate the
 /// inputs and compute the output schema. Subtrees are shared (plans form
-/// DAGs in memory but are treated as trees).
+/// DAGs in memory but are treated as trees). So are column lists: a scan
+/// holds its catalog table's immutable list, and Filter/Sort/Limit/
+/// Distinct hold their child's.
 class PlanNode {
+  struct Key {
+    explicit Key() = default;
+  };
+
  public:
+  /// Public only for std::make_shared; use the Make* factories.
+  explicit PlanNode(Key) {}
+
   PlanOp op() const { return op_; }
   const std::vector<PlanNodePtr>& children() const { return children_; }
   const PlanNodePtr& child(size_t i) const { return children_[i]; }
-  const std::vector<OutputColumn>& output() const { return output_; }
-  size_t num_output_columns() const { return output_.size(); }
+  const std::vector<OutputColumn>& output() const { return *output_; }
+  size_t num_output_columns() const { return output_->size(); }
 
   // Operator-specific accessors (valid only for the matching op()).
   const std::string& table() const { return table_; }
@@ -155,14 +167,19 @@ class PlanNode {
   /// Names of all base tables scanned in this subtree (sorted, deduped).
   std::vector<std::string> ScannedTables() const;
 
-  /// Number of operators in the subtree.
-  size_t NumOperators() const;
+  /// Number of operators in the subtree (counted once, by the factory).
+  size_t NumOperators() const { return num_operators_; }
 
-  /// Height of the subtree (a single Scan has height 1).
-  size_t Height() const;
+  /// Height of the subtree (a single Scan has height 1; computed by the
+  /// factory).
+  size_t Height() const { return height_; }
 
  private:
-  PlanNode() = default;
+  /// Allocates a node of kind `op` over the non-null children among
+  /// `left`, `right`, with its operator count and height derived from
+  /// theirs.
+  static std::shared_ptr<PlanNode> New(PlanOp op, PlanNodePtr left = nullptr,
+                                       PlanNodePtr right = nullptr);
 
   static void CollectSubtrees(const PlanNodePtr& node,
                               std::vector<PlanNodePtr>* out);
@@ -176,7 +193,9 @@ class PlanNode {
   std::vector<SortKey> sort_keys_;
   int64_t limit_ = -1;
   std::vector<PlanNodePtr> children_;
-  std::vector<OutputColumn> output_;
+  SharedColumns output_;  // never null once built
+  size_t num_operators_ = 1;
+  size_t height_ = 1;
   // Lazily computed hash cache; atomic because shared subtrees are
   // hashed concurrently from pool workers. Relaxed is enough (see
   // util/annotations.h conventions): every writer stores the same
@@ -186,8 +205,6 @@ class PlanNode {
   // whose true hash is 0 is recomputed each call, which is only a
   // (vanishingly unlikely) perf loss, never a correctness one.
   mutable std::atomic<uint64_t> cached_hash_{0};
-
-  friend class PlanBuilderAccess;
 };
 
 /// Returns true iff the two plans share at least one common subtree —

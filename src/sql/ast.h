@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,19 +22,22 @@ enum class AstExprKind {
 };
 
 /// \brief Untyped syntax-tree expression node.
+///
+/// Every node of one parse lives in that parse's AstArena; the links
+/// between nodes are plain pointers into it.
 struct AstExpr {
   AstExprKind kind = AstExprKind::kLiteral;
   std::string qualifier;  // column ref table/alias qualifier (may be empty)
   std::string name;       // column name
   Value literal;
   std::string op;  // compare operator ("=", "<", ...) or agg name ("COUNT")
-  std::vector<std::shared_ptr<AstExpr>> children;
+  std::vector<AstExpr*> children;
 
   /// Re-renders the expression as SQL text.
   std::string ToString() const;
 };
 
-using AstExprPtr = std::shared_ptr<AstExpr>;
+using AstExprPtr = AstExpr*;
 
 /// \brief One SELECT-list entry.
 struct SelectItem {
@@ -45,9 +47,9 @@ struct SelectItem {
 
 /// \brief A FROM-clause source: a base table or a derived table.
 struct TableRef {
-  std::string table;                        // base table name, or empty
-  std::shared_ptr<SelectStmt> subquery;     // derived table, or null
-  std::string alias;                        // may be empty for base tables
+  std::string table;                // base table name, or empty
+  SelectStmt* subquery = nullptr;   // derived table, or null
+  std::string alias;                // may be empty for base tables
 
   bool is_subquery() const { return subquery != nullptr; }
 };
@@ -78,6 +80,18 @@ struct SelectStmt {
 
   /// Re-renders the statement as SQL text.
   std::string ToString() const;
+};
+
+/// \brief Owns every node of one parse. ParseSelect() returns the root
+/// statement as a shared_ptr aliasing the arena, so the root keeps the
+/// whole tree alive; hold it while using any node.
+///
+/// Both vectors are reserved up front for the most nodes the token
+/// stream can produce and never reallocate, so node addresses are
+/// stable and a parse costs a few allocations instead of one per node.
+struct AstArena {
+  std::vector<AstExpr> exprs;
+  std::vector<SelectStmt> stmts;
 };
 
 }  // namespace autoview

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <memory>
-#include <string>
+#include <string_view>
 
 #include "sql/ast.h"
 #include "util/status.h"
@@ -17,6 +17,6 @@ namespace autoview {
 /// where table_ref is a base table or a parenthesized subquery with an
 /// alias, item is `*`, a column, or an aggregate call with an optional
 /// alias, and cond is an AND/OR/NOT tree of comparisons.
-Result<std::shared_ptr<SelectStmt>> ParseSelect(const std::string& sql);
+Result<std::shared_ptr<SelectStmt>> ParseSelect(std::string_view sql);
 
 }  // namespace autoview

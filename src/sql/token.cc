@@ -1,59 +1,132 @@
 #include "sql/token.h"
 
-#include <cctype>
-#include <unordered_set>
-
-#include "util/strings.h"
+#include <array>
+#include <string>
 
 namespace autoview {
 
 namespace {
 
-const std::unordered_set<std::string>& Keywords() {
-  static const std::unordered_set<std::string> kKeywords = {
-      "SELECT", "FROM",  "WHERE", "GROUP", "BY",    "AS",    "AND",
-      "OR",     "NOT",   "INNER", "JOIN",  "ON",    "COUNT", "SUM",
-      "MIN",    "MAX",   "AVG",   "DISTINCT", "ORDER", "LIMIT", "HAVING",
-      "DESC",   "ASC"};
-  return kKeywords;
+// ASCII character classes (the C locale's isspace/isalpha/isalnum/
+// isdigit), independent of the process locale.
+constexpr uint8_t kSpace = 1;
+constexpr uint8_t kIdentStart = 2;
+constexpr uint8_t kIdentChar = 4;
+constexpr uint8_t kDigit = 8;
+
+constexpr std::array<uint8_t, 256> MakeCharClasses() {
+  std::array<uint8_t, 256> table{};
+  for (const char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    table[static_cast<unsigned char>(c)] = kSpace;
+  }
+  for (int c = 'a'; c <= 'z'; ++c) table[c] = kIdentStart | kIdentChar;
+  for (int c = 'A'; c <= 'Z'; ++c) table[c] = kIdentStart | kIdentChar;
+  table['_'] = kIdentStart | kIdentChar;
+  for (int c = '0'; c <= '9'; ++c) table[c] = kIdentChar | kDigit;
+  return table;
 }
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+constexpr std::array<uint8_t, 256> kCharClasses = MakeCharClasses();
+
+bool HasClass(char c, uint8_t cls) {
+  return (kCharClasses[static_cast<unsigned char>(c)] & cls) != 0;
 }
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+
+struct KeywordEntry {
+  std::string_view text;  // canonical upper-case spelling
+  Keyword keyword;
+};
+
+constexpr KeywordEntry kKeywords[] = {
+    {"AND", Keyword::kAnd},        {"AS", Keyword::kAs},
+    {"ASC", Keyword::kAsc},        {"AVG", Keyword::kAvg},
+    {"BY", Keyword::kBy},          {"COUNT", Keyword::kCount},
+    {"DESC", Keyword::kDesc},      {"DISTINCT", Keyword::kDistinct},
+    {"FROM", Keyword::kFrom},      {"GROUP", Keyword::kGroup},
+    {"HAVING", Keyword::kHaving},  {"INNER", Keyword::kInner},
+    {"JOIN", Keyword::kJoin},      {"LIMIT", Keyword::kLimit},
+    {"MAX", Keyword::kMax},        {"MIN", Keyword::kMin},
+    {"NOT", Keyword::kNot},        {"ON", Keyword::kOn},
+    {"OR", Keyword::kOr},          {"ORDER", Keyword::kOrder},
+    {"SELECT", Keyword::kSelect},  {"SUM", Keyword::kSum},
+    {"WHERE", Keyword::kWhere},
+};
+
+char AsciiUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+/// The keyword `word` spells (ASCII case-insensitively), or null.
+const KeywordEntry* FindKeyword(std::string_view word) {
+  for (const KeywordEntry& kw : kKeywords) {
+    if (kw.text.size() != word.size()) continue;
+    size_t i = 0;
+    while (i < word.size() && AsciiUpper(word[i]) == kw.text[i]) ++i;
+    if (i == word.size()) return &kw;
+  }
+  return nullptr;
+}
+
+struct SymbolEntry {
+  std::string_view source;
+  std::string_view text;  // canonical spelling
+  Symbol symbol;
+};
+
+// Two-character operators first, so they win over their prefixes.
+constexpr SymbolEntry kSymbols[] = {
+    {"<=", "<=", Symbol::kLe},    {">=", ">=", Symbol::kGe},
+    {"<>", "<>", Symbol::kNe},    {"!=", "<>", Symbol::kNe},
+    {"(", "(", Symbol::kLParen},  {")", ")", Symbol::kRParen},
+    {",", ",", Symbol::kComma},   {".", ".", Symbol::kDot},
+    {"*", "*", Symbol::kStar},    {"=", "=", Symbol::kEq},
+    {"<", "<", Symbol::kLt},      {">", ">", Symbol::kGt},
+    {"+", "+", Symbol::kPlus},    {"-", "-", Symbol::kMinus},
+    {"/", "/", Symbol::kSlash},
+};
+
+/// The symbol `rest` starts with, or null.
+const SymbolEntry* MatchSymbol(std::string_view rest) {
+  for (const SymbolEntry& sym : kSymbols) {
+    if (rest[0] == sym.source[0] &&
+        (sym.source.size() == 1 ||
+         (rest.size() > 1 && rest[1] == sym.source[1]))) {
+      return &sym;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-Result<std::vector<Token>> Tokenize(const std::string& sql) {
+Result<std::vector<Token>> Tokenize(std::string_view sql) {
   std::vector<Token> tokens;
+  tokens.reserve(sql.size() / 4 + 1);
   size_t i = 0;
   const size_t n = sql.size();
   while (i < n) {
     const char c = sql[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (HasClass(c, kSpace)) {
       ++i;
       continue;
     }
     const size_t start = i;
-    if (IsIdentStart(c)) {
+    if (HasClass(c, kIdentStart)) {
       size_t j = i + 1;
-      while (j < n && IsIdentChar(sql[j])) ++j;
-      std::string word = sql.substr(i, j - i);
-      std::string upper = ToUpper(word);
-      if (Keywords().count(upper)) {
-        tokens.push_back({TokenType::kKeyword, std::move(upper), start});
+      while (j < n && HasClass(sql[j], kIdentChar)) ++j;
+      const std::string_view word = sql.substr(i, j - i);
+      if (const KeywordEntry* kw = FindKeyword(word)) {
+        tokens.push_back(
+            {TokenType::kKeyword, kw->keyword, Symbol::kNone, kw->text, start});
       } else {
-        tokens.push_back({TokenType::kIdentifier, std::move(word), start});
+        tokens.push_back({TokenType::kIdentifier, Keyword::kNone,
+                          Symbol::kNone, word, start});
       }
       i = j;
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
+    } else if (HasClass(c, kDigit)) {
       size_t j = i;
       bool is_float = false;
-      while (j < n && (std::isdigit(static_cast<unsigned char>(sql[j])) ||
-                       sql[j] == '.')) {
+      while (j < n && (HasClass(sql[j], kDigit) || sql[j] == '.')) {
         if (sql[j] == '.') {
           if (is_float) break;  // second dot ends the number
           is_float = true;
@@ -62,43 +135,33 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
       }
       tokens.push_back({is_float ? TokenType::kFloatLiteral
                                  : TokenType::kIntLiteral,
-                        sql.substr(i, j - i), start});
+                        Keyword::kNone, Symbol::kNone, sql.substr(i, j - i),
+                        start});
       i = j;
     } else if (c == '\'') {
-      size_t j = i + 1;
-      std::string text;
-      while (j < n && sql[j] != '\'') {
-        text += sql[j];
-        ++j;
-      }
-      if (j >= n) {
+      const size_t close = sql.find('\'', i + 1);
+      if (close == std::string_view::npos) {
         return Status::ParseError("unterminated string literal at offset " +
                                   std::to_string(start));
       }
-      tokens.push_back({TokenType::kStringLiteral, std::move(text), start});
-      i = j + 1;
+      tokens.push_back({TokenType::kStringLiteral, Keyword::kNone,
+                        Symbol::kNone, sql.substr(i + 1, close - i - 1),
+                        start});
+      i = close + 1;
+    } else if (c == ';') {  // statement terminator: ignore
+      ++i;
     } else {
-      // Multi-char operators first.
-      auto two = sql.substr(i, 2);
-      if (two == "<=" || two == ">=" || two == "<>" || two == "!=") {
-        tokens.push_back({TokenType::kSymbol, two == "!=" ? "<>" : two, start});
-        i += 2;
-        continue;
-      }
-      static const std::string kSingles = "(),.*=<>;+-/";
-      if (kSingles.find(c) == std::string::npos) {
+      const SymbolEntry* sym = MatchSymbol(sql.substr(i));
+      if (sym == nullptr) {
         return Status::ParseError(std::string("unexpected character '") + c +
                                   "' at offset " + std::to_string(start));
       }
-      if (c == ';') {  // statement terminator: ignore
-        ++i;
-        continue;
-      }
-      tokens.push_back({TokenType::kSymbol, std::string(1, c), start});
-      ++i;
+      tokens.push_back(
+          {TokenType::kSymbol, Keyword::kNone, sym->symbol, sym->text, start});
+      i += sym->source.size();
     }
   }
-  tokens.push_back({TokenType::kEnd, "", n});
+  tokens.push_back({TokenType::kEnd, Keyword::kNone, Symbol::kNone, {}, n});
   return tokens;
 }
 

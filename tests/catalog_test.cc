@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "catalog/catalog.h"
 #include "catalog/value.h"
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "plan/builder.h"
+#include "util/random.h"
 
 namespace autoview {
 namespace {
@@ -180,6 +185,84 @@ TEST(CatalogTest, TableNamesSorted) {
   ASSERT_TRUE(catalog.AddTable(TableSchema("apple", {})).ok());
   std::vector<std::string> expected = {"apple", "zebra"};
   EXPECT_EQ(catalog.TableNames(), expected);
+}
+
+TEST(CatalogTest, TableNamesSortedAfterShuffledInserts) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 500; ++i) names.push_back("t" + std::to_string(i));
+  std::vector<std::string> shuffled = names;
+  Rng rng(5);
+  rng.Shuffle(&shuffled);
+  Catalog catalog;
+  for (const std::string& name : shuffled) {
+    ASSERT_TRUE(catalog.AddTable(TableSchema(name, {})).ok());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(catalog.TableNames(), names);
+  // A removal keeps the rest sorted.
+  ASSERT_TRUE(catalog.RemoveTable("t250").ok());
+  names.erase(std::find(names.begin(), names.end(), "t250"));
+  EXPECT_EQ(catalog.TableNames(), names);
+}
+
+TEST(CatalogTest, ReferencesStayValidAcrossManyInserts) {
+  // GetTable()/GetStats() hand out references into the catalog's maps;
+  // growing the maps (rehashing) must not move them.
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddTable(TableSchema("base", {{"a", ColumnType::kInt64},
+                                                 {"b", ColumnType::kString}}))
+                  .ok());
+  TableStats stats;
+  stats.row_count = 42;
+  stats.columns.resize(2);
+  stats.columns[1].distinct_count = 7.0;
+  ASSERT_TRUE(catalog.SetStats("base", stats).ok());
+  const TableSchema* schema = catalog.GetTable("base").value();
+  const TableStats& base_stats = catalog.GetStats("base");
+  const std::vector<ColumnSchema>* columns = &schema->columns();
+  for (int i = 0; i < 1000; ++i) {
+    const std::string name = "v" + std::to_string(i);
+    ASSERT_TRUE(
+        catalog.AddTable(TableSchema(name, {{"x", ColumnType::kDouble}})).ok());
+    TableStats s;
+    s.row_count = static_cast<uint64_t>(i);
+    ASSERT_TRUE(catalog.SetStats(name, s).ok());
+  }
+  EXPECT_EQ(catalog.num_tables(), 1001u);
+  EXPECT_EQ(catalog.GetTable("base").value(), schema);
+  EXPECT_EQ(&catalog.GetStats("base"), &base_stats);
+  EXPECT_EQ(schema->name(), "base");
+  EXPECT_EQ(schema->FindColumn("b"), 1u);
+  EXPECT_EQ(&schema->columns(), columns);
+  EXPECT_EQ(base_stats.row_count, 42u);
+  EXPECT_EQ(base_stats.columns[1].distinct_count, 7.0);
+  EXPECT_EQ(catalog.GetStats("v999").row_count, 999u);
+}
+
+TEST(CatalogTest, LookupsTakeStringViews) {
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.AddTable(TableSchema("orders", {{"id", ColumnType::kInt64}}))
+          .ok());
+  const std::string sql_text = "FROM orders WHERE";
+  const std::string_view name = std::string_view(sql_text).substr(5, 6);
+  EXPECT_TRUE(catalog.HasTable(name));
+  ASSERT_TRUE(catalog.GetTable(name).ok());
+  EXPECT_EQ(catalog.GetStats(name).row_count, 0u);
+  EXPECT_FALSE(catalog.HasTable(std::string_view(sql_text).substr(5, 5)));
+  EXPECT_EQ(catalog.GetColumns("nope").status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(CatalogTest, ColumnsOutliveRemoveTable) {
+  Catalog catalog;
+  ASSERT_TRUE(
+      catalog.AddTable(TableSchema("view", {{"k", ColumnType::kInt64}})).ok());
+  const SharedColumns columns = catalog.GetColumns("view").value();
+  ASSERT_TRUE(catalog.RemoveTable("view").ok());
+  ASSERT_EQ(columns->size(), 1u);
+  EXPECT_EQ((*columns)[0].name, "k");
 }
 
 TEST(HistogramTest, SelectivityEdgeCases) {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "generators.h"
 #include "plan/builder.h"
 #include "plan/canonical.h"
 #include "plan/plan.h"
+#include "workload/generator.h"
 
 namespace autoview {
 namespace {
@@ -280,6 +284,116 @@ TEST_F(PlanTest, SubtreeCanonicalKeysMatchPerNodeCanonicalKey) {
   }
   EXPECT_EQ(ops_seen.size(), 8u);  // every PlanOp kind was generated
   EXPECT_GT(repeated_keys, 0u);
+}
+
+/// Test-local recursive walks: the definitions the factory-stored
+/// NumOperators() and Height() must agree with.
+size_t CountOperators(const PlanNode& node) {
+  size_t n = 1;
+  for (const PlanNodePtr& child : node.children()) n += CountOperators(*child);
+  return n;
+}
+
+size_t MeasureHeight(const PlanNode& node) {
+  size_t h = 0;
+  for (const PlanNodePtr& child : node.children()) {
+    h = std::max(h, MeasureHeight(*child));
+  }
+  return h + 1;
+}
+
+/// Checks the stored counts on every subtree of `root`; returns how many
+/// subtrees it checked.
+size_t ExpectStoredShapeMatchesWalk(const PlanNode& root) {
+  const std::vector<PlanNodePtr> nodes = root.Subtrees();
+  for (const PlanNodePtr& node : nodes) {
+    EXPECT_EQ(node->NumOperators(), CountOperators(*node))
+        << node->OperatorString();
+    EXPECT_EQ(node->Height(), MeasureHeight(*node)) << node->OperatorString();
+  }
+  return nodes.size();
+}
+
+TEST_F(PlanTest, StoredOperatorCountAndHeightMatchRandomPlans) {
+  const std::vector<std::string> tables = {"user_memo", "user_action"};
+  Rng rng(11);
+  size_t checked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const PlanNodePtr plan = testing::RandomPlan(catalog_, tables, 7, rng);
+    checked += ExpectStoredShapeMatchesWalk(*plan);
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(PlanShapeTest, StoredOperatorCountAndHeightMatchWk1Plans) {
+  const GeneratedWorkload wk = GenerateCloudWorkload(Wk1Spec());
+  PlanBuilder builder(&wk.db->catalog());
+  size_t checked = 0;
+  for (const std::string& sql : wk.sql) {
+    Result<PlanNodePtr> plan = builder.BuildFromSql(sql);
+    ASSERT_TRUE(plan.ok()) << sql << "\n" << plan.status().ToString();
+    checked += ExpectStoredShapeMatchesWalk(*plan.value());
+  }
+  EXPECT_GT(checked, wk.sql.size() * 4);
+}
+
+TEST_F(PlanTest, PassThroughNodesShareTheirChildsColumns) {
+  auto plan = MustBuild(
+      "SELECT DISTINCT user_id, memo FROM user_memo WHERE dt = '1' "
+      "ORDER BY user_id LIMIT 3");
+  ASSERT_NE(plan, nullptr);
+  // Limit -> Sort -> Distinct -> Project -> Filter -> Scan.
+  const PlanNode& limit = *plan;
+  const PlanNode& sort = *limit.child(0);
+  const PlanNode& distinct = *sort.child(0);
+  const PlanNode& project = *distinct.child(0);
+  const PlanNode& filter = *project.child(0);
+  const PlanNode& scan = *filter.child(0);
+  ASSERT_EQ(scan.op(), PlanOp::kTableScan);
+  EXPECT_EQ(&limit.output(), &project.output());
+  EXPECT_EQ(&sort.output(), &project.output());
+  EXPECT_EQ(&distinct.output(), &project.output());
+  EXPECT_EQ(&filter.output(), &scan.output());
+  // A scan shares its catalog table's column list.
+  EXPECT_EQ(&scan.output(), &catalog_.GetTable("user_memo").value()->columns());
+}
+
+TEST(PlanColumnsTest, ScanColumnsOutliveTheTable) {
+  // The rewriter builds scans of views it has not pinned; a view evicted
+  // meanwhile must leave the scan's columns readable.
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .AddTable(TableSchema("__mv_1", {{"k", ColumnType::kInt64},
+                                                   {"v", ColumnType::kString}}))
+                  .ok());
+  const PlanNodePtr scan = PlanNode::MakeScan(catalog, "__mv_1").value();
+  ExprPtr predicate =
+      Expr::Compare(CompareOp::kEq, Expr::Column(0, "k", ColumnType::kInt64),
+                    Expr::Literal(Value(int64_t{1})));
+  const PlanNodePtr filter =
+      PlanNode::MakeFilter(scan, std::move(predicate)).value();
+  ASSERT_TRUE(catalog.RemoveTable("__mv_1").ok());
+  const std::vector<OutputColumn> expected = {{"k", ColumnType::kInt64},
+                                              {"v", ColumnType::kString}};
+  EXPECT_EQ(scan->output(), expected);
+  EXPECT_EQ(filter->output(), expected);
+}
+
+TEST_F(PlanTest, ResolvedNamesFollowJoinRenaming) {
+  // Name resolution predicts MakeJoin's renaming, including duplicates
+  // inside one derived table: b.x is the join's fourth column, x_3.
+  auto plan = MustBuild(
+      "SELECT a.x, b.x FROM (SELECT user_id AS x, dt AS x FROM user_memo) a "
+      "INNER JOIN (SELECT user_id, dt AS x FROM user_action) b "
+      "ON a.x = b.user_id");
+  ASSERT_NE(plan, nullptr);
+  const PlanNode& join = *plan->child(0);
+  ASSERT_EQ(join.op(), PlanOp::kJoin);
+  std::vector<std::string> names;
+  for (const OutputColumn& col : join.output()) names.push_back(col.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"x", "x_2", "user_id", "x_3"}));
+  EXPECT_EQ(join.join_condition()->ToPrefixString(), "EQ(x, user_id)");
+  EXPECT_EQ(plan->OperatorString(), "Project(x=[x], x_3=[x_3])");
 }
 
 TEST_F(PlanTest, ScannedTables) {

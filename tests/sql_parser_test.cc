@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "sql/parser.h"
 #include "sql/token.h"
 
@@ -63,6 +67,79 @@ TEST(TokenizerTest, MultiCharOperators) {
 
 TEST(TokenizerTest, RejectsGarbage) {
   EXPECT_FALSE(Tokenize("a @ b").ok());
+}
+
+TEST(TokenizerTest, NonAsciiByteInIdentifierRejectedAtItsOffset) {
+  // Character classes are ASCII: the first byte of UTF-8 "é" ends the
+  // identifier "ab" and is itself no token.
+  const std::string sql = "SELECT ab\xC3\xA9 FROM t";
+  const std::string expected = "unexpected character '\xC3' at offset 9";
+  auto tokens = Tokenize(sql);
+  ASSERT_FALSE(tokens.ok());
+  EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(tokens.status().message(), expected);
+  auto stmt = ParseSelect(sql);
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_EQ(stmt.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(stmt.status().message(), expected);
+  // A non-ASCII byte cannot start an identifier either.
+  auto leading = Tokenize("\xC3\xA9");
+  ASSERT_FALSE(leading.ok());
+  EXPECT_EQ(leading.status().message(),
+            "unexpected character '\xC3' at offset 0");
+  // Inside a string literal any byte is fine.
+  auto literal = Tokenize("'caf\xC3\xA9'");
+  ASSERT_TRUE(literal.ok());
+  EXPECT_EQ(literal.value()[0].text, "caf\xC3\xA9");
+}
+
+TEST(TokenizerTest, MixedCaseKeywordsNormalise) {
+  auto r = Tokenize("SeLeCt DiStInCt a FrOm t gRoUp bY a OrDeR By a dEsC");
+  ASSERT_TRUE(r.ok());
+  const std::vector<Token>& t = r.value();
+  const std::vector<std::pair<size_t, Keyword>> keywords = {
+      {0, Keyword::kSelect}, {1, Keyword::kDistinct}, {3, Keyword::kFrom},
+      {5, Keyword::kGroup},  {6, Keyword::kBy},       {8, Keyword::kOrder},
+      {9, Keyword::kBy},     {11, Keyword::kDesc}};
+  for (const auto& [i, kw] : keywords) {
+    EXPECT_EQ(t[i].type, TokenType::kKeyword) << i;
+    EXPECT_EQ(t[i].keyword, kw) << i;
+  }
+  EXPECT_EQ(t[0].text, "SELECT");
+  EXPECT_EQ(t[1].text, "DISTINCT");
+  EXPECT_EQ(t[11].text, "DESC");
+  // Identifiers keep their spelling, and near-keywords stay identifiers.
+  auto ids = Tokenize("Sel selects _select COUNTS");
+  ASSERT_TRUE(ids.ok());
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(ids.value()[i].type, TokenType::kIdentifier) << i;
+    EXPECT_EQ(ids.value()[i].keyword, Keyword::kNone) << i;
+  }
+  EXPECT_EQ(ids.value()[0].text, "Sel");
+  // Aggregate names parse case-insensitively and keep the canonical op.
+  auto stmt = ParseSelect("select CoUnT(*) as n, sUm(x) from t");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt.value()->items[0].expr->op, "COUNT");
+  EXPECT_EQ(stmt.value()->items[1].expr->op, "SUM");
+}
+
+TEST(TokenizerTest, TokensBorrowTheSqlText) {
+  const std::string sql =
+      "SELECT user_id FROM t WHERE memo = 'pen' AND x != 1.5";
+  auto r = Tokenize(sql);
+  ASSERT_TRUE(r.ok());
+  for (const Token& t : r.value()) {
+    if (t.type == TokenType::kIdentifier || t.type == TokenType::kIntLiteral ||
+        t.type == TokenType::kFloatLiteral ||
+        t.type == TokenType::kStringLiteral) {
+      // A view into `sql` at the token's own offset (past the quote
+      // for a string literal).
+      const size_t skip = t.type == TokenType::kStringLiteral ? 1 : 0;
+      EXPECT_EQ(t.text.data(), sql.data() + t.offset + skip) << t.text;
+    }
+  }
+  EXPECT_EQ(r.value()[10].symbol, Symbol::kNe);
+  EXPECT_EQ(r.value()[10].text, "<>");
 }
 
 TEST(ParserTest, SimpleSelect) {
