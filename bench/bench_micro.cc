@@ -134,6 +134,23 @@ void BM_LstmForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmForward)->Arg(8)->Arg(32);
 
+/// RLView's action scoring: the no-grad Q-net (8/16/64/16/1) over a
+/// batch of action-feature rows, about a third of them exact zeros.
+void BM_MlpInference(benchmark::State& state) {
+  Rng rng(1);
+  nn::Mlp mlp({8, 16, 64, 16, 1}, &rng);
+  nn::MlpInference inference(&mlp);
+  const size_t rows = static_cast<size_t>(state.range(0));
+  std::vector<nn::Scalar> x(rows * 8);
+  for (auto& v : x) v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(0.0, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(inference.Forward(x.data(), rows).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_MlpInference)->Arg(64)->Arg(512);
+
 void BM_MlpTrainStep(benchmark::State& state) {
   Rng rng(1);
   nn::Mlp mlp({8, 16, 64, 16, 1}, &rng);

@@ -35,17 +35,20 @@ case "$mode" in
     # nn_tensor_test the autograd tape's node lifetimes and Backward's
     # visit stamps; problem_index_test RLView's replay memory, whose
     # transitions share one feature matrix between consecutive steps;
-    # traditional_test the estimator's bottom-up walk, whose per-node
-    # table lists point at the plan's own table names; sql_parser_test,
+    # nn_extra_test and nn_golden_test the forward GEMM, which reads raw
+    # weight and activation pointers with ragged column-chunk and
+    # input-block tails; traditional_test the estimator's bottom-up
+    # walk, whose per-node table lists point at the plan's own table
+    # names; sql_parser_test,
     # plan_test and catalog_test the front end's borrowed lifetimes
     # (tokens viewing the SQL text, plan nodes sharing column lists with
     # their children and the catalog, references into the catalog's
     # hash maps across inserts and removals).
-    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
+    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test problem_index_test traditional_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test"
     ;;
   tsan)
     sanitize=thread

@@ -91,28 +91,6 @@ void Mlp::CopyFrom(const Mlp& other) {
   }
 }
 
-MlpInference::MlpInference(const Mlp* mlp) : mlp_(mlp) {
-  wt_.resize(mlp_->layers().size());
-  bias_.resize(mlp_->layers().size());
-  Refresh();
-}
-
-void MlpInference::Refresh() {
-  for (size_t l = 0; l < mlp_->layers().size(); ++l) {
-    const Linear& layer = mlp_->layers()[l];
-    const size_t in = layer.in_features();
-    const size_t out = layer.out_features();
-    const std::vector<Scalar>& w = layer.weight().data();  // in x out
-    wt_[l].resize(out * in);
-    for (size_t p = 0; p < in; ++p) {
-      for (size_t j = 0; j < out; ++j) {
-        wt_[l][j * in + p] = w[p * out + j];
-      }
-    }
-    bias_[l] = layer.bias().data();
-  }
-}
-
 const std::vector<Scalar>& MlpInference::Forward(const Scalar* x,
                                                  size_t rows) {
   const auto& layers = mlp_->layers();
@@ -120,23 +98,13 @@ const std::vector<Scalar>& MlpInference::Forward(const Scalar* x,
   const Scalar* in = x;
   size_t cur = 0;
   for (size_t l = 0; l < layers.size(); ++l) {
-    const size_t k = layers[l].in_features();
-    const size_t n = layers[l].out_features();
+    const Linear& layer = layers[l];
+    const size_t n = layer.out_features();
     std::vector<Scalar>& out = buffers_[cur];
     out.resize(rows * n);
-    MatMulTB(in, rows, k, wt_[l].data(), n, out.data());
-    // Bias then ReLU, in the same per-element order as Add/ReLU.
-    const std::vector<Scalar>& b = bias_[l];
     const bool relu = l + 1 < layers.size() || mlp_->relu_last();
-    for (size_t i = 0; i < rows; ++i) {
-      Scalar* oi = out.data() + i * n;
-      for (size_t j = 0; j < n; ++j) oi[j] += b[j];
-    }
-    if (relu) {
-      for (size_t i = 0; i < rows * n; ++i) {
-        if (!(out[i] > 0)) out[i] = 0.0;
-      }
-    }
+    Gemm(in, rows, layer.in_features(), layer.weight().data().data(), n,
+         out.data(), layer.bias().data().data(), relu);
     in = out.data();
     cur ^= 1;
   }

@@ -157,23 +157,19 @@ class Mlp : public Module {
 /// \brief Allocation-free forward evaluator for an Mlp (the no-grad
 /// inference fast path).
 ///
-/// Holds transposed snapshots of the layer weights (so the inner product
-/// of MatMulTB streams two contiguous rows) plus two reusable activation
-/// buffers; Forward() builds no tape nodes and allocates nothing after
-/// the first call at a given batch size. Outputs are bit-identical to
-/// Mlp::Forward on the same input: per element, MatMulTB replays the
-/// exact accumulation order of MatMul, then the bias add and ReLU apply
-/// in the same per-element order as Add/ReLU.
-///
-/// The snapshot is taken at construction; after any parameter update
-/// (optimizer step, CopyFrom) call Refresh() or results go stale. Not
+/// Runs each layer as one call of the forward GEMM (nn::Gemm) straight
+/// over the layer's live weight (in x out) and bias, with the bias add
+/// and ReLU folded into the kernel's store, into two reusable
+/// activation buffers: Forward() builds no tape nodes and allocates
+/// nothing after the first call at a given batch size. Outputs are
+/// bit-identical to Mlp::Forward on the same input: MatMul runs the same
+/// kernel, and the fused store applies Add's `acc + b` and then ReLU's
+/// clamp per element. Nothing is snapshotted, so parameter updates
+/// (optimizer steps, CopyFrom) show up in the next call. Not
 /// thread-safe — each thread needs its own instance.
 class MlpInference {
  public:
-  explicit MlpInference(const Mlp* mlp);
-
-  /// Re-snapshots the current parameter values of the wrapped Mlp.
-  void Refresh();
+  explicit MlpInference(const Mlp* mlp) : mlp_(mlp) {}
 
   /// Forward pass over `rows` inputs of in_features each (row-major).
   /// The returned buffer (rows x out_features) is owned by this object
@@ -182,8 +178,6 @@ class MlpInference {
 
  private:
   const Mlp* mlp_;
-  std::vector<std::vector<Scalar>> wt_;    // per layer: out x in (W^T)
-  std::vector<std::vector<Scalar>> bias_;  // per layer: out
   std::vector<Scalar> buffers_[2];
 };
 

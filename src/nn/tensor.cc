@@ -34,19 +34,67 @@ std::shared_ptr<Node> NewNode(size_t rows, size_t cols, bool requires_grad) {
   return node;
 }
 
-/// Creates the result node of an op over `parents`; requires_grad is
-/// inherited from any parent. Under a NoGradGuard the parents are
-/// dropped (no graph retention) and the node carries no gradient; the
-/// backward closures the ops still attach are then unreachable, since
-/// Backward() refuses to start from a gradient-less node.
-std::shared_ptr<Node> OpNode(size_t rows, size_t cols,
-                             std::vector<std::shared_ptr<Node>> parents) {
-  if (no_grad_depth > 0) return NewNode(rows, cols, /*requires_grad=*/false);
+const std::shared_ptr<Node>& NodeOf(const Tensor* t) { return t->node(); }
+const std::shared_ptr<Node>& NodeOf(const Tensor& t) { return t.node(); }
+
+/// Creates the result node of an op over `inputs`; requires_grad is
+/// inherited from any input. Under a NoGradGuard no parents vector is
+/// built and the node carries no gradient (no graph retention); each op
+/// then also returns before attaching its backward closure.
+template <typename Inputs>
+std::shared_ptr<Node> OpNode(size_t rows, size_t cols, const Inputs& inputs) {
+  if (InferenceMode()) return NewNode(rows, cols, /*requires_grad=*/false);
+  std::vector<std::shared_ptr<Node>> parents;
+  parents.reserve(inputs.size());
   bool needs_grad = false;
-  for (const auto& p : parents) needs_grad |= p->requires_grad;
+  for (const auto& input : inputs) {
+    parents.push_back(NodeOf(input));
+    needs_grad |= parents.back()->requires_grad;
+  }
   auto node = NewNode(rows, cols, needs_grad);
   node->parents = std::move(parents);
   return node;
+}
+
+std::shared_ptr<Node> OpNode(size_t rows, size_t cols,
+                             std::initializer_list<const Tensor*> inputs) {
+  return OpNode<std::initializer_list<const Tensor*>>(rows, cols, inputs);
+}
+
+/// Inputs the forward GEMM compacts per pass: the nonzero a[i][p] of
+/// one row within a block of kGemmBlock consecutive p.
+constexpr size_t kGemmBlock = 64;
+
+struct GemmBlock {
+  const Scalar* b = nullptr;  ///< row p0 of b (the block's first p)
+  size_t n = 0;               ///< columns of b
+  size_t count = 0;           ///< nonzero inputs in the block
+  uint32_t offset[kGemmBlock] = {};  ///< p - p0 of each, ascending
+  Scalar value[kGemmBlock] = {};     ///< a[i][p] of each
+};
+
+/// Columns [j, j + C) of one output row: accumulates the block's
+/// nonzero inputs over p in ascending order, starting from 0.0 for the
+/// first block and from the partial sums already in `out_row` after
+/// it, then stores acc (+ bias[j], then the ReLU clamp, if given). The
+/// C accumulators stay in registers across the p loop, which has no
+/// branch, so the compiler vectorizes it over the columns.
+template <size_t C>
+void GemmChunk(const GemmBlock& block, size_t j, bool first,
+               const Scalar* bias, bool relu, Scalar* out_row) {
+  Scalar acc[C];
+  for (size_t c = 0; c < C; ++c) acc[c] = first ? 0.0 : out_row[j + c];
+  for (size_t q = 0; q < block.count; ++q) {
+    const Scalar aip = block.value[q];
+    const Scalar* bp = block.b + block.offset[q] * block.n + j;
+    for (size_t c = 0; c < C; ++c) acc[c] += aip * bp[c];
+  }
+  for (size_t c = 0; c < C; ++c) {
+    Scalar v = acc[c];
+    if (bias != nullptr) v = v + bias[j + c];
+    if (relu && !(v > 0)) v = 0.0;
+    out_row[j + c] = v;
+  }
 }
 
 }  // namespace
@@ -125,18 +173,9 @@ void Tensor::Backward() const {
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   AV_CHECK_EQ(a.cols(), b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  auto out = OpNode(m, n, {a.node(), b.node()});
-  const auto& av = a.data();
-  const auto& bv = b.data();
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t p = 0; p < k; ++p) {
-      const Scalar aip = av[i * k + p];
-      if (aip == 0.0) continue;
-      for (size_t j = 0; j < n; ++j) {
-        out->value[i * n + j] += aip * bv[p * n + j];
-      }
-    }
-  }
+  auto out = OpNode(m, n, {&a, &b});
+  Gemm(a.data().data(), m, k, b.data().data(), n, out->value.data());
+  if (InferenceMode()) return Tensor(out);
   out->backward = [m, k, n](Node& self) {
     Node& A = *self.parents[0];
     Node& B = *self.parents[1];
@@ -168,46 +207,47 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return Tensor(out);
 }
 
-void MatMulTB(const Scalar* a, size_t m, size_t k, const Scalar* bt, size_t n,
-              Scalar* out) {
-  // Each output element owns an independent accumulator filled over p in
-  // ascending order with the `aip == 0.0` skip, i.e. exactly the float
-  // additions MatMul's forward performs for that element — only the
-  // traversal (row-of-a times row-of-bt, 4 columns at a time) differs.
-  constexpr size_t kTile = 4;
+void Gemm(const Scalar* a, size_t m, size_t k, const Scalar* b, size_t n,
+          Scalar* out, const Scalar* bias, bool relu) {
+  // One row at a time: compact the row's nonzero inputs (branch-free;
+  // NaN compares != 0 and is kept), then sweep the output columns in
+  // register-held chunks of 16, 8, 4 and 1 over that list. A row with
+  // more than kGemmBlock inputs takes several passes, carrying its
+  // partial sums in `out`; bias and ReLU apply after the last one.
+  GemmBlock block;
+  block.n = n;
   for (size_t i = 0; i < m; ++i) {
     const Scalar* ai = a + i * k;
     Scalar* oi = out + i * n;
-    size_t j = 0;
-    for (; j + kTile <= n; j += kTile) {
-      const Scalar* b0 = bt + j * k;
-      const Scalar* b1 = b0 + k;
-      const Scalar* b2 = b1 + k;
-      const Scalar* b3 = b2 + k;
-      Scalar acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-      for (size_t p = 0; p < k; ++p) {
-        const Scalar aip = ai[p];
-        if (aip == 0.0) continue;
-        acc0 += aip * b0[p];
-        acc1 += aip * b1[p];
-        acc2 += aip * b2[p];
-        acc3 += aip * b3[p];
+    size_t p0 = 0;
+    do {
+      const size_t p1 = std::min(k, p0 + kGemmBlock);
+      block.b = b + p0 * n;
+      block.count = 0;
+      for (size_t p = p0; p < p1; ++p) {
+        block.offset[block.count] = static_cast<uint32_t>(p - p0);
+        block.value[block.count] = ai[p];
+        block.count += ai[p] != 0.0;
       }
-      oi[j] = acc0;
-      oi[j + 1] = acc1;
-      oi[j + 2] = acc2;
-      oi[j + 3] = acc3;
-    }
-    for (; j < n; ++j) {
-      const Scalar* bj = bt + j * k;
-      Scalar acc = 0.0;
-      for (size_t p = 0; p < k; ++p) {
-        const Scalar aip = ai[p];
-        if (aip == 0.0) continue;
-        acc += aip * bj[p];
+      const bool first = p0 == 0;
+      const bool last = p1 == k;
+      const Scalar* bias_now = last ? bias : nullptr;
+      const bool relu_now = last && relu;
+      size_t j = 0;
+      for (; j + 16 <= n; j += 16) {
+        GemmChunk<16>(block, j, first, bias_now, relu_now, oi);
       }
-      oi[j] = acc;
-    }
+      if (j + 8 <= n) {
+        GemmChunk<8>(block, j, first, bias_now, relu_now, oi);
+        j += 8;
+      }
+      if (j + 4 <= n) {
+        GemmChunk<4>(block, j, first, bias_now, relu_now, oi);
+        j += 4;
+      }
+      for (; j < n; ++j) GemmChunk<1>(block, j, first, bias_now, relu_now, oi);
+      p0 = p1;
+    } while (p0 < k);
   }
 }
 
@@ -216,13 +256,14 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   const bool broadcast = b.rows() == 1 && a.rows() != 1;
   AV_CHECK(broadcast || a.rows() == b.rows());
   const size_t m = a.rows(), n = a.cols();
-  auto out = OpNode(m, n, {a.node(), b.node()});
+  auto out = OpNode(m, n, {&a, &b});
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < n; ++j) {
       out->value[i * n + j] =
           a.data()[i * n + j] + b.data()[(broadcast ? 0 : i) * n + j];
     }
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [m, n, broadcast](Node& self) {
     Node& A = *self.parents[0];
     Node& B = *self.parents[1];
@@ -240,10 +281,11 @@ Tensor Add(const Tensor& a, const Tensor& b) {
 Tensor Sub(const Tensor& a, const Tensor& b) {
   AV_CHECK_EQ(a.rows(), b.rows());
   AV_CHECK_EQ(a.cols(), b.cols());
-  auto out = OpNode(a.rows(), a.cols(), {a.node(), b.node()});
+  auto out = OpNode(a.rows(), a.cols(), {&a, &b});
   for (size_t i = 0; i < out->size(); ++i) {
     out->value[i] = a.data()[i] - b.data()[i];
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [](Node& self) {
     Node& A = *self.parents[0];
     Node& B = *self.parents[1];
@@ -258,10 +300,11 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   AV_CHECK_EQ(a.rows(), b.rows());
   AV_CHECK_EQ(a.cols(), b.cols());
-  auto out = OpNode(a.rows(), a.cols(), {a.node(), b.node()});
+  auto out = OpNode(a.rows(), a.cols(), {&a, &b});
   for (size_t i = 0; i < out->size(); ++i) {
     out->value[i] = a.data()[i] * b.data()[i];
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [](Node& self) {
     Node& A = *self.parents[0];
     Node& B = *self.parents[1];
@@ -274,8 +317,9 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor Scale(const Tensor& a, Scalar s) {
-  auto out = OpNode(a.rows(), a.cols(), {a.node()});
+  auto out = OpNode(a.rows(), a.cols(), {&a});
   for (size_t i = 0; i < out->size(); ++i) out->value[i] = a.data()[i] * s;
+  if (InferenceMode()) return Tensor(out);
   out->backward = [s](Node& self) {
     Node& A = *self.parents[0];
     if (!A.requires_grad) return;
@@ -285,10 +329,11 @@ Tensor Scale(const Tensor& a, Scalar s) {
 }
 
 Tensor ReLU(const Tensor& a) {
-  auto out = OpNode(a.rows(), a.cols(), {a.node()});
+  auto out = OpNode(a.rows(), a.cols(), {&a});
   for (size_t i = 0; i < out->size(); ++i) {
     out->value[i] = a.data()[i] > 0 ? a.data()[i] : 0.0;
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [](Node& self) {
     Node& A = *self.parents[0];
     if (!A.requires_grad) return;
@@ -300,10 +345,11 @@ Tensor ReLU(const Tensor& a) {
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  auto out = OpNode(a.rows(), a.cols(), {a.node()});
+  auto out = OpNode(a.rows(), a.cols(), {&a});
   for (size_t i = 0; i < out->size(); ++i) {
     out->value[i] = 1.0 / (1.0 + std::exp(-a.data()[i]));
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [](Node& self) {
     Node& A = *self.parents[0];
     if (!A.requires_grad) return;
@@ -316,10 +362,11 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Tanh(const Tensor& a) {
-  auto out = OpNode(a.rows(), a.cols(), {a.node()});
+  auto out = OpNode(a.rows(), a.cols(), {&a});
   for (size_t i = 0; i < out->size(); ++i) {
     out->value[i] = std::tanh(a.data()[i]);
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [](Node& self) {
     Node& A = *self.parents[0];
     if (!A.requires_grad) return;
@@ -335,13 +382,11 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
   AV_CHECK(!parts.empty());
   const size_t m = parts[0].rows();
   size_t total = 0;
-  std::vector<std::shared_ptr<Node>> parents;
   for (const auto& part : parts) {
     AV_CHECK_EQ(part.rows(), m);
     total += part.cols();
-    parents.push_back(part.node());
   }
-  auto out = OpNode(m, total, std::move(parents));
+  auto out = OpNode(m, total, parts);
   size_t offset = 0;
   for (const auto& part : parts) {
     const size_t n = part.cols();
@@ -352,6 +397,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     }
     offset += n;
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [m, total](Node& self) {
     size_t off = 0;
     for (const auto& parent : self.parents) {
@@ -373,19 +419,18 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
   AV_CHECK(!parts.empty());
   const size_t n = parts[0].cols();
   size_t total = 0;
-  std::vector<std::shared_ptr<Node>> parents;
   for (const auto& part : parts) {
     AV_CHECK_EQ(part.cols(), n);
     total += part.rows();
-    parents.push_back(part.node());
   }
-  auto out = OpNode(total, n, std::move(parents));
+  auto out = OpNode(total, n, parts);
   size_t row = 0;
   for (const auto& part : parts) {
     std::copy(part.data().begin(), part.data().end(),
               out->value.begin() + row * n);
     row += part.rows();
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [n](Node& self) {
     size_t row = 0;
     for (const auto& parent : self.parents) {
@@ -402,13 +447,14 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
 
 Tensor GatherRows(const Tensor& a, const std::vector<size_t>& indices) {
   const size_t n = a.cols();
-  auto out = OpNode(indices.size(), n, {a.node()});
+  auto out = OpNode(indices.size(), n, {&a});
   for (size_t i = 0; i < indices.size(); ++i) {
     AV_CHECK_LT(indices[i], a.rows());
     std::copy(a.data().begin() + indices[i] * n,
               a.data().begin() + (indices[i] + 1) * n,
               out->value.begin() + i * n);
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [indices, n](Node& self) {
     Node& A = *self.parents[0];
     if (!A.requires_grad) return;
@@ -426,12 +472,13 @@ Tensor SelectRow(const Tensor& a, size_t r) { return GatherRows(a, {r}); }
 Tensor SliceCols(const Tensor& a, size_t start, size_t len) {
   AV_CHECK_LE(start + len, a.cols());
   const size_t m = a.rows(), n = a.cols();
-  auto out = OpNode(m, len, {a.node()});
+  auto out = OpNode(m, len, {&a});
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < len; ++j) {
       out->value[i * len + j] = a.data()[i * n + start + j];
     }
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [m, n, start, len](Node& self) {
     Node& A = *self.parents[0];
     if (!A.requires_grad) return;
@@ -447,13 +494,14 @@ Tensor SliceCols(const Tensor& a, size_t start, size_t len) {
 Tensor MeanRows(const Tensor& a) {
   const size_t m = a.rows(), n = a.cols();
   AV_CHECK_GT(m, 0u);
-  auto out = OpNode(1, n, {a.node()});
+  auto out = OpNode(1, n, {&a});
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < n; ++j) {
       out->value[j] += a.data()[i * n + j];
     }
   }
   for (size_t j = 0; j < n; ++j) out->value[j] /= static_cast<Scalar>(m);
+  if (InferenceMode()) return Tensor(out);
   out->backward = [m, n](Node& self) {
     Node& A = *self.parents[0];
     if (!A.requires_grad) return;
@@ -467,8 +515,9 @@ Tensor MeanRows(const Tensor& a) {
 }
 
 Tensor Sum(const Tensor& a) {
-  auto out = OpNode(1, 1, {a.node()});
+  auto out = OpNode(1, 1, {&a});
   for (Scalar v : a.data()) out->value[0] += v;
+  if (InferenceMode()) return Tensor(out);
   out->backward = [](Node& self) {
     Node& A = *self.parents[0];
     if (!A.requires_grad) return;
@@ -491,7 +540,7 @@ Tensor Conv1D(const Tensor& input, const Tensor& kernel, const Tensor& bias) {
   AV_CHECK_EQ(bias.size(), 1u);
   const size_t m = input.rows(), n = input.cols(), k = kernel.cols();
   const int64_t half = static_cast<int64_t>(k) / 2;
-  auto out = OpNode(m, n, {input.node(), kernel.node(), bias.node()});
+  auto out = OpNode(m, n, {&input, &kernel, &bias});
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < n; ++j) {
       Scalar acc = bias.data()[0];
@@ -504,6 +553,7 @@ Tensor Conv1D(const Tensor& input, const Tensor& kernel, const Tensor& bias) {
       out->value[i * n + j] = acc;
     }
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [m, n, k, half](Node& self) {
     Node& in = *self.parents[0];
     Node& ker = *self.parents[1];
@@ -541,12 +591,13 @@ Tensor BatchNorm(const Tensor& a, const Tensor& gamma, const Tensor& beta,
   var /= static_cast<Scalar>(count);
   const Scalar inv_std = 1.0 / std::sqrt(var + eps);
 
-  auto out = OpNode(a.rows(), a.cols(), {a.node(), gamma.node(), beta.node()});
+  auto out = OpNode(a.rows(), a.cols(), {&a, &gamma, &beta});
   const Scalar g0 = gamma.data()[0];
   const Scalar b0 = beta.data()[0];
   for (size_t i = 0; i < count; ++i) {
     out->value[i] = g0 * (a.data()[i] - mean) * inv_std + b0;
   }
+  if (InferenceMode()) return Tensor(out);
   out->backward = [mean, inv_std, count, g0](Node& self) {
     Node& A = *self.parents[0];
     Node& G = *self.parents[1];

@@ -44,9 +44,10 @@ struct Node {
 /// current thread (the no-grad inference mode).
 ///
 /// Ops executed inside the scope produce bit-identical values but their
-/// result nodes allocate no gradient buffer, record no parents, and
-/// never require grad — so the graph is not retained and intermediate
-/// nodes free as soon as their Tensor handles go out of scope. Calling
+/// result nodes allocate no gradient buffer, record no parents, attach
+/// no backward closure, and never require grad — so the graph is not
+/// retained and intermediate nodes free as soon as their Tensor handles
+/// go out of scope. Calling
 /// Backward() on a tensor produced under the guard is a programming
 /// error (it has no gradient storage and AV_CHECKs).
 ///
@@ -126,16 +127,17 @@ class Tensor {
 /// Matrix product: (m x k) * (k x n) -> (m x n).
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// Raw no-autograd kernel: out = a * b with `bt` supplied transposed
-/// (n x k row-major), writing into caller-owned storage — no tape node
-/// is created. Every out[i][j] is accumulated over p in ascending order
-/// with the same `a[i][p] == 0.0` skip as MatMul's forward loop, so the
-/// result is bit-identical to MatMul (NaN/Inf propagation included); the
-/// transposed layout turns the inner product into two contiguous streams
-/// and the column tiling amortizes reloads of a's row. `out` must hold
-/// m x n scalars and may not alias the inputs.
-void MatMulTB(const Scalar* a, size_t m, size_t k, const Scalar* bt, size_t n,
-              Scalar* out);
+/// The forward GEMM, shared by MatMul and MlpInference: writes
+/// out = a * b for row-major `a` (m x k) and `b` (k x n) into
+/// caller-owned storage, with no tape node. Every out[i][j] starts at
+/// 0.0 and adds a[i][p] * b[p][j] over p in ascending order, skipping
+/// `a[i][p] == 0.0`, so results are bit-identical to the naive i-p-j
+/// loop with that skip (NaN/Inf propagation included). With `bias` (n
+/// scalars) each element then becomes `acc + bias[j]`, and with `relu`
+/// it is clamped by `!(x > 0) -> 0.0`: the per-element arithmetic of Add
+/// and ReLU. `out` must hold m x n scalars and may not alias the inputs.
+void Gemm(const Scalar* a, size_t m, size_t k, const Scalar* b, size_t n,
+          Scalar* out, const Scalar* bias = nullptr, bool relu = false);
 
 /// Element-wise sum; `b` may also be a 1xN row vector broadcast over
 /// `a`'s rows (bias add).

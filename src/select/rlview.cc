@@ -36,7 +36,12 @@ class QNet {
   QNet(size_t feature_dim, bool dueling, Rng* rng)
       : dueling_(dueling),
         advantage_({feature_dim, 16, 64, 16, 1}, rng),
-        value_({feature_dim, 16, 16, 1}, rng) {}
+        value_({feature_dim, 16, 16, 1}, rng),
+        advantage_inf_(&advantage_),
+        value_inf_(&value_) {}
+  // The inference evaluators point at this object's own MLPs.
+  QNet(const QNet&) = delete;
+  QNet& operator=(const QNet&) = delete;
 
   /// (n x dim) action features -> (n x 1) Q values (differentiable).
   Tensor ForwardAll(const std::vector<nn::Scalar>& phis, size_t n,
@@ -68,27 +73,15 @@ class QNet {
     return std::vector<double>(q.data().begin(), q.data().end());
   }
 
-  /// Enables ValuesFast(); call RefreshFastScoring() after every
-  /// parameter update (optimizer step, CopyFrom) or scores go stale.
-  void EnableFastScoring() {
-    advantage_inf_ = std::make_unique<nn::MlpInference>(&advantage_);
-    value_inf_ = std::make_unique<nn::MlpInference>(&value_);
-  }
-
-  void RefreshFastScoring() {
-    advantage_inf_->Refresh();
-    value_inf_->Refresh();
-  }
-
   /// Values() through the no-grad inference path: no tape nodes, no
-  /// gradient buffers, reused activation storage. Bit-identical to
-  /// Values() — MlpInference replays MatMul/Add/ReLU's element-wise
-  /// arithmetic and the dueling combination below mirrors ForwardAll's
-  /// op order ((a - mean_a) + v with MeanRows' accumulation order).
+  /// gradient buffers, reused activation storage, always the current
+  /// weights. Bit-identical to Values() — MlpInference runs MatMul's
+  /// kernel with Add/ReLU's element-wise arithmetic fused in, and the
+  /// dueling combination below mirrors ForwardAll's op order
+  /// ((a - mean_a) + v with MeanRows' accumulation order).
   std::vector<double> ValuesFast(const std::vector<nn::Scalar>& phis, size_t n,
                                  size_t feature_dim) {
-    AV_CHECK(advantage_inf_ != nullptr);
-    const std::vector<nn::Scalar>& a = advantage_inf_->Forward(phis.data(), n);
+    const std::vector<nn::Scalar>& a = advantage_inf_.Forward(phis.data(), n);
     std::vector<double> q(a.begin(), a.end());
     if (!dueling_) return q;
     std::vector<nn::Scalar> mean_x(feature_dim, 0.0);
@@ -104,7 +97,7 @@ class QNet {
     for (size_t i = 0; i < n; ++i) mean_a += q[i];
     mean_a /= static_cast<nn::Scalar>(n);
     const nn::Scalar neg_mean_a = mean_a * -1.0;
-    const nn::Scalar v = value_inf_->Forward(mean_x.data(), 1)[0];
+    const nn::Scalar v = value_inf_.Forward(mean_x.data(), 1)[0];
     for (size_t i = 0; i < n; ++i) q[i] = (q[i] + neg_mean_a) + v;
     return q;
   }
@@ -126,8 +119,8 @@ class QNet {
   bool dueling_;
   nn::Mlp advantage_;
   nn::Mlp value_;
-  std::unique_ptr<nn::MlpInference> advantage_inf_;
-  std::unique_ptr<nn::MlpInference> value_inf_;
+  nn::MlpInference advantage_inf_;
+  nn::MlpInference value_inf_;
 };
 
 }  // namespace
@@ -350,7 +343,7 @@ Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
 /// DQN action-scoring call runs through the no-grad inference path.
 /// Training keeps the autograd tape but, for the plain network, tapes
 /// only each sample's chosen-action row (QNet::ForwardAction); the
-/// inference snapshots refresh after each parameter update.
+/// inference path reads the live weights, so it sees every update.
 Result<MvsSolution> RLViewSelector::SelectIncremental(
     const MvsProblem& problem) {
   const MvsProblemIndex index(problem);
@@ -425,8 +418,6 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
   QNet dqn(kFeatureDim, options_.dueling, &rng);
   QNet target_net(kFeatureDim, options_.dueling, &rng);
   target_net.CopyFrom(dqn);
-  dqn.EnableFastScoring();
-  target_net.EnableFastScoring();
   const bool use_target = options_.target_sync_every > 0;
   size_t train_steps = 0;
   nn::Adam::Options adam_opts;
@@ -579,11 +570,9 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
         }
         MseLoss(nn::ConcatRows(preds), nn::ConcatRows(targets)).Backward();
         adam.Step();
-        dqn.RefreshFastScoring();
         ++train_steps;
         if (use_target && train_steps % options_.target_sync_every == 0) {
           target_net.CopyFrom(dqn);
-          target_net.RefreshFastScoring();
         }
       }
       ++t;

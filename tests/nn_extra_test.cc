@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -170,101 +171,240 @@ TEST(NoGradTest, GuardSkipsGraphButKeepsValues) {
 /// Bit patterns of `values`, so NaN results compare exactly too.
 std::vector<uint64_t> Bits(const std::vector<nn::Scalar>& values) {
   std::vector<uint64_t> bits(values.size());
-  std::memcpy(bits.data(), values.data(), values.size() * sizeof(uint64_t));
+  if (!values.empty()) {
+    std::memcpy(bits.data(), values.data(), values.size() * sizeof(uint64_t));
+  }
   return bits;
 }
 
-/// MatMulTB of (m x k) `a` times (k x n) `b` (handed over transposed).
-std::vector<nn::Scalar> RunMatMulTB(const std::vector<nn::Scalar>& a,
-                                    const std::vector<nn::Scalar>& b,
-                                    size_t m, size_t k, size_t n) {
-  std::vector<nn::Scalar> bt(n * k);
-  for (size_t p = 0; p < k; ++p) {
-    for (size_t j = 0; j < n; ++j) bt[j * k + p] = b[p * n + j];
+/// The oracle for nn::Gemm: MatMul's original forward loop, i-p-j over
+/// a zero-filled output, skipping a[i][p] == 0.0; then, when given, the
+/// bias add and ReLU clamp as Add and ReLU apply them.
+std::vector<nn::Scalar> NaiveGemm(const std::vector<nn::Scalar>& a,
+                                  const std::vector<nn::Scalar>& b, size_t m,
+                                  size_t k, size_t n,
+                                  const nn::Scalar* bias = nullptr,
+                                  bool relu = false) {
+  std::vector<nn::Scalar> out(m * n, 0.0);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t p = 0; p < k; ++p) {
+      const nn::Scalar aip = a[i * k + p];
+      if (aip == 0.0) continue;
+      for (size_t j = 0; j < n; ++j) out[i * n + j] += aip * b[p * n + j];
+    }
   }
-  std::vector<nn::Scalar> out(m * n, -1.0);
-  nn::MatMulTB(a.data(), m, k, bt.data(), n, out.data());
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      nn::Scalar& v = out[i * n + j];
+      if (bias != nullptr) v = v + bias[j];
+      if (relu) v = v > 0 ? v : 0.0;
+    }
+  }
   return out;
 }
 
-TEST(NoGradTest, MatMulTBBitIdenticalToMatMul) {
-  struct Case {
-    size_t m, k, n;
-    std::vector<nn::Scalar> a, b;
-  };
-  Rng rng(17);
-  const auto random_case = [&rng](size_t m, size_t k, size_t n) {
-    Case c{m, k, n, std::vector<nn::Scalar>(m * k),
-           std::vector<nn::Scalar>(k * n)};
-    for (auto& v : c.a) v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(-2.0, 2.0);
-    for (auto& v : c.b) v = rng.Uniform(-2.0, 2.0);
-    return c;
-  };
-  std::vector<Case> cases;
-  // Shapes straddling the 4-column tile: k and n below, at, and past
-  // multiples of it, ragged tails on both dimensions.
-  const size_t shapes[][3] = {{5, 7, 9},  {1, 1, 1},  {1, 3, 1},
-                              {2, 4, 4},  {3, 7, 5},  {5, 16, 8},
-                              {8, 17, 9}, {4, 64, 3}, {7, 33, 13}};
-  for (const auto& shape : shapes) {
-    cases.push_back(random_case(shape[0], shape[1], shape[2]));
-  }
-  // NaN/Inf rows: row 0 carries two NaNs, row 1 +/-inf. The zero-skip
-  // must not skip them (NaN compares != 0), so row 0 comes out all NaN.
-  Case nan_inf = random_case(3, 9, 5);
-  nan_inf.a[2] = std::nan("");
-  nan_inf.a[8] = std::nan("");
-  nan_inf.a[9 + 1] = std::numeric_limits<nn::Scalar>::infinity();
-  nan_inf.a[9 + 7] = -std::numeric_limits<nn::Scalar>::infinity();
-  cases.push_back(nan_inf);
-  // An all-zero row (exact +0.0 out) and a unit row (picks out row 0 of
-  // b bit-exactly).
-  Case zero_unit = random_case(2, 8, 3);
-  std::fill(zero_unit.a.begin(), zero_unit.a.end(), 0.0);
-  zero_unit.a[8] = 1.0;
-  cases.push_back(zero_unit);
-
-  std::vector<std::vector<nn::Scalar>> outs;
-  for (const Case& c : cases) {
-    nn::Tensor ref = nn::MatMul(nn::Tensor::FromData(c.a, c.m, c.k),
-                                nn::Tensor::FromData(c.b, c.k, c.n));
-    outs.push_back(RunMatMulTB(c.a, c.b, c.m, c.k, c.n));
-    EXPECT_EQ(Bits(outs.back()), Bits(ref.data()))
-        << c.m << "x" << c.k << "x" << c.n;
-  }
-  const std::vector<nn::Scalar>& nan_out = outs[outs.size() - 2];
-  for (size_t j = 0; j < nan_inf.n; ++j) EXPECT_TRUE(std::isnan(nan_out[j]));
-  const std::vector<nn::Scalar>& unit_out = outs.back();
-  EXPECT_EQ(Bits({unit_out.begin(), unit_out.begin() + 3}),
-            Bits({0.0, 0.0, 0.0}));
-  EXPECT_EQ(Bits({unit_out.begin() + 3, unit_out.end()}),
-            Bits({zero_unit.b.begin(), zero_unit.b.begin() + 3}));
+std::vector<nn::Scalar> RunGemm(const std::vector<nn::Scalar>& a,
+                                const std::vector<nn::Scalar>& b, size_t m,
+                                size_t k, size_t n,
+                                const nn::Scalar* bias = nullptr,
+                                bool relu = false) {
+  std::vector<nn::Scalar> out(m * n, -1.0);
+  nn::Gemm(a.data(), m, k, b.data(), n, out.data(), bias, relu);
+  return out;
 }
 
-TEST(NoGradTest, MlpInferenceMatchesForwardAndRefreshes) {
+struct GemmCase {
+  size_t m, k, n;
+  std::vector<nn::Scalar> a, b, bias;
+};
+
+/// a has ~30% exact zeros (post-ReLU-like), b and bias are dense.
+GemmCase RandomGemmCase(Rng* rng, size_t m, size_t k, size_t n) {
+  GemmCase c{m, k, n, std::vector<nn::Scalar>(m * k),
+             std::vector<nn::Scalar>(k * n), std::vector<nn::Scalar>(n)};
+  for (auto& v : c.a) v = rng->Bernoulli(0.3) ? 0.0 : rng->Uniform(-2.0, 2.0);
+  for (auto& v : c.b) v = rng->Uniform(-2.0, 2.0);
+  for (auto& v : c.bias) v = rng->Uniform(-1.0, 1.0);
+  return c;
+}
+
+/// Gemm with and without the fused bias/ReLU store, and the tape's
+/// MatMul, all against the naive loop, bit for bit.
+void ExpectGemmMatchesNaive(const GemmCase& c) {
+  SCOPED_TRACE(::testing::Message() << c.m << "x" << c.k << "x" << c.n);
+  EXPECT_EQ(Bits(RunGemm(c.a, c.b, c.m, c.k, c.n)),
+            Bits(NaiveGemm(c.a, c.b, c.m, c.k, c.n)));
+  EXPECT_EQ(Bits(RunGemm(c.a, c.b, c.m, c.k, c.n, c.bias.data())),
+            Bits(NaiveGemm(c.a, c.b, c.m, c.k, c.n, c.bias.data())));
+  EXPECT_EQ(Bits(RunGemm(c.a, c.b, c.m, c.k, c.n, c.bias.data(), true)),
+            Bits(NaiveGemm(c.a, c.b, c.m, c.k, c.n, c.bias.data(), true)));
+  nn::Tensor tape = nn::MatMul(nn::Tensor::FromData(c.a, c.m, c.k),
+                               nn::Tensor::FromData(c.b, c.k, c.n));
+  EXPECT_EQ(Bits(tape.data()), Bits(NaiveGemm(c.a, c.b, c.m, c.k, c.n)));
+}
+
+TEST(NoGradTest, GemmBitIdenticalToNaiveLoop) {
+  Rng rng(17);
+  // Output widths below, at and past the kernel's 16-, 8- and 4-column
+  // chunks; input widths below, at and past its 64-input compaction
+  // block, so rows take one, two and three passes.
+  for (size_t n : {1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 29, 31, 32, 33, 64}) {
+    for (size_t k : {1, 7, 16, 64, 65, 130}) {
+      ExpectGemmMatchesNaive(RandomGemmCase(&rng, 3, k, n));
+    }
+  }
+  ExpectGemmMatchesNaive(RandomGemmCase(&rng, 1, 1, 1));
+  ExpectGemmMatchesNaive(RandomGemmCase(&rng, 17, 64, 16));
+  // Empty dimensions: no rows, and no inputs (the output is 0.0 + bias).
+  ExpectGemmMatchesNaive(RandomGemmCase(&rng, 0, 8, 5));
+  ExpectGemmMatchesNaive(RandomGemmCase(&rng, 2, 0, 9));
+}
+
+TEST(NoGradTest, GemmPropagatesNanInfAndSignedZeroLikeTheNaiveLoop) {
+  Rng rng(19);
+  const nn::Scalar inf = std::numeric_limits<nn::Scalar>::infinity();
+  const nn::Scalar nan = std::nan("");
+  for (size_t n : {1, 7, 8, 9, 15, 16, 17, 64}) {
+    for (size_t k : {9, 70}) {
+      GemmCase c = RandomGemmCase(&rng, 6, k, n);
+      // Row 0: two NaN inputs. The zero-skip must not skip them (NaN
+      // compares != 0), so the whole row comes out NaN.
+      c.a[2] = nan;
+      c.a[k - 1] = nan;
+      // Row 1: +inf and -inf inputs.
+      c.a[k + 1] = inf;
+      c.a[k + 7] = -inf;
+      // Row 2: every input -0.0 (skipped like +0.0: the output is +0.0).
+      std::fill(c.a.begin() + 2 * k, c.a.begin() + 3 * k, -0.0);
+      // Row 3: all +0.0.
+      std::fill(c.a.begin() + 3 * k, c.a.begin() + 4 * k, 0.0);
+      // Row 4: a single 1.0 that lands on an infinite and a NaN weight.
+      std::fill(c.a.begin() + 4 * k, c.a.begin() + 5 * k, 0.0);
+      c.a[4 * k + 3] = 1.0;
+      c.b[3 * n] = inf;
+      c.b[3 * n + n - 1] = nan;
+      // Row 5: a -0.0 next to nonzero inputs; weights hold -0.0 too.
+      c.a[5 * k] = -0.0;
+      c.b[n] = -0.0;
+      ExpectGemmMatchesNaive(c);
+
+      const std::vector<nn::Scalar> out = RunGemm(c.a, c.b, c.m, k, n);
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_TRUE(std::isnan(out[j]));
+        EXPECT_EQ(Bits({out[2 * n + j]}), Bits({0.0}));
+        EXPECT_EQ(Bits({out[3 * n + j]}), Bits({0.0}));
+      }
+      if (n > 1) {  // with one column the NaN weight overwrote the inf
+        EXPECT_EQ(out[4 * n], inf);
+      }
+      EXPECT_TRUE(std::isnan(out[4 * n + n - 1]));
+      // The ReLU clamp maps NaN to 0.0 the way ReLU's `x > 0` test does.
+      const std::vector<nn::Scalar> clamped =
+          RunGemm(c.a, c.b, c.m, k, n, c.bias.data(), true);
+      for (size_t j = 0; j < n; ++j) EXPECT_EQ(Bits({clamped[j]}), Bits({0.0}));
+    }
+  }
+}
+
+/// Mlp::Forward on the tape, to compare MlpInference against.
+std::vector<nn::Scalar> TapeForward(const nn::Mlp& mlp,
+                                    const std::vector<nn::Scalar>& batch,
+                                    size_t rows, size_t in) {
+  return mlp.Forward(nn::Tensor::FromData(batch, rows, in)).data();
+}
+
+TEST(NoGradTest, MlpInferenceMatchesForwardAndTracksUpdates) {
+  // The RLView Q-net (8/16/64/16/1), its dueling value head, and a
+  // relu_last network.
+  struct Shape {
+    std::vector<size_t> sizes;
+    bool relu_last;
+  };
+  const Shape shapes[] = {{{8, 16, 64, 16, 1}, false},
+                          {{8, 16, 16, 1}, false},
+                          {{8, 16, 64, 16, 1}, true},
+                          {{5, 33, 3}, true}};
   Rng rng(23);
-  nn::Mlp mlp({8, 16, 16, 1}, &rng);
-  nn::MlpInference inference(&mlp);
-  std::vector<nn::Scalar> batch(10 * 8);
-  for (auto& v : batch) v = rng.Uniform(-1.5, 1.5);
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.sizes.size());
+    nn::Mlp mlp(shape.sizes, &rng, shape.relu_last);
+    nn::MlpInference inference(&mlp);
+    const size_t in = shape.sizes.front();
+    const size_t rows = 40;
+    std::vector<nn::Scalar> batch(rows * in);
+    for (auto& v : batch) {
+      v = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(-1.5, 1.5);
+    }
+    EXPECT_EQ(Bits(inference.Forward(batch.data(), rows)),
+              Bits(TapeForward(mlp, batch, rows, in)));
 
-  nn::Tensor ref = mlp.Forward(nn::Tensor::FromData(batch, 10, 8));
-  EXPECT_EQ(inference.Forward(batch.data(), 10), ref.data());
+    // The evaluator reads the live parameters: an optimizer step and a
+    // CopyFrom both show up in the next call.
+    nn::Adam adam(mlp.Parameters(), {});
+    for (int step = 0; step < 3; ++step) {
+      nn::Tensor loss =
+          nn::Mean(mlp.Forward(nn::Tensor::FromData(batch, rows, in)));
+      mlp.ZeroGrad();
+      loss.Backward();
+      adam.Step();
+      EXPECT_EQ(Bits(inference.Forward(batch.data(), rows)),
+                Bits(TapeForward(mlp, batch, rows, in)));
+    }
+    nn::Mlp other(shape.sizes, &rng, shape.relu_last);
+    mlp.CopyFrom(other);
+    EXPECT_EQ(Bits(inference.Forward(batch.data(), rows)),
+              Bits(TapeForward(other, batch, rows, in)));
+    // Single-row calls reuse the same buffers.
+    EXPECT_EQ(Bits(inference.Forward(batch.data(), 1)),
+              Bits(TapeForward(mlp, {batch.begin(), batch.begin() + in}, 1,
+                               in)));
+  }
+}
 
-  // Stale snapshots must be refreshable after a parameter update.
-  nn::Adam adam(mlp.Parameters(), {});
-  nn::Tensor loss =
-      nn::Mean(mlp.Forward(nn::Tensor::FromData(batch, 10, 8)));
-  mlp.ZeroGrad();
-  loss.Backward();
-  adam.Step();
-  inference.Refresh();
-  nn::Tensor after = mlp.Forward(nn::Tensor::FromData(batch, 10, 8));
-  EXPECT_EQ(inference.Forward(batch.data(), 10), after.data());
-  // Single-row calls reuse the same buffers.
-  nn::Tensor one = mlp.Forward(nn::Tensor::FromData(
-      std::vector<nn::Scalar>(batch.begin(), batch.begin() + 8), 1, 8));
-  EXPECT_EQ(inference.Forward(batch.data(), 1), one.data());
+TEST(NoGradTest, OpsUnderGuardKeepBitsAndRecordNoGraph) {
+  Rng rng(29);
+  const nn::Tensor a = nn::Tensor::Uniform(3, 5, 1.0, &rng);
+  const nn::Tensor b = nn::Tensor::Uniform(5, 4, 1.0, &rng);
+  const nn::Tensor c = nn::Tensor::Uniform(3, 5, 1.0, &rng);
+  const nn::Tensor row = nn::Tensor::Uniform(1, 5, 1.0, &rng);
+  const nn::Tensor kernel = nn::Tensor::Uniform(1, 3, 1.0, &rng);
+  const nn::Tensor one = nn::Tensor::Full(1, 1, 0.5, true);
+  const std::vector<std::function<nn::Tensor()>> ops = {
+      [&] { return nn::MatMul(a, b); },
+      [&] { return nn::Add(a, c); },
+      [&] { return nn::Add(a, row); },
+      [&] { return nn::Sub(a, c); },
+      [&] { return nn::Mul(a, c); },
+      [&] { return nn::Scale(a, -2.0); },
+      [&] { return nn::ReLU(a); },
+      [&] { return nn::Sigmoid(a); },
+      [&] { return nn::Tanh(a); },
+      [&] { return nn::ConcatCols({a, c}); },
+      [&] { return nn::ConcatRows({a, row}); },
+      [&] { return nn::GatherRows(a, {2, 0, 2}); },
+      [&] { return nn::SliceCols(a, 1, 3); },
+      [&] { return nn::MeanRows(a); },
+      [&] { return nn::Sum(a); },
+      [&] { return nn::MseLoss(a, c); },
+      [&] { return nn::Conv1D(a, kernel, one); },
+      [&] { return nn::BatchNorm(a, one, one); },
+  };
+  for (size_t i = 0; i < ops.size(); ++i) {
+    SCOPED_TRACE(i);
+    const nn::Tensor taped = ops[i]();
+    ASSERT_NE(taped.node()->backward, nullptr);
+    EXPECT_FALSE(taped.node()->parents.empty());
+    nn::Tensor untaped;
+    {
+      nn::NoGradGuard guard;
+      untaped = ops[i]();
+    }
+    EXPECT_EQ(Bits(untaped.data()), Bits(taped.data()));
+    EXPECT_TRUE(untaped.node()->parents.empty());
+    EXPECT_EQ(untaped.node()->backward, nullptr);
+    EXPECT_TRUE(untaped.grad().empty());
+    EXPECT_FALSE(untaped.requires_grad());
+  }
 }
 
 }  // namespace
