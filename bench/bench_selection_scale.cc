@@ -5,11 +5,12 @@
 // (tests/problem_index_test.cc); the per-run "utility" counter makes the
 // equality visible in the emitted JSON.
 //
-// Regenerate the checked-in numbers with:
-//   ./bench/bench_selection_scale --benchmark_out=../BENCH_selection.json
-//       --benchmark_out_format=json
-// (single-threaded by construction: one restart, no pool fan-out, so
-// the reported speedups are algorithmic, not parallelism.)
+// Regenerate the checked-in numbers from a Release build with:
+//   ./bench/bench_selection_scale --benchmark_repetitions=3
+//       --benchmark_out=../BENCH_selection.json --benchmark_out_format=json
+// The JSON context records the autoview build type and source commit.
+// Each run is single-threaded by construction (one restart, no pool
+// fan-out), so the reported speedups are algorithmic, not parallelism.
 
 #include <benchmark/benchmark.h>
 
@@ -129,4 +130,12 @@ SELECTION_SHAPES(BM_RLViewSelect);
 }  // namespace
 }  // namespace autoview
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("autoview_build_type", AUTOVIEW_BUILD_TYPE);
+  benchmark::AddCustomContext("autoview_commit", AUTOVIEW_COMMIT);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -32,8 +32,6 @@
 #   advisor-clock-seam      src/core/advisor.* must never read ambient
 #                           time; deadlines flow exclusively through the
 #                           injected autoview::Clock
-#   loadgen-seed-flow       every Rng constructed in src/bench/ must be
-#                           derived from a seed variable
 #
 # Exit: 0 clean, 1 violations, 77 avcheck binary not built yet.
 set -u
@@ -41,4 +39,4 @@ set -u
 . "$(dirname "$0")/lint_common.sh"
 
 av_run_avcheck "determinism lint" \
-  "no-ambient-randomness,no-cout,no-raw-mutex,no-naked-new,mutex-annotated,engine-io-confined,advisor-clock-seam,loadgen-seed-flow"
+  "no-ambient-randomness,no-cout,no-raw-mutex,no-naked-new,mutex-annotated,engine-io-confined,advisor-clock-seam"

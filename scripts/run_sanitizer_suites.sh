@@ -23,11 +23,12 @@ mode="${1:-}"
 case "$mode" in
   asan)
     sanitize=address
-    # loadgen_test covers the varint/shard encode-decode path and the
-    # end-to-end serving loop (parse/rewrite/execute under churn);
-    # view_store_test the WAL torn-tail/rollback and eviction paths;
+    # view_store_test covers the WAL torn-tail/rollback and eviction
+    # paths, plus the varint/shard encode-decode path and the serving
+    # loop (parse/rewrite/execute) under a budget that admits no view;
     # advisor_test the streaming ingest/retire/re-index mutation paths
-    # (tail renumbering, column shifts) and the swap lifecycle;
+    # (tail renumbering, column shifts), the swap lifecycle and serving
+    # through the live advisor;
     # engine_test, sort_limit_test, property_test and
     # executor_golden_test the executor, whose scans read the stored
     # tables in place for the whole plan; subquery_test the extracted
@@ -44,21 +45,22 @@ case "$mode" in
     # (tokens viewing the SQL text, plan nodes sharing column lists with
     # their children and the catalog, references into the catalog's
     # hash maps across inserts and removals).
-    suites="failpoint_test deadline_test persistence_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
+    suites="failpoint_test deadline_test persistence_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test loadgen_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test"
     ;;
   tsan)
     sanitize=thread
     # problem_index_test covers the incremental selection engine across
     # pool sizes (shared MvsProblemIndex read by concurrent trials);
     # subquery_test the chunked/streaming clusterer (parallel extraction
-    # and key-index overlap); loadgen_test the multi-client serving loop;
-    # view_store_test pins/evictions/async builds racing on the store;
-    # advisor_test concurrent pinned serving racing generation hot swaps.
-    suites="thread_pool_test static_analysis_test parallel_determinism_test problem_index_test subquery_test loadgen_test view_store_test advisor_test rewrite_fast_path_test"
+    # and key-index overlap); view_store_test pins/evictions/async builds
+    # racing on the store; advisor_test concurrent pinned serving racing
+    # generation hot swaps, and two clients that ingest, rewrite and
+    # execute while their own ingests re-select and swap.
+    suites="thread_pool_test static_analysis_test parallel_determinism_test problem_index_test subquery_test view_store_test advisor_test rewrite_fast_path_test"
     ;;
   *)
     echo "usage: $0 asan|ubsan|tsan" >&2

@@ -25,8 +25,7 @@
 /// Ported grep rules (same names and path scoping as the historical
 /// shell checks, now running on the real lexer): no-naked-abort,
 /// no-ambient-randomness, no-cout, no-raw-mutex, no-naked-new,
-/// mutex-annotated, engine-io-confined, advisor-clock-seam,
-/// loadgen-seed-flow.
+/// mutex-annotated, engine-io-confined, advisor-clock-seam.
 ///
 /// Suppression: a finding is waived only by a comment on the same line
 /// or up to 3 lines above it of the form

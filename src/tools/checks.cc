@@ -868,20 +868,6 @@ std::vector<LineRule> BuildLineRules() {
   }
   {
     LineRule r;
-    r.check = "loadgen-seed-flow";
-    r.message =
-        "every Rng in src/bench/ must be constructed from a seed variable "
-        "(LoadGenConfig::seed flows through the whole run)";
-    r.match = std::regex(R"((^|[^_A-Za-z0-9])Rng\s+[A-Za-z_]+\()");
-    r.unless = std::regex(R"(Rng\s+[A-Za-z_]+\([^)]*[Ss]eed)");
-    r.has_unless = true;
-    r.applies = [](const std::string& rel) {
-      return rel.rfind("src/bench/", 0) == 0;
-    };
-    rules.push_back(std::move(r));
-  }
-  {
-    LineRule r;
     r.check = "advisor-clock-seam";
     r.message =
         "the advisor reads time only through the injected autoview::Clock "
@@ -972,8 +958,7 @@ std::vector<std::string> AllCheckNames() {
           "no-naked-abort",      "no-ambient-randomness",
           "no-cout",             "no-raw-mutex",
           "no-naked-new",        "mutex-annotated",
-          "engine-io-confined",  "advisor-clock-seam",
-          "loadgen-seed-flow"};
+          "engine-io-confined",  "advisor-clock-seam"};
 }
 
 Result<std::vector<Finding>> RunChecks(

@@ -8,8 +8,7 @@ namespace autoview {
 
 /// FNV-1a over `n` bytes: tiny, dependency-free, and plenty to catch
 /// truncation and bit rot (this is corruption detection, not crypto).
-/// Shared by the model serializer (nn/serialize) and the view-state log
-/// (engine/view_store_log) so every durable artifact uses one checksum.
+/// Checksums the view-state log's records (engine/view_store_log).
 uint64_t Fnv1a64(const void* data, size_t n);
 
 /// Convenience overload for string payloads (WAL record bodies).

@@ -4,6 +4,7 @@
 
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/parse.h"
 #include "util/strings.h"
 
 namespace autoview {
@@ -89,14 +90,14 @@ Status Failpoints::Configure(const std::string& spec) {
     }
     site.action = action.value();
     if (colon != std::string_view::npos) {
-      const std::string prob_token(Trim(rhs.substr(colon + 1)));
-      char* end = nullptr;
-      site.probability = std::strtod(prob_token.c_str(), &end);
-      if (end == prob_token.c_str() || *end != '\0' ||
+      // ParseDouble rejects nan, inf and hex forms, which would slip
+      // past the range check below.
+      const std::string_view prob_token = Trim(rhs.substr(colon + 1));
+      if (!ParseDouble(prob_token, &site.probability).ok() ||
           site.probability < 0.0 || site.probability > 1.0) {
         sites_.clear();
         return Status::InvalidArgument("failpoint probability not in [0,1]: " +
-                                       prob_token);
+                                       std::string(prob_token));
       }
     }
     sites_.push_back(std::move(site));

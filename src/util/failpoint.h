@@ -29,7 +29,7 @@ const char* FailActionName(FailAction action);
 /// ';'-separated list of `site=action[:probability]` entries, e.g.
 ///
 ///   AUTOVIEW_FAILPOINTS=
-///       "viewstore.materialize=error:0.5;wide_deep.infer=nan:0.1;serialize.load=corrupt"
+///       "viewstore.materialize=error:0.5;wide_deep.infer=nan:0.1;metadata.load=corrupt"
 ///
 /// Probability defaults to 1.0 (always fire). Rolls draw from a
 /// deterministic per-registry PRNG so fault sequences are reproducible
@@ -46,8 +46,6 @@ const char* FailActionName(FailAction action);
 ///                                   log, exercising torn-tail handling)
 ///   viewstore.rematerialize error   recovery rebuilds (Recover)
 ///   wide_deep.infer        nan      WideDeepEstimator::Estimate
-///   serialize.save         error    nn::SaveParameters (before rename)
-///   serialize.load         corrupt  nn::LoadParameters (bit-flips buffer)
 ///   metadata.load          corrupt  MetadataStore::Load
 ///   executor.scan          error    Executor table scans
 ///   rewriter.pin           error    Rewriter::RewriteServing (an

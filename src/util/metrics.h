@@ -121,7 +121,7 @@ SelectionCounters& GlobalSelection();
 /// report *how* the cache behaved — not just the final contents: budget
 /// evictions, admissions the budget rejected outright, background
 /// builds, and WAL recovery outcomes. A process-wide instance is
-/// reachable via GlobalViewStore() (the loadgen JSON reports it).
+/// reachable via GlobalViewStore() (perfbench reports its evictions).
 class ViewStoreCounters {
  public:
   /// One view dropped by the eviction policy to make room (`bytes` is
@@ -175,7 +175,7 @@ ViewStoreCounters& GlobalViewStore();
 /// entries invalidated by generation swaps, whole-cache invalidation
 /// sweeps, and hits discarded because a cached view could no longer be
 /// pinned. A process-wide instance is reachable via GlobalRewriteCache()
-/// (the loadgen JSON reports hit/miss deltas per run).
+/// (perfbench reports the hit ratio per run).
 class RewriteCacheCounters {
  public:
   /// One Lookup that returned a cached rewrite (and re-pinned its views).

@@ -6,6 +6,9 @@
 #include <exception>
 #include <string>
 
+#include "util/logging.h"
+#include "util/parse.h"
+
 namespace autoview {
 
 namespace {
@@ -127,11 +130,13 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
 
 size_t DefaultThreadCount() {
   if (const char* env = std::getenv("AUTOVIEW_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<size_t>(parsed);
+    size_t parsed = 0;
+    if (ParseSize(env, &parsed).ok() && parsed > 0 &&
+        parsed <= kMaxThreadCount) {
+      return parsed;
     }
+    AV_LOG(Warning) << "ignoring AUTOVIEW_THREADS=" << env << " (not in 1.."
+                    << kMaxThreadCount << "); using hardware concurrency";
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<size_t>(hw) : 1;

@@ -96,9 +96,12 @@ class ThreadPool {
   PoolCounters counters_;  // internally atomic; see PoolCounters
 };
 
-/// Number of threads the default pool uses: the AUTOVIEW_THREADS
-/// environment variable when set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (at least 1).
+/// Largest AUTOVIEW_THREADS value DefaultThreadCount() accepts.
+constexpr size_t kMaxThreadCount = 1024;
+
+/// Number of threads the default pool uses: AUTOVIEW_THREADS when it is
+/// an integer in [1, kMaxThreadCount], else (with a warning if it is set)
+/// std::thread::hardware_concurrency(), at least 1.
 size_t DefaultThreadCount();
 
 /// Lazily constructed process-wide pool of DefaultThreadCount() workers.

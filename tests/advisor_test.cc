@@ -17,6 +17,9 @@
 //     scripts/run_sanitizer_suites.sh).
 //  5. End to end: a drifting query stream drives trigger policies,
 //     re-selections, and generation swaps with zero failures.
+//  6. Serving: concurrent clients ingest, pin, rewrite and execute
+//     against the live advisor while it re-selects and hot-swaps (run
+//     under tsan).
 
 #include "core/advisor.h"
 
@@ -31,6 +34,8 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "engine/executor.h"
+#include "engine/rewriter.h"
 #include "engine/view_store.h"
 #include "ilp/problem.h"
 #include "ilp/problem_index.h"
@@ -39,6 +44,7 @@
 #include "select/iterview.h"
 #include "subquery/clusterer.h"
 #include "util/clock.h"
+#include "util/random.h"
 #include "workload/generator.h"
 
 namespace autoview {
@@ -588,6 +594,80 @@ TEST(AdvisorEndToEndTest, UtilityRegressionTriggerReselects) {
   // regression trigger re-selects at least once more.
   EXPECT_GT(stats.reselections, 1u);
   EXPECT_EQ(stats.swaps_committed, stats.reselections);
+}
+
+// ---------------------------------------------------------------------
+// 6. Serving: clients ingest and serve through the live advisor.
+
+/// `n` requests over `nq` queries from a rotating quarter of the query
+/// space: request i draws from quarter 4i/n, so the live window churns
+/// through four disjoint mixes.
+std::vector<size_t> RotatingQuarterStream(uint64_t seed, size_t n,
+                                          size_t nq) {
+  Rng rng(seed);
+  std::vector<size_t> stream;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t quarter = 4 * i / n;
+    const size_t lo = quarter * nq / 4;
+    const size_t hi = std::max(lo + 1, (quarter + 1) * nq / 4);
+    stream.push_back(lo + static_cast<size_t>(rng.UniformInt(
+                              0, static_cast<int64_t>(hi - lo) - 1)));
+  }
+  return stream;
+}
+
+TEST(AdvisorServingTest, OnlineModeReselectsAndSwapsWhileServing) {
+  OnlineAdvisorOptions options;
+  options.seed = 12345;
+  options.epoch_queries = 4;
+  options.window_queries = 16;
+  options.select_iterations = 15;
+  options.reselect_budget_ms = 10e3;
+  AdvisorRig rig(Wk1Spec(0.15), options);
+  const Catalog& catalog = rig.workload.db->catalog();
+  const Executor executor(rig.workload.db.get());
+  const Rewriter rewriter(&catalog);
+
+  // Every request is ingested before it is served, so an epoch boundary
+  // re-selects and hot-swaps the store on one client's thread while the
+  // other client keeps serving from its pins.
+  constexpr size_t kClients = 2;
+  constexpr size_t kPerClient = 8;
+  std::atomic<size_t> failed{0};
+  const auto serve = [&](size_t client) {
+    for (const size_t qi :
+         RotatingQuarterStream(Rng::StreamSeed(options.seed, client),
+                               kPerClient, rig.workload.sql.size())) {
+      const std::string& sql = rig.workload.sql[qi];
+      if (!rig.advisor->IngestSql(sql).ok()) {
+        ++failed;
+        continue;
+      }
+      // Holds the live generation resident across the other client's
+      // swap; a swap that freed pinned views early fails under tsan/asan.
+      const ViewSetSnapshot live = rig.store->PinLive();
+      Result<PlanNodePtr> plan = PlanBuilder(&catalog).BuildFromSql(sql);
+      if (!plan.ok()) {
+        ++failed;
+        continue;
+      }
+      Result<ServingRewrite> serving =
+          rewriter.RewriteServing(plan.value(), rig.store.get());
+      if (!serving.ok() ||
+          !executor.ExecuteForCost(*serving.value().plan).ok()) {
+        ++failed;
+      }
+    }
+  };
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) clients.emplace_back(serve, c);
+  for (std::thread& t : clients) t.join();
+
+  const OnlineAdvisorStats stats = rig.advisor->stats();
+  EXPECT_EQ(stats.ingested, kClients * kPerClient);
+  EXPECT_GT(stats.reselections, 0u);
+  EXPECT_EQ(stats.swaps_committed, stats.reselections);
+  EXPECT_EQ(failed.load(), 0u);
 }
 
 }  // namespace

@@ -495,22 +495,6 @@ TEST(PortedRules, AdvisorClockSeam) {
             0);
 }
 
-TEST(PortedRules, LoadgenSeedFlow) {
-  EXPECT_EQ(Count(RunOn({{"src/bench/x.cc", "Rng rng(42);\n"}},
-                      {"loadgen-seed-flow"}),
-                  "loadgen-seed-flow"),
-            1);
-  EXPECT_EQ(Count(RunOn({{"src/bench/ok.cc", "Rng rng(config.seed);\n"}},
-                      {"loadgen-seed-flow"}),
-                  "loadgen-seed-flow"),
-            0);
-  // Library code outside src/bench/ is out of scope for this rule.
-  EXPECT_EQ(Count(RunOn({{"src/core/x.cc", "Rng rng(42);\n"}},
-                      {"loadgen-seed-flow"}),
-                  "loadgen-seed-flow"),
-            0);
-}
-
 // ---------------------------------------------------------------------------
 // Whole-tree gate: the analyzer over this repository's real sources
 // must be clean. This is the exact invariant `ctest -L lint` enforces;

@@ -5,159 +5,12 @@
 #include <vector>
 
 #include "core/metadata.h"
-#include "nn/modules.h"
-#include "nn/serialize.h"
-#include "util/failpoint.h"
-#include "util/random.h"
 
 namespace autoview {
 namespace {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
-}
-
-TEST(SerializeTest, SaveLoadRoundTrip) {
-  Rng rng(5);
-  nn::Mlp source({4, 8, 1}, &rng);
-  nn::Mlp target({4, 8, 1}, &rng);
-  const std::string path = TempPath("model.avnn");
-  ASSERT_TRUE(nn::SaveParameters(source.Parameters(), path).ok());
-
-  auto params = target.Parameters();
-  ASSERT_TRUE(nn::LoadParameters(path, &params).ok());
-  nn::Tensor x = nn::Tensor::Uniform(3, 4, 1.0, &rng);
-  nn::Tensor a = source.Forward(x);
-  nn::Tensor b = target.Forward(x);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.data()[i], b.data()[i]);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, PeekShapes) {
-  Rng rng(5);
-  nn::Lstm lstm(3, 4, &rng);
-  const std::string path = TempPath("lstm.avnn");
-  ASSERT_TRUE(nn::SaveParameters(lstm.Parameters(), path).ok());
-  auto shapes = nn::PeekShapes(path);
-  ASSERT_TRUE(shapes.ok());
-  ASSERT_EQ(shapes.value().size(), 2u);
-  EXPECT_EQ(shapes.value()[0].first, 3u + 4u);   // fused gate weights
-  EXPECT_EQ(shapes.value()[0].second, 4u * 4u);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, ShapeMismatchRejected) {
-  Rng rng(5);
-  nn::Mlp small({2, 3, 1}, &rng);
-  nn::Mlp big({2, 5, 1}, &rng);
-  const std::string path = TempPath("mismatch.avnn");
-  ASSERT_TRUE(nn::SaveParameters(small.Parameters(), path).ok());
-  auto params = big.Parameters();
-  EXPECT_FALSE(nn::LoadParameters(path, &params).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, GarbageFileRejected) {
-  const std::string path = TempPath("garbage.avnn");
-  FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not a model", f);
-  std::fclose(f);
-  Rng rng(5);
-  nn::Mlp mlp({2, 2, 1}, &rng);
-  auto params = mlp.Parameters();
-  EXPECT_FALSE(nn::LoadParameters(path, &params).ok());
-  EXPECT_FALSE(nn::PeekShapes(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, MissingFileRejected) {
-  Rng rng(5);
-  nn::Mlp mlp({2, 2, 1}, &rng);
-  auto params = mlp.Parameters();
-  EXPECT_EQ(nn::LoadParameters("/nonexistent/model.avnn", &params).code(),
-            StatusCode::kNotFound);
-}
-
-/// Reads the whole file into memory (for corruption tests).
-std::vector<unsigned char> Slurp(const std::string& path) {
-  std::vector<unsigned char> bytes;
-  FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  int c;
-  while ((c = std::fgetc(f)) != EOF) {
-    bytes.push_back(static_cast<unsigned char>(c));
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-void Dump(const std::string& path, const std::vector<unsigned char>& bytes) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-}
-
-TEST(SerializeTest, TruncatedFileRejected) {
-  Rng rng(5);
-  nn::Mlp mlp({3, 4, 1}, &rng);
-  const std::string path = TempPath("truncated.avnn");
-  ASSERT_TRUE(nn::SaveParameters(mlp.Parameters(), path).ok());
-  std::vector<unsigned char> bytes = Slurp(path);
-  ASSERT_GT(bytes.size(), 24u);
-  // Keep the header intact but cut the payload short: a torn write.
-  bytes.resize(bytes.size() - 7);
-  Dump(path, bytes);
-  auto params = mlp.Parameters();
-  EXPECT_EQ(nn::LoadParameters(path, &params).code(), StatusCode::kParseError);
-  EXPECT_EQ(nn::PeekShapes(path).status().code(), StatusCode::kParseError);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, BitFlipRejectedByChecksum) {
-  Rng rng(5);
-  nn::Mlp mlp({3, 4, 1}, &rng);
-  const std::string path = TempPath("flipped.avnn");
-  ASSERT_TRUE(nn::SaveParameters(mlp.Parameters(), path).ok());
-  std::vector<unsigned char> bytes = Slurp(path);
-  // Flip one bit in the middle of the payload (past the 16-byte header):
-  // silent weight corruption, caught only by the checksum.
-  bytes[16 + (bytes.size() - 16) / 2] ^= 0x01;
-  Dump(path, bytes);
-  auto params = mlp.Parameters();
-  const Status status = nn::LoadParameters(path, &params);
-  EXPECT_EQ(status.code(), StatusCode::kParseError);
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, FailedSavePreservesPreviousModel) {
-  Rng rng(5);
-  nn::Mlp original({3, 4, 1}, &rng);
-  nn::Mlp replacement({3, 4, 1}, &rng);
-  const std::string path = TempPath("atomic.avnn");
-  ASSERT_TRUE(nn::SaveParameters(original.Parameters(), path).ok());
-
-  ASSERT_TRUE(Failpoints::Instance().Configure("serialize.save=error").ok());
-  EXPECT_FALSE(nn::SaveParameters(replacement.Parameters(), path).ok());
-  Failpoints::Instance().Clear();
-
-  // The interrupted save must not have clobbered or torn the original,
-  // nor left a stale temp file behind.
-  nn::Mlp loaded({3, 4, 1}, &rng);
-  auto params = loaded.Parameters();
-  ASSERT_TRUE(nn::LoadParameters(path, &params).ok());
-  nn::Tensor x = nn::Tensor::Uniform(2, 3, 1.0, &rng);
-  nn::Tensor a = original.Forward(x);
-  nn::Tensor b = loaded.Forward(x);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.data()[i], b.data()[i]);
-  }
-  FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(tmp, nullptr);
-  if (tmp) std::fclose(tmp);
-  std::remove(path.c_str());
 }
 
 TEST(MetadataStoreTest, WriteLoadRoundTrip) {

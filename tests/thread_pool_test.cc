@@ -8,6 +8,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace autoview {
@@ -121,10 +122,22 @@ TEST(ThreadPoolTest, DefaultThreadCountHonorsEnvOverride) {
   // setenv/getenv in a single-threaded test body is safe here.
   ASSERT_EQ(setenv("AUTOVIEW_THREADS", "3", /*overwrite=*/1), 0);
   EXPECT_EQ(DefaultThreadCount(), 3u);
-  ASSERT_EQ(setenv("AUTOVIEW_THREADS", "not-a-number", 1), 0);
-  EXPECT_GE(DefaultThreadCount(), 1u);  // falls back to hardware
   ASSERT_EQ(unsetenv("AUTOVIEW_THREADS"), 0);
-  EXPECT_GE(DefaultThreadCount(), 1u);
+  const size_t hardware = DefaultThreadCount();
+  EXPECT_GE(hardware, 1u);
+  const std::string cap = std::to_string(kMaxThreadCount);
+  ASSERT_EQ(setenv("AUTOVIEW_THREADS", cap.c_str(), 1), 0);
+  EXPECT_EQ(DefaultThreadCount(), kMaxThreadCount);
+  // Everything else falls back to the hardware count. Only the count is
+  // read here: no pool is ever built at these values.
+  const std::string above_cap = std::to_string(kMaxThreadCount + 1);
+  for (const char* bad :
+       {"not-a-number", "99999999999999999999", "100000", above_cap.c_str(),
+        "0", "-3", "3x", ""}) {
+    ASSERT_EQ(setenv("AUTOVIEW_THREADS", bad, 1), 0);
+    EXPECT_EQ(DefaultThreadCount(), hardware) << bad;
+  }
+  ASSERT_EQ(unsetenv("AUTOVIEW_THREADS"), 0);
 }
 
 }  // namespace

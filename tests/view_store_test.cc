@@ -2,7 +2,8 @@
 // brute-force oracle, pin/doom lifecycle, generation hot swap, async
 // materialization, and WAL recovery truncated at every record boundary
 // (plus mid-record) — the recovered state must always be the committed
-// prefix, bit-identical scores included.
+// prefix, bit-identical scores included. Ends with a whole-pipeline
+// serving run through a budget that admits no view.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +12,21 @@
 #include <string>
 #include <vector>
 
+#include "core/streaming_problem.h"
 #include "engine/database.h"
 #include "engine/executor.h"
+#include "engine/rewriter.h"
 #include "engine/view_store.h"
 #include "engine/view_store_log.h"
+#include "ilp/problem_index.h"
 #include "plan/builder.h"
 #include "plan/canonical.h"
+#include "select/iterview.h"
+#include "subquery/clusterer.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/strings.h"
+#include "workload/generator.h"
 
 namespace autoview {
 namespace {
@@ -764,6 +771,83 @@ TEST_F(ViewStoreTest, SnapshotMoveTransfersPins) {
   EXPECT_TRUE(db_.HasTable(table));  // still pinned through `outer`
   outer.Release();
   EXPECT_FALSE(db_.HasTable(table));
+}
+
+// ---------------------------------------------------------------------
+// Serving a whole workload through a budget that admits no view.
+
+TEST(BudgetedServingTest, BudgetedStoreServesEveryRequestWithinBudget) {
+  const GeneratedWorkload workload = GenerateCloudWorkload(Wk1Spec(0.15));
+  const Catalog& catalog = workload.db->catalog();
+  const auto query_fn = [&](size_t qi) -> PlanNodePtr {
+    Result<PlanNodePtr> plan =
+        PlanBuilder(&catalog).BuildFromSql(workload.sql[qi]);
+    return plan.ok() ? std::move(plan).value() : nullptr;
+  };
+  const WorkloadAnalysis analysis =
+      SubqueryClusterer().AnalyzeStreaming(workload.sql.size(), query_fn);
+  const Result<StreamingProblem> problem = BuildStreamingProblem(
+      catalog, analysis, query_fn, StreamingProblemOptions{});
+  ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+  const MvsProblemIndex index(problem.value().compact);
+  IterViewSelector::Options select;
+  select.iterations = 20;
+  select.seed = 12345;
+  const Result<MvsSolution> solution =
+      IterViewSelector(select).SelectIndexed(index);
+  ASSERT_TRUE(solution.ok()) << solution.status().ToString();
+
+  // Nothing fits in one byte: the store rejects every selected view
+  // outright, and their queries serve from the base tables.
+  GlobalViewStore().Reset();
+  ViewStoreOptions options;
+  options.budget_bytes = 1;
+  MaterializedViewStore store(workload.db.get(), options);
+  const Executor executor(workload.db.get());
+  uint64_t selected = 0;
+  for (size_t j = 0; j < solution.value().z.size(); ++j) {
+    if (!solution.value().z[j]) continue;
+    ++selected;
+    MaterializeOptions mopts;
+    mopts.utility = index.ViewUtility(j);
+    EXPECT_EQ(store
+                  .Materialize(problem.value().candidate_plans[j], executor,
+                               mopts)
+                  .status()
+                  .code(),
+              StatusCode::kResourceExhausted);
+  }
+  ASSERT_GT(selected, 0u);
+  EXPECT_EQ(GlobalViewStore().Read().admissions_rejected, selected);
+
+  // Serve every query twice; the second pass finds each rewrite cached,
+  // since no swap moved the store's generation in between.
+  const Rewriter rewriter(&catalog);
+  const RewriteCacheCounters::Snapshot before = GlobalRewriteCache().Read();
+  size_t requests = 0;
+  size_t failed = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& sql : workload.sql) {
+      ++requests;
+      Result<PlanNodePtr> plan = PlanBuilder(&catalog).BuildFromSql(sql);
+      Result<ServingRewrite> serving =
+          plan.ok() ? rewriter.RewriteServing(plan.value(), &store)
+                    : Result<ServingRewrite>(plan.status());
+      if (!serving.ok() ||
+          !executor.ExecuteForCost(*serving.value().plan).ok()) {
+        ++failed;
+        continue;
+      }
+      EXPECT_EQ(serving.value().num_substitutions, 0u);
+    }
+  }
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_LE(store.bytes_used(), options.budget_bytes);
+  const RewriteCacheCounters::Snapshot after = GlobalRewriteCache().Read();
+  EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
+            requests);
+  EXPECT_GE(after.hits - before.hits, workload.sql.size());
 }
 
 }  // namespace
