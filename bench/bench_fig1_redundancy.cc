@@ -33,8 +33,8 @@ int main() {
     AV_CHECK(plan.ok());
     plans.push_back(plan.value());
   }
-  SubqueryClusterer clusterer;
-  WorkloadAnalysis analysis = clusterer.Analyze(plans);
+  const WorkloadAnalysis analysis = SubqueryClusterer().AnalyzeStreaming(
+      plans.size(), [&plans](size_t qi) { return plans[qi]; });
 
   // Queries containing a shared (cluster size >= 2) subquery.
   std::set<size_t> redundant;

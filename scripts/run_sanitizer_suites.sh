@@ -55,8 +55,9 @@ case "$mode" in
     sanitize=thread
     # problem_index_test covers the incremental selection engine across
     # pool sizes (shared MvsProblemIndex read by concurrent trials);
-    # subquery_test the chunked/streaming clusterer (parallel extraction
-    # and key-index overlap); view_store_test pins/evictions/async builds
+    # subquery_test the chunked clusterer (parallel extraction, the
+    # snapshot's parallel re-derivation of candidate plans, key-index
+    # overlap); view_store_test pins/evictions/async builds
     # racing on the store; advisor_test concurrent pinned serving racing
     # generation hot swaps, and two clients that ingest, rewrite and
     # execute while their own ingests re-select and swap.

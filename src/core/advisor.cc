@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <string_view>
 #include <utility>
 
 #include "plan/builder.h"
@@ -21,9 +22,17 @@ OnlineAdvisor::OnlineAdvisor(Database* db, MaterializedViewStore* store,
       executor_(db),
       estimator_(&db->catalog(), options_.pricing),
       cardinality_(&db->catalog()),
-      session_(options_.cluster, [this](const PlanNode& plan) {
-        return estimator_.EstimatePlanCost(plan);
-      }) {}
+      session_(
+          options_.cluster,
+          [this](const PlanNode& plan) {
+            return estimator_.EstimatePlanCost(plan);
+          },
+          [this](size_t query_id) { return LivePlan(query_id); }) {}
+
+PlanNodePtr OnlineAdvisor::LivePlan(uint64_t query_id) const {
+  const auto it = live_.find(query_id);
+  return it == live_.end() ? nullptr : it->second.plan;
+}
 
 Result<uint64_t> OnlineAdvisor::IngestSql(const std::string& sql) {
   const PlanBuilder builder(&db_->catalog());
@@ -104,12 +113,12 @@ Result<MvsProblem> OnlineAdvisor::DenseOracleProblem() const {
       if (row_it == row_ids_.end() || *row_it != qid) {
         return Status::Internal("candidate references a non-live query");
       }
-      const auto cost_it = query_cost_.find(qid);
-      if (cost_it == query_cost_.end()) {
+      const auto live_it = live_.find(qid);
+      if (live_it == live_.end()) {
         return Status::Internal("missing cached query cost");
       }
       problem.benefit[row_it - row_ids_.begin()][j] =
-          RealOptBenefitCell(cost_it->second, view.estimates);
+          RealOptBenefitCell(live_it->second.cost, view.estimates);
     }
     for (size_t k = 0; k < j; ++k) {
       if (CanonicalPlansOverlap(*views_[k].plan, *view.plan)) {
@@ -131,9 +140,14 @@ Status OnlineAdvisor::IngestPlanLocked(uint64_t query_id,
     return Status::InvalidArgument(
         "IngestPlan: query ids must be strictly increasing (arrival order)");
   }
+  // Live before the session sees it: a candidate whose argmin member is
+  // in this query re-derives its plan through LivePlan.
+  live_[query_id] = LiveQuery{plan, estimator_.EstimatePlanCost(*plan)};
   ClustererSession::MutationEffects effects;
-  AV_RETURN_NOT_OK(session_.IngestQuery(query_id, plan, &effects));
-  query_cost_[query_id] = estimator_.EstimatePlanCost(*plan);
+  if (Status st = session_.IngestQuery(query_id, plan, &effects); !st.ok()) {
+    live_.erase(query_id);
+    return st;
+  }
 
   // Columns whose candidate plan changed are rebuilt wholesale (the
   // estimates — and with them every cell — may change); removing them
@@ -150,16 +164,12 @@ Status OnlineAdvisor::IngestPlanLocked(uint64_t query_id,
   // The new row's cells over the surviving columns: distinct candidate
   // keys this query contains, mapped to ascending column indices.
   std::vector<MvsProblemIndex::Entry> entries;
-  const std::vector<std::string>* keys = session_.QueryKeys(query_id);
-  if (keys == nullptr) {
-    return Status::Internal("freshly ingested query has no key record");
-  }
   std::set<size_t> applicable;
-  for (const std::string& key : *keys) {
+  for (const std::string_view key : session_.QueryKeys(query_id)) {
     const auto it = view_of_key_.find(key);
     if (it != view_of_key_.end()) applicable.insert(it->second);
   }
-  const double query_cost = query_cost_[query_id];
+  const double query_cost = live_[query_id].cost;
   for (size_t j : applicable) {
     const double benefit = RealOptBenefitCell(query_cost, views_[j].estimates);
     if (benefit != 0.0) {
@@ -202,7 +212,7 @@ Status OnlineAdvisor::RetireQueryLocked(uint64_t query_id) {
   }
   AV_RETURN_NOT_OK(index_.RetireQueryRow(it - row_ids_.begin()));
   row_ids_.erase(it);
-  query_cost_.erase(query_id);
+  live_.erase(query_id);
   // Replanned columns come back only after the row is gone: their cells
   // must reference post-retire row positions.
   for (const std::string& key : effects.candidates_replanned) {
@@ -221,6 +231,9 @@ Status OnlineAdvisor::AddViewLocked(const std::string& key) {
   if (!info.has_value()) {
     return Status::NotFound("AddView: not a current candidate: " + key);
   }
+  if (info->plan == nullptr) {
+    return Status::Internal("AddView: candidate plan not re-derivable: " + key);
+  }
   ViewState view;
   view.key = key;
   view.plan = info->plan;
@@ -235,11 +248,12 @@ Status OnlineAdvisor::AddViewLocked(const std::string& key) {
     if (row_it == row_ids_.end() || *row_it != qid) {
       return Status::Internal("AddView: candidate references non-live query");
     }
-    const auto cost_it = query_cost_.find(qid);
-    if (cost_it == query_cost_.end()) {
+    const auto live_it = live_.find(qid);
+    if (live_it == live_.end()) {
       return Status::Internal("AddView: missing cached query cost");
     }
-    const double benefit = RealOptBenefitCell(cost_it->second, view.estimates);
+    const double benefit =
+        RealOptBenefitCell(live_it->second.cost, view.estimates);
     if (benefit != 0.0) {
       column.push_back(MvsProblemIndex::Entry{
           static_cast<size_t>(row_it - row_ids_.begin()), benefit});

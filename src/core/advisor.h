@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -93,8 +94,8 @@ struct OnlineAdvisorStats {
 /// scratch:
 ///
 ///  * **Subquery layer** — a ClustererSession ingests/retires one query
-///    at a time; the batch Analyze() result remains the bit-identity
-///    oracle for the live window.
+///    at a time; it is the same fold the batch clusterer runs, and it
+///    re-derives candidate plans from the live window's root plans.
 ///  * **Index layer** — the MvsProblemIndex grows/shrinks by row and
 ///    column mutations, each leaving it EXPECT_EQ-identical to an index
 ///    rebuilt from scratch over the mutated instance (the dense oracle
@@ -167,8 +168,18 @@ class OnlineAdvisor {
     std::vector<std::string> subtree_keys;
   };
 
+  struct LiveQuery {
+    PlanNodePtr plan;
+    double cost = 0.0;
+  };
+
   Status IngestPlanLocked(uint64_t query_id, const PlanNodePtr& plan)
       AV_REQUIRES(mu_);
+
+  /// session_'s QueryFn: the plan of live query `query_id`, or null.
+  /// The session calls it only from calls the advisor makes under mu_,
+  /// which the analysis cannot see through the std::function.
+  PlanNodePtr LivePlan(uint64_t query_id) const AV_NO_THREAD_SAFETY_ANALYSIS;
   Status RetireQueryLocked(uint64_t query_id) AV_REQUIRES(mu_);
 
   /// Appends candidate `key` as the index's next column (estimates,
@@ -206,12 +217,13 @@ class OnlineAdvisor {
   MvsProblemIndex index_ AV_GUARDED_BY(mu_);
   /// Row i of index_ is query row_ids_[i]; ascending (arrival order).
   std::vector<uint64_t> row_ids_ AV_GUARDED_BY(mu_);
-  /// Estimated cost A(q) of each live query, cached at ingest so later
-  /// column additions re-derive cells bit-identically.
-  std::map<uint64_t, double> query_cost_ AV_GUARDED_BY(mu_);
+  /// Each live query's root plan (the session re-derives candidate plans
+  /// from it) and estimated cost A(q), cached at ingest so later column
+  /// additions re-derive cells bit-identically.
+  std::map<uint64_t, LiveQuery> live_ AV_GUARDED_BY(mu_);
   /// Column j of index_ is views_[j]; view_of_key_ inverts it.
   std::vector<ViewState> views_ AV_GUARDED_BY(mu_);
-  std::map<std::string, size_t> view_of_key_ AV_GUARDED_BY(mu_);
+  std::map<std::string, size_t, std::less<>> view_of_key_ AV_GUARDED_BY(mu_);
   /// Inverted subtree-key index: ids of the live views whose plan
   /// contains a subtree with that canonical key, ascending. A view is
   /// indexed under key k exactly when it is live and contains k.

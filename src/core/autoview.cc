@@ -33,8 +33,9 @@ Status AutoViewSystem::LoadWorkload(const std::vector<std::string>& sql) {
     sql_.push_back(text);
     queries_.push_back(std::move(plan).value());
   }
-  SubqueryClusterer clusterer(options_.cluster);
-  analysis_ = clusterer.Analyze(queries_);
+  analysis_ = SubqueryClusterer(options_.cluster)
+                  .AnalyzeStreaming(queries_.size(),
+                                    [this](size_t qi) { return queries_[qi]; });
   ground_truth_ready_ = false;
   return Status::OK();
 }

@@ -80,8 +80,8 @@ struct StreamingProblem {
 /// EXPECT_EQ-identical indexes.
 ///
 /// `query_fn` is called once per associated query, concurrently for
-/// distinct indices; after AnalyzeStreaming that is a second call for
-/// those queries, so it must be re-invocable.
+/// distinct indices; AnalyzeStreaming has called it before, so it must
+/// be re-invocable.
 Result<StreamingProblem> BuildStreamingProblem(
     const Catalog& catalog, const WorkloadAnalysis& analysis,
     const SubqueryClusterer::QueryFn& query_fn,

@@ -194,7 +194,10 @@ void Expr::AppendPrefixTokens(std::vector<std::string>* out) const {
       if (literal_.is_string()) {
         out->push_back(literal_.ToString());
       } else {
-        out->push_back("'" + literal_.ToString() + "'");
+        std::string quoted = "'";
+        quoted += literal_.ToString();
+        quoted += '\'';
+        out->push_back(std::move(quoted));
       }
       return;
     case ExprKind::kCompare:

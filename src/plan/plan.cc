@@ -362,8 +362,13 @@ std::vector<std::string> PlanNode::FeatureTokens() const {
       }
       break;
     case PlanOp::kLimit:
-      tokens.push_back("'" + std::to_string(limit_) + "'");
+    {
+      std::string quoted = "'";
+      quoted += std::to_string(limit_);
+      quoted += '\'';
+      tokens.push_back(std::move(quoted));
       break;
+    }
     case PlanOp::kDistinct:
       break;
   }

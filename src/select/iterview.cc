@@ -234,50 +234,66 @@ TrialResult RunTrial(const MvsProblem& problem,
 /// Sums are *recomputed sparsely in the naive summation order*, never
 /// float-delta-adjusted, which is what makes them bit-identical despite
 /// FP non-associativity (DESIGN.md §9).
+///
+/// With `warm_z` the trial starts from that incumbent instead of a random
+/// configuration: y = Y-Opt(warm_z), and no Bernoulli draws. That y is a
+/// solver output, so the dirty-query machinery is sound from iteration
+/// one. The best-so-far starts at the start state's evaluation, so a
+/// warm trial can only improve on the warm utility.
 TrialResult RunTrialIncremental(const MvsProblemIndex& index,
                                 const IterViewSelector::Options& options,
-                                uint64_t seed) {
+                                uint64_t seed,
+                                const std::vector<bool>* warm_z = nullptr) {
   TrialResult trial;
   Rng rng(seed);
   const size_t nz = index.num_views();
   const size_t nq = index.num_queries();
   YOptSolver yopt(&index);
 
-  // Random initialization of Z and Y (function IterView, lines 3-9),
-  // drawing the exact Bernoulli sequence of the naive loop: that loop
-  // visits selected positive-benefit views in ascending order, i.e. the
-  // CSR row filtered by z. Its conflict probe scanned all |Z| views per
-  // cell (the latent |Q| x |Z| x |Z| quadratic); probing whichever is
-  // smaller of the overlap adjacency and the row's already-used views
-  // gives the same boolean at O(min(degree, support)) cost.
-  std::vector<bool> z(nz);
-  for (size_t j = 0; j < nz; ++j) z[j] = rng.Bernoulli(0.5);
-  std::vector<std::vector<bool>> y(nq, std::vector<bool>(nz, false));
-  std::vector<size_t> used;
-  for (size_t i = 0; i < nq; ++i) {
-    used.clear();
-    for (const MvsProblemIndex::Entry& e : index.Row(i)) {
-      if (!z[e.index]) continue;
-      bool conflict = false;
-      const std::vector<size_t>& adjacent = index.Overlapping(e.index);
-      if (adjacent.size() < used.size()) {
-        for (size_t k : adjacent) {
-          if (y[i][k]) {
-            conflict = true;
-            break;
+  std::vector<bool> z;
+  std::vector<std::vector<bool>> y;
+  if (warm_z != nullptr) {
+    z = *warm_z;
+    y = yopt.SolveAll(z);
+    GlobalSelection().RecordQueriesSolved(nq);
+  } else {
+    // Random initialization of Z and Y (function IterView, lines 3-9),
+    // drawing the exact Bernoulli sequence of the naive loop: that loop
+    // visits selected positive-benefit views in ascending order, i.e.
+    // the CSR row filtered by z. Its conflict probe scanned all |Z|
+    // views per cell (the latent |Q| x |Z| x |Z| quadratic); probing
+    // whichever is smaller of the overlap adjacency and the row's
+    // already-used views gives the same boolean at O(min(degree,
+    // support)) cost.
+    z.resize(nz);
+    for (size_t j = 0; j < nz; ++j) z[j] = rng.Bernoulli(0.5);
+    y.assign(nq, std::vector<bool>(nz, false));
+    std::vector<size_t> used;
+    for (size_t i = 0; i < nq; ++i) {
+      used.clear();
+      for (const MvsProblemIndex::Entry& e : index.Row(i)) {
+        if (!z[e.index]) continue;
+        bool conflict = false;
+        const std::vector<size_t>& adjacent = index.Overlapping(e.index);
+        if (adjacent.size() < used.size()) {
+          for (size_t k : adjacent) {
+            if (y[i][k]) {
+              conflict = true;
+              break;
+            }
+          }
+        } else {
+          for (size_t k : used) {
+            if (index.OverlapTest(e.index, k)) {
+              conflict = true;
+              break;
+            }
           }
         }
-      } else {
-        for (size_t k : used) {
-          if (index.OverlapTest(e.index, k)) {
-            conflict = true;
-            break;
-          }
+        if (!conflict && rng.Bernoulli(0.5)) {
+          y[i][e.index] = true;
+          used.push_back(e.index);
         }
-      }
-      if (!conflict && rng.Bernoulli(0.5)) {
-        y[i][e.index] = true;
-        used.push_back(e.index);
       }
     }
   }
@@ -314,9 +330,10 @@ TrialResult RunTrialIncremental(const MvsProblemIndex& index,
     // Queries to re-solve: positive support meets a flipped view. A
     // clean query's optimum depends only on z restricted to its support,
     // which did not change, so its cached row is already the solver's
-    // bit-exact answer.
+    // bit-exact answer. The random start's rows are not solver outputs,
+    // so its first pass re-solves every query.
     dirty_queries.clear();
-    if (iter == 0) {
+    if (iter == 0 && warm_z == nullptr) {
       for (size_t i = 0; i < nq; ++i) dirty_queries.push_back(i);
     } else {
       for (size_t j : flipped) {
@@ -330,93 +347,6 @@ TrialResult RunTrialIncremental(const MvsProblemIndex& index,
       std::sort(dirty_queries.begin(), dirty_queries.end());
       for (size_t i : dirty_queries) query_dirty[i] = false;
     }
-    GlobalSelection().RecordQueriesSolved(dirty_queries.size());
-
-    dirty_views.clear();
-    for (size_t i : dirty_queries) {
-      std::vector<bool> solved = yopt.SolveQuery(i, z);
-      for (const MvsProblemIndex::Entry& e : index.Row(i)) {
-        if (y[i][e.index] != solved[e.index] && !view_dirty[e.index]) {
-          view_dirty[e.index] = true;
-          dirty_views.push_back(e.index);
-        }
-      }
-      y[i] = std::move(solved);
-    }
-    for (size_t j : dirty_views) {
-      b_cur[j] = index.CurrentBenefit(j, y);
-      view_dirty[j] = false;
-    }
-
-    const double utility = index.EvaluateUtilitySparse(z, y);
-    GlobalSelection().RecordUtilityCells(index.NumPositive());
-    trial.trace.push_back(utility);
-    if (utility > best.utility) {
-      best.z = z;
-      best.y = y;
-      best.utility = utility;
-    }
-  }
-  return trial;
-}
-
-/// RunTrialIncremental seeded from a warm incumbent instead of a random
-/// configuration: z starts at `warm_z`, y at Y-Opt(warm_z). Because the
-/// warm y is itself a solver output (per-query optimal for this z over
-/// this index), the first-iteration all-queries re-solve is skipped —
-/// the dirty-query machinery is sound from iteration one. The best-so-
-/// far incumbent starts at the warm evaluation, so the trial can only
-/// improve on the warm utility.
-TrialResult RunTrialWarm(const MvsProblemIndex& index,
-                         const IterViewSelector::Options& options,
-                         uint64_t seed, const std::vector<bool>& warm_z) {
-  TrialResult trial;
-  Rng rng(seed);
-  const size_t nz = index.num_views();
-  const size_t nq = index.num_queries();
-  YOptSolver yopt(&index);
-
-  std::vector<bool> z = warm_z;
-  std::vector<std::vector<bool>> y = yopt.SolveAll(z);
-  GlobalSelection().RecordQueriesSolved(nq);
-
-  MvsSolution& best = trial.solution;
-  best.z = z;
-  best.y = y;
-  best.utility = index.EvaluateUtilitySparse(z, y);
-  trial.trace.push_back(best.utility);
-  GlobalSelection().RecordUtilityCells(index.NumPositive());
-
-  std::vector<double> b_cur(nz, 0.0);
-  for (size_t j = 0; j < nz; ++j) b_cur[j] = index.CurrentBenefit(j, y);
-
-  std::vector<size_t> flipped;
-  std::vector<bool> query_dirty(nq, false);
-  std::vector<size_t> dirty_queries;
-  std::vector<bool> view_dirty(nz, false);
-  std::vector<size_t> dirty_views;
-
-  for (size_t iter = 0; iter < options.iterations; ++iter) {
-    if (StopRequested(options.deadline, options.cancel)) {
-      trial.timed_out = true;
-      break;
-    }
-    const double tau = rng.Uniform01();
-    const bool frozen = iter >= options.freeze_selected_after;
-    flipped.clear();
-    internal::ZOptStepRecording(index, b_cur, tau, frozen, &z, &flipped);
-
-    dirty_queries.clear();
-    for (size_t j : flipped) {
-      for (const MvsProblemIndex::Entry& e : index.Column(j)) {
-        if (e.benefit > 0 && !query_dirty[e.index]) {
-          query_dirty[e.index] = true;
-          dirty_queries.push_back(e.index);
-        }
-      }
-    }
-    std::sort(dirty_queries.begin(), dirty_queries.end());
-    for (size_t i : dirty_queries) query_dirty[i] = false;
     GlobalSelection().RecordQueriesSolved(dirty_queries.size());
 
     dirty_views.clear();
@@ -542,7 +472,7 @@ Result<MvsSolution> IterViewSelector::ReselectDelta(
   MvsSolution best = RunRestartsAndReduce(
       options_, index.num_queries(), index.num_views(),
       [&](uint64_t seed) {
-        return RunTrialWarm(index, options_, seed, warm_z);
+        return RunTrialIncremental(index, options_, seed, &warm_z);
       },
       &trace_);
   return best;

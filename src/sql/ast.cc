@@ -22,7 +22,9 @@ std::string AstExpr::ToString() const {
       std::string out;
       for (size_t i = 0; i < children.size(); ++i) {
         if (i) out += " OR ";
-        out += "(" + children[i]->ToString() + ")";
+        out += '(';
+        out += children[i]->ToString();
+        out += ')';
       }
       return out;
     }
@@ -46,8 +48,14 @@ std::string SelectStmt::ToString() const {
     if (!items[i].alias.empty()) out += " AS " + items[i].alias;
   }
   auto render_ref = [](const TableRef& ref) {
-    std::string s = ref.is_subquery() ? "(" + ref.subquery->ToString() + ")"
-                                      : ref.table;
+    std::string s;
+    if (ref.is_subquery()) {
+      s += '(';
+      s += ref.subquery->ToString();
+      s += ')';
+    } else {
+      s = ref.table;
+    }
     if (!ref.alias.empty()) s += " " + ref.alias;
     return s;
   };

@@ -1,10 +1,6 @@
 #include "subquery/clusterer.h"
 
 #include <algorithm>
-#include <limits>
-#include <set>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "plan/canonical.h"
@@ -29,53 +25,15 @@ bool CanonicalPlansOverlap(const PlanNode& a, const PlanNode& b) {
 
 namespace {
 
-struct KeyedSubquery {
-  PlanNodePtr plan;
-  std::string key;
-};
-
-/// `query`'s subqueries in extraction order, keyed from one
-/// SubtreeCanonicalKeys walk of the whole plan: each subquery reads its
-/// key by pre-order position instead of re-rendering its subtree.
-std::vector<KeyedSubquery> ExtractKeyed(const SubqueryExtractor& extractor,
-                                        const PlanNodePtr& query) {
-  std::vector<size_t> positions;
-  std::vector<PlanNodePtr> subs = extractor.Extract(query, &positions);
-  std::vector<KeyedSubquery> keyed;
-  if (subs.empty()) return keyed;
-  std::vector<std::string> keys = SubtreeCanonicalKeys(*query);
-  keyed.reserve(subs.size());
-  for (size_t i = 0; i < subs.size(); ++i) {
-    keyed.push_back({std::move(subs[i]), std::move(keys[positions[i]])});
-  }
-  return keyed;
-}
-
-/// Exhaustive pairwise scan (the oracle): task j owns overlapping[j],
-/// scanning k > j in order, so the table is independent of scheduling.
-std::vector<std::vector<size_t>> ComputeOverlapsAllPairs(
-    const std::vector<PlanNodePtr>& plans, ThreadPool& pool) {
-  const size_t z = plans.size();
-  std::vector<std::vector<size_t>> overlapping(z);
-  pool.ParallelFor(0, z, [&](size_t j) {
-    for (size_t k = j + 1; k < z; ++k) {
-      if (CanonicalPlansOverlap(*plans[j], *plans[k])) {
-        overlapping[j].push_back(k);
-      }
-    }
-  });
-  return overlapping;
-}
-
 /// Exact key index: candidates j and k overlap iff one's cluster key is
 /// the key of a proper subtree of the other's plan. Cluster keys are
 /// unique, so a lookup from key to candidate needs no verification, and
 /// one SubtreeCanonicalKeys walk per candidate finds every candidate it
 /// contains. Each pair is filed under its smaller id, then rows are
-/// sorted, so the table equals the all-pairs scan's. The working set is
-/// the key index (|Z| views into the clusters' keys) plus one plan's
-/// subtree keys per task.
-std::vector<std::vector<size_t>> ComputeOverlapsKeyIndex(
+/// sorted, so the table equals an all-pairs CanonicalPlansOverlap scan.
+/// The working set is the key index (|Z| views into the clusters' keys)
+/// plus one plan's subtree keys per task.
+std::vector<std::vector<size_t>> ComputeOverlaps(
     const std::vector<PlanNodePtr>& plans,
     const std::vector<std::string_view>& keys, ThreadPool& pool) {
   const size_t z = plans.size();
@@ -85,6 +43,7 @@ std::vector<std::vector<size_t>> ComputeOverlapsKeyIndex(
 
   std::vector<std::vector<size_t>> contained(z);
   pool.ParallelFor(0, z, [&](size_t j) {
+    if (plans[j] == nullptr) return;  // query_fn could not re-derive it
     const std::vector<std::string> subtree_keys =
         SubtreeCanonicalKeys(*plans[j]);
     for (size_t i = 1; i < subtree_keys.size(); ++i) {
@@ -111,244 +70,119 @@ std::vector<std::vector<size_t>> ComputeOverlapsKeyIndex(
 
 }  // namespace
 
-namespace internal {
-
-void FinishAnalysis(const SubqueryClusterer::Options& options,
-                    ThreadPool& pool, WorkloadAnalysis* analysis) {
-  for (size_t ci = 0; ci < analysis->clusters.size(); ++ci) {
-    if (analysis->clusters[ci].query_indices.size() >= options.min_sharing) {
-      analysis->candidates.push_back(ci);
-    }
-  }
-
-  std::set<size_t> associated;
-  for (size_t cand : analysis->candidates) {
-    for (size_t qi : analysis->clusters[cand].query_indices) {
-      associated.insert(qi);
-    }
-  }
-  analysis->associated_queries.assign(associated.begin(), associated.end());
-
-  std::vector<PlanNodePtr> candidate_plans;
-  std::vector<std::string_view> candidate_keys;
-  candidate_plans.reserve(analysis->candidates.size());
-  candidate_keys.reserve(analysis->candidates.size());
-  for (size_t cand : analysis->candidates) {
-    candidate_plans.push_back(analysis->clusters[cand].candidate);
-    candidate_keys.push_back(analysis->clusters[cand].canonical_key);
-  }
-  analysis->overlapping =
-      options.overlap == SubqueryClusterer::OverlapAlgorithm::kAllPairs
-          ? ComputeOverlapsAllPairs(candidate_plans, pool)
-          : ComputeOverlapsKeyIndex(candidate_plans, candidate_keys, pool);
-}
-
-}  // namespace internal
-
-using internal::FinishAnalysis;
-
-WorkloadAnalysis SubqueryClusterer::Analyze(
-    const std::vector<PlanNodePtr>& queries) const {
-  WorkloadAnalysis analysis;
-  analysis.num_queries = queries.size();
-  ThreadPool& pool = options_.pool ? *options_.pool : DefaultPool();
-
-  // Extraction + canonical-key computation (the expensive part — one
-  // key walk per query plan) runs parallel within chunks of at most
-  // extract_chunk queries; each task owns its query's output slot and
-  // chunks merge in query order, so the clustering is identical to a
-  // sequential pass while transient memory stays O(chunk).
-  SubqueryExtractor extractor(options_.extractor);
-  const size_t chunk = std::max<size_t>(1, options_.extract_chunk);
-  std::unordered_map<std::string, size_t> key_to_cluster;
-  std::vector<std::vector<KeyedSubquery>> buffer;
-  for (size_t base = 0; base < queries.size(); base += chunk) {
-    const size_t end = std::min(queries.size(), base + chunk);
-    buffer.assign(end - base, {});
-    pool.ParallelFor(base, end, [&](size_t qi) {
-      buffer[qi - base] = ExtractKeyed(extractor, queries[qi]);
-    });
-
-    for (size_t qi = base; qi < end; ++qi) {
-      for (const auto& sub : buffer[qi - base]) {
-        ++analysis.num_subqueries;
-        auto [it, inserted] =
-            key_to_cluster.try_emplace(sub.key, analysis.clusters.size());
-        if (inserted) {
-          SubqueryCluster cluster;
-          cluster.canonical_key = sub.key;
-          analysis.clusters.push_back(std::move(cluster));
-        }
-        analysis.clusters[it->second].occurrences.push_back({qi, sub.plan});
-      }
-    }
-  }
-
-  for (auto& cluster : analysis.clusters) {
-    cluster.occurrence_count = cluster.occurrences.size();
-    analysis.num_equivalent_pairs += cluster.num_equivalent_pairs();
-    // Distinct queries containing this cluster.
-    std::set<size_t> qset;
-    for (const auto& occ : cluster.occurrences) qset.insert(occ.query_index);
-    cluster.query_indices.assign(qset.begin(), qset.end());
-    // Candidate member: least overhead (cost oracle) or smallest plan.
-    const SubqueryOccurrence* best = &cluster.occurrences.front();
-    double best_cost = cost_fn_ ? cost_fn_(*best->plan)
-                                : static_cast<double>(best->plan->NumOperators());
-    for (const auto& occ : cluster.occurrences) {
-      const double cost = cost_fn_
-                              ? cost_fn_(*occ.plan)
-                              : static_cast<double>(occ.plan->NumOperators());
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = &occ;
-      }
-    }
-    cluster.candidate = best->plan;
-  }
-
-  FinishAnalysis(options_, pool, &analysis);
-  return analysis;
-}
-
 WorkloadAnalysis SubqueryClusterer::AnalyzeStreaming(
     size_t num_queries, const QueryFn& query_fn) const {
-  WorkloadAnalysis analysis;
-  analysis.num_queries = num_queries;
   ThreadPool& pool = options_.pool ? *options_.pool : DefaultPool();
-  SubqueryExtractor extractor(options_.extractor);
+  ClustererSession session(options_, cost_fn_, query_fn);
   const size_t chunk = std::max<size_t>(1, options_.extract_chunk);
 
-  // One pass of per-cluster aggregates; query plans live for one chunk.
-  // Clusters are numbered in first-appearance order over the same
-  // query-ordered merge Analyze() uses, and the argmin runs over the
-  // same occurrence sequence with the same tie-break (first member, then
-  // strictly lower cost), so for a pure cost oracle the chosen member is
-  // identical. Each cluster keeps only its current argmin subplan.
-  struct ClusterBuild {
-    size_t count = 0;
-    std::vector<size_t> query_indices;  // ascending by construction
-    double best_cost = 0.0;
-    PlanNodePtr best;  // the argmin member; null until the first one
-  };
-  std::unordered_map<std::string, size_t> key_to_cluster;
-  std::vector<ClusterBuild> builds;
-
-  std::vector<std::vector<KeyedSubquery>> buffer;
+  // Each task owns its query's record slot; the fold runs on this thread
+  // in query order. A skipped query is ingested empty, so query ids stay
+  // the batch's query indices.
+  std::vector<std::vector<ClustererSession::Subquery>> buffer;
   for (size_t base = 0; base < num_queries; base += chunk) {
     const size_t end = std::min(num_queries, base + chunk);
     buffer.assign(end - base, {});
     pool.ParallelFor(base, end, [&](size_t qi) {
       const PlanNodePtr plan = query_fn(qi);
-      if (plan != nullptr) buffer[qi - base] = ExtractKeyed(extractor, plan);
+      if (plan != nullptr) buffer[qi - base] = session.Extract(plan);
     });
-
     for (size_t qi = base; qi < end; ++qi) {
-      for (const KeyedSubquery& sub : buffer[qi - base]) {
-        ++analysis.num_subqueries;
-        auto [it, inserted] =
-            key_to_cluster.try_emplace(sub.key, builds.size());
-        if (inserted) {
-          builds.emplace_back();
-          SubqueryCluster cluster;
-          cluster.canonical_key = sub.key;
-          analysis.clusters.push_back(std::move(cluster));
-        }
-        ClusterBuild& build = builds[it->second];
-        ++build.count;
-        if (build.query_indices.empty() || build.query_indices.back() != qi) {
-          build.query_indices.push_back(qi);
-        }
-        const double cost =
-            cost_fn_ ? cost_fn_(*sub.plan)
-                     : static_cast<double>(sub.plan->NumOperators());
-        if (build.best == nullptr || cost < build.best_cost) {
-          build.best_cost = cost;
-          build.best = sub.plan;
-        }
-      }
+      // Ids ascend from 0, so the fold cannot reject them.
+      (void)session.IngestSubqueries(qi, std::move(buffer[qi - base]));
     }
   }
-
-  for (size_t ci = 0; ci < builds.size(); ++ci) {
-    SubqueryCluster& cluster = analysis.clusters[ci];
-    cluster.occurrence_count = builds[ci].count;
-    cluster.query_indices = std::move(builds[ci].query_indices);
-    cluster.candidate = std::move(builds[ci].best);
-    analysis.num_equivalent_pairs += cluster.num_equivalent_pairs();
-  }
-
-  FinishAnalysis(options_, pool, &analysis);
-  return analysis;
+  return session.Snapshot();
 }
 
 // ---------------------------------------------------------------------
 // ClustererSession
 
 ClustererSession::ClustererSession(SubqueryClusterer::Options options,
-                                   SubqueryClusterer::CostFn cost_fn)
-    : options_(options), cost_fn_(std::move(cost_fn)) {}
+                                   SubqueryClusterer::CostFn cost_fn,
+                                   SubqueryClusterer::QueryFn query_fn)
+    : options_(options),
+      cost_fn_(std::move(cost_fn)),
+      query_fn_(std::move(query_fn)) {}
 
-bool ClustererSession::RecomputeCandidate(ClusterState* cluster) {
-  // Members iterate in (query id, ordinal) order — the order the batch
-  // pass visits occurrences — and only a strictly lower cost displaces
-  // the incumbent, so the chosen member matches Analyze() bit for bit.
-  const PlanNode* before = cluster->candidate.get();
-  PlanNodePtr best;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (const auto& [key, member] : cluster->members) {
-    if (member.cost < best_cost) {
-      best_cost = member.cost;
-      best = member.plan;
-    }
+std::vector<ClustererSession::Subquery> ClustererSession::Extract(
+    const PlanNodePtr& plan) const {
+  std::vector<size_t> positions;
+  const std::vector<PlanNodePtr> subs =
+      SubqueryExtractor(options_.extractor).Extract(plan, &positions);
+  std::vector<Subquery> out;
+  if (subs.empty()) return out;
+  // Each subquery reads its key by pre-order position instead of
+  // re-rendering its subtree.
+  std::vector<std::string> keys = SubtreeCanonicalKeys(*plan);
+  out.reserve(subs.size());
+  for (size_t i = 0; i < subs.size(); ++i) {
+    const PlanNode& sub = *subs[i];
+    out.push_back({std::move(keys[positions[i]]),
+                   cost_fn_ ? cost_fn_(sub)
+                            : static_cast<double>(sub.NumOperators())});
   }
-  cluster->candidate = best;
-  return cluster->candidate.get() != before;
+  return out;
+}
+
+std::vector<PlanNodePtr> ClustererSession::Rederive(uint64_t query_id) const {
+  const PlanNodePtr query = query_fn_ ? query_fn_(query_id) : nullptr;
+  if (query == nullptr) return {};
+  return SubqueryExtractor(options_.extractor).Extract(query);
+}
+
+ClustererSession::MemberId ClustererSession::ArgminId(
+    const ClusterState& cluster) {
+  if (cluster.members.empty()) return {};
+  const Member& m = cluster.members[cluster.argmin];
+  return {m.query_id, m.ordinal};
+}
+
+std::vector<uint64_t> ClustererSession::QueriesOf(const ClusterState& cluster) {
+  std::vector<uint64_t> ids;
+  ids.reserve(cluster.num_queries);
+  for (const Member& m : cluster.members) {
+    if (ids.empty() || ids.back() != m.query_id) ids.push_back(m.query_id);
+  }
+  return ids;
 }
 
 Status ClustererSession::IngestQuery(uint64_t query_id,
                                      const PlanNodePtr& plan,
                                      MutationEffects* effects) {
   if (plan == nullptr) return Status::InvalidArgument("null query plan");
-  if (queries_.count(query_id) != 0) {
-    return Status::AlreadyExists("query id already live");
-  }
-  std::vector<KeyedSubquery> subs =
-      ExtractKeyed(SubqueryExtractor(options_.extractor), plan);
+  return IngestSubqueries(query_id, Extract(plan), effects);
+}
 
-  std::vector<std::string>& keys = queries_[query_id];
-  keys.reserve(subs.size());
-  std::map<std::string, bool> was_candidate;  // touched clusters, key asc
-  for (size_t ordinal = 0; ordinal < subs.size(); ++ordinal) {
-    std::string key = std::move(subs[ordinal].key);
-    auto [it, inserted] = clusters_.emplace(key, ClusterState{});
-    if (inserted) was_candidate.emplace(key, false);
-    else was_candidate.emplace(key, IsCandidate(it->second));
-    ClusterState& cluster = it->second;
-    Member member;
-    const PlanNode& sub = *subs[ordinal].plan;
-    member.cost = cost_fn_ ? cost_fn_(sub)
-                           : static_cast<double>(sub.NumOperators());
-    member.plan = std::move(subs[ordinal].plan);
-    cluster.members.emplace(std::make_pair(query_id, ordinal),
-                            std::move(member));
-    ++cluster.per_query[query_id];
-    keys.push_back(std::move(key));
+Status ClustererSession::IngestSubqueries(uint64_t query_id,
+                                          std::vector<Subquery> subqueries,
+                                          MutationEffects* effects) {
+  if (!queries_.empty() && query_id <= queries_.rbegin()->first) {
+    return Status::InvalidArgument("query ids must ascend past every live id");
   }
-
-  for (const auto& [key, was] : was_candidate) {
-    ClusterState& cluster = clusters_.at(key);
-    const bool replanned = RecomputeCandidate(&cluster);
-    const bool is = IsCandidate(cluster);
-    if (!was && is) {
-      ++churn_events_;
-      if (effects) effects->candidates_added.push_back(key);
-    } else if (was && is && replanned) {
-      ++churn_events_;
-      if (effects) effects->candidates_replanned.push_back(key);
+  std::vector<Clusters::value_type*>& entries =
+      queries_.emplace_hint(queries_.end(), query_id,
+                            std::vector<Clusters::value_type*>())
+          ->second;
+  entries.reserve(subqueries.size());
+  std::vector<Touched> touched;
+  for (size_t ordinal = 0; ordinal < subqueries.size(); ++ordinal) {
+    Subquery& sub = subqueries[ordinal];
+    Clusters::value_type& entry =
+        *clusters_.try_emplace(std::move(sub.key)).first;
+    ClusterState& cluster = entry.second;
+    if (cluster.members.empty() ||
+        cluster.members.back().query_id != query_id) {
+      touched.push_back({&entry, IsCandidate(cluster), ArgminId(cluster)});
+      ++cluster.num_queries;
     }
-    // was && !is cannot happen on ingest (sharing only grows).
+    cluster.members.push_back({query_id, ordinal, sub.cost});
+    if (sub.cost < cluster.members[cluster.argmin].cost) {
+      cluster.argmin = cluster.members.size() - 1;
+    }
+    entries.push_back(&entry);
   }
+  Settle(&touched, effects);
   return Status::OK();
 }
 
@@ -357,44 +191,72 @@ Status ClustererSession::RetireQuery(uint64_t query_id,
   auto qit = queries_.find(query_id);
   if (qit == queries_.end()) return Status::NotFound("query id not live");
 
-  std::map<std::string, bool> was_candidate;
-  const std::vector<std::string>& keys = qit->second;
-  for (size_t ordinal = 0; ordinal < keys.size(); ++ordinal) {
-    auto it = clusters_.find(keys[ordinal]);
-    if (it == clusters_.end()) continue;  // defensive; ingest recorded it
-    ClusterState& cluster = it->second;
-    was_candidate.emplace(keys[ordinal], IsCandidate(cluster));
-    cluster.members.erase(std::make_pair(query_id, ordinal));
-    if (auto pq = cluster.per_query.find(query_id);
-        pq != cluster.per_query.end() && --pq->second == 0) {
-      cluster.per_query.erase(pq);
-    }
-  }
-
-  for (const auto& [key, was] : was_candidate) {
-    auto it = clusters_.find(key);
-    ClusterState& cluster = it->second;
-    if (cluster.members.empty()) {
-      clusters_.erase(it);
-      if (was) {
-        ++churn_events_;
-        if (effects) effects->candidates_removed.push_back(key);
+  std::vector<Touched> touched;
+  for (Clusters::value_type* entry : qit->second) {
+    ClusterState& cluster = entry->second;
+    // The query's members are one run of the ascending member list; a
+    // cluster it holds several occurrences of is visited once.
+    std::vector<Member>& members = cluster.members;
+    const auto first = std::lower_bound(
+        members.begin(), members.end(), query_id,
+        [](const Member& m, uint64_t id) { return m.query_id < id; });
+    if (first == members.end() || first->query_id != query_id) continue;
+    const auto last = std::find_if(first, members.end(), [&](const Member& m) {
+      return m.query_id != query_id;
+    });
+    touched.push_back({entry, IsCandidate(cluster), ArgminId(cluster)});
+    const size_t lo = static_cast<size_t>(first - members.begin());
+    const size_t hi = static_cast<size_t>(last - members.begin());
+    members.erase(first, last);
+    --cluster.num_queries;
+    if (cluster.argmin >= hi) {
+      cluster.argmin -= hi - lo;
+    } else if (cluster.argmin >= lo) {
+      // The argmin rule over the survivors: the least cost, ties to the
+      // earliest member (appends apply it incrementally: a later member
+      // wins only with a strictly lower cost).
+      cluster.argmin = 0;
+      for (size_t i = 1; i < members.size(); ++i) {
+        if (members[i].cost < members[cluster.argmin].cost) cluster.argmin = i;
       }
-      continue;
     }
-    const bool replanned = RecomputeCandidate(&cluster);
-    const bool is = IsCandidate(cluster);
-    if (was && !is) {
-      ++churn_events_;
-      if (effects) effects->candidates_removed.push_back(key);
-    } else if (was && is && replanned) {
-      ++churn_events_;
-      if (effects) effects->candidates_replanned.push_back(key);
-    }
-    // !was && is cannot happen on retire (sharing only shrinks).
   }
   queries_.erase(qit);
+  Settle(&touched, effects);
   return Status::OK();
+}
+
+void ClustererSession::Settle(std::vector<Touched>* touched,
+                              MutationEffects* effects) {
+  std::sort(touched->begin(), touched->end(),
+            [](const Touched& a, const Touched& b) {
+              return a.entry->first < b.entry->first;
+            });
+  for (const Touched& t : *touched) {
+    ClusterState& cluster = t.entry->second;
+    const bool is = IsCandidate(cluster);
+    const bool replanned = ArgminId(cluster) != t.argmin;
+    // Ingest only raises sharing and retire only lowers it, so at most
+    // one of these holds.
+    std::vector<std::string> MutationEffects::*list;
+    if (!t.was_candidate && is) {
+      list = &MutationEffects::candidates_added;
+    } else if (t.was_candidate && !is) {
+      list = &MutationEffects::candidates_removed;
+    } else if (t.was_candidate && replanned) {
+      list = &MutationEffects::candidates_replanned;
+    } else {
+      continue;
+    }
+    ++churn_events_;
+    cluster.plan.reset();
+    if (effects != nullptr) (effects->*list).push_back(t.entry->first);
+  }
+  for (const Touched& t : *touched) {
+    if (t.entry->second.members.empty()) {
+      clusters_.erase(clusters_.find(t.entry->first));
+    }
+  }
 }
 
 std::vector<uint64_t> ClustererSession::LiveQueryIds() const {
@@ -404,10 +266,16 @@ std::vector<uint64_t> ClustererSession::LiveQueryIds() const {
   return ids;
 }
 
-const std::vector<std::string>* ClustererSession::QueryKeys(
+std::vector<std::string_view> ClustererSession::QueryKeys(
     uint64_t query_id) const {
-  auto it = queries_.find(query_id);
-  return it == queries_.end() ? nullptr : &it->second;
+  std::vector<std::string_view> keys;
+  if (auto it = queries_.find(query_id); it != queries_.end()) {
+    keys.reserve(it->second.size());
+    for (const Clusters::value_type* entry : it->second) {
+      keys.push_back(entry->first);
+    }
+  }
+  return keys;
 }
 
 std::vector<std::string> ClustererSession::CandidateKeys() const {
@@ -415,6 +283,7 @@ std::vector<std::string> ClustererSession::CandidateKeys() const {
   for (const auto& [key, cluster] : clusters_) {
     if (IsCandidate(cluster)) keys.push_back(key);
   }
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 
@@ -422,12 +291,18 @@ std::optional<ClustererSession::CandidateInfo> ClustererSession::Candidate(
     const std::string& key) const {
   auto it = clusters_.find(key);
   if (it == clusters_.end() || !IsCandidate(it->second)) return std::nullopt;
+  const ClusterState& cluster = it->second;
+  if (cluster.plan == nullptr) {
+    const Member& argmin = cluster.members[cluster.argmin];
+    std::vector<PlanNodePtr> subs = Rederive(argmin.query_id);
+    if (argmin.ordinal < subs.size()) {
+      cluster.plan = std::move(subs[argmin.ordinal]);
+    }
+  }
   CandidateInfo info;
   info.key = key;
-  info.plan = it->second.candidate;
-  for (const auto& [id, unused] : it->second.per_query) {
-    info.query_ids.push_back(id);
-  }
+  info.plan = cluster.plan;
+  info.query_ids = QueriesOf(cluster);
   return info;
 }
 
@@ -435,41 +310,79 @@ WorkloadAnalysis ClustererSession::Snapshot() const {
   WorkloadAnalysis analysis;
   analysis.num_queries = queries_.size();
   ThreadPool& pool = options_.pool ? *options_.pool : DefaultPool();
+  const std::vector<uint64_t> live = LiveQueryIds();
 
-  // Batch query indices are positions in the ascending live-id list.
-  std::map<uint64_t, size_t> position;
-  for (const auto& [id, unused] : queries_) {
-    position.emplace(id, position.size());
-  }
-
-  // Batch cluster order is first appearance over the query-ordered
-  // merge: ascending (first member's query position, ordinal). The
-  // member maps are keyed (query id, ordinal) with id order = position
-  // order, so each cluster's first member IS its first appearance.
-  std::vector<const std::map<std::string, ClusterState>::value_type*> ordered;
+  // First appearance over the live queries in id order: ascending
+  // (first member's query id, ordinal).
+  std::vector<const Clusters::value_type*> ordered;
   ordered.reserve(clusters_.size());
   for (const auto& entry : clusters_) ordered.push_back(&entry);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto* a, const auto* b) {
-              return a->second.members.begin()->first <
-                     b->second.members.begin()->first;
-            });
+  std::sort(ordered.begin(), ordered.end(), [](const auto* a, const auto* b) {
+    const Member& ma = a->second.members.front();
+    const Member& mb = b->second.members.front();
+    return ma.query_id != mb.query_id ? ma.query_id < mb.query_id
+                                      : ma.ordinal < mb.ordinal;
+  });
 
+  std::vector<bool> associated(live.size(), false);
+  std::vector<std::pair<MemberId, size_t>> uncached;  // argmin, cluster
+  analysis.clusters.reserve(ordered.size());
   for (const auto* entry : ordered) {
     const ClusterState& state = entry->second;
     SubqueryCluster cluster;
     cluster.canonical_key = entry->first;
     cluster.occurrence_count = state.members.size();
-    cluster.candidate = state.candidate;
-    for (const auto& [id, unused] : state.per_query) {
-      cluster.query_indices.push_back(position.at(id));
+    for (uint64_t id : QueriesOf(state)) {
+      cluster.query_indices.push_back(static_cast<size_t>(
+          std::lower_bound(live.begin(), live.end(), id) - live.begin()));
     }
     analysis.num_subqueries += cluster.occurrence_count;
     analysis.num_equivalent_pairs += cluster.num_equivalent_pairs();
+    if (IsCandidate(state)) {
+      analysis.candidates.push_back(analysis.clusters.size());
+      for (size_t qi : cluster.query_indices) associated[qi] = true;
+      cluster.candidate = state.plan;
+      if (cluster.candidate == nullptr) {
+        uncached.emplace_back(ArgminId(state), analysis.clusters.size());
+      }
+    }
     analysis.clusters.push_back(std::move(cluster));
   }
+  for (size_t qi = 0; qi < live.size(); ++qi) {
+    if (associated[qi]) analysis.associated_queries.push_back(qi);
+  }
 
-  FinishAnalysis(options_, pool, &analysis);
+  // Re-derive the uncached candidate plans with one query_fn call per
+  // query; each task writes only its own query's clusters.
+  std::sort(uncached.begin(), uncached.end());
+  std::vector<size_t> starts;
+  for (size_t i = 0; i < uncached.size(); ++i) {
+    if (i == 0 || uncached[i].first.first != uncached[i - 1].first.first) {
+      starts.push_back(i);
+    }
+  }
+  pool.ParallelFor(0, starts.size(), [&](size_t g) {
+    const size_t begin = starts[g];
+    const size_t end = g + 1 < starts.size() ? starts[g + 1] : uncached.size();
+    const std::vector<PlanNodePtr> subs =
+        Rederive(uncached[begin].first.first);
+    for (size_t i = begin; i < end; ++i) {
+      const size_t ordinal = uncached[i].first.second;
+      if (ordinal < subs.size()) {
+        analysis.clusters[uncached[i].second].candidate = subs[ordinal];
+      }
+    }
+  });
+
+  std::vector<PlanNodePtr> candidate_plans;
+  std::vector<std::string_view> candidate_keys;
+  candidate_plans.reserve(analysis.candidates.size());
+  candidate_keys.reserve(analysis.candidates.size());
+  for (size_t c : analysis.candidates) {
+    candidate_plans.push_back(analysis.clusters[c].candidate);
+    candidate_keys.push_back(analysis.clusters[c].canonical_key);
+  }
+  analysis.overlapping = ComputeOverlaps(candidate_plans, candidate_keys, pool);
   return analysis;
 }
 

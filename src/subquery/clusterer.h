@@ -5,6 +5,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,34 +16,21 @@
 
 namespace autoview {
 
-/// \brief One subquery occurrence inside a workload query.
-struct SubqueryOccurrence {
-  size_t query_index = 0;  ///< index into the analyzed workload
-  PlanNodePtr plan;        ///< the subplan
-};
-
 /// \brief A cluster of semantically equivalent subqueries (§III).
 struct SubqueryCluster {
   std::string canonical_key;
-  /// All members with their plans. Populated by Analyze(); the streaming
-  /// path leaves it empty (it never retains per-occurrence plans) and
-  /// records the count in `occurrence_count` instead.
-  std::vector<SubqueryOccurrence> occurrences;
-  /// Member count; authoritative when `occurrences` is empty.
+  /// Member count: occurrences of the key across the workload.
   size_t occurrence_count = 0;
-  /// The cluster member chosen as the candidate subquery (the one with
-  /// the least overhead), per the paper's pre-process step.
+  /// The member chosen as the candidate subquery (the one with the least
+  /// overhead), per the paper's pre-process step. Set for candidate
+  /// clusters only; null for the others, which no caller reads.
   PlanNodePtr candidate;
   /// Distinct queries containing a member of this cluster, ascending.
   std::vector<size_t> query_indices;
 
-  size_t num_occurrences() const {
-    return occurrences.empty() ? occurrence_count : occurrences.size();
-  }
   /// Equivalent pairs contributed by this cluster: C(n, 2).
   size_t num_equivalent_pairs() const {
-    const size_t n = num_occurrences();
-    return n * (n - 1) / 2;
+    return occurrence_count * (occurrence_count - 1) / 2;
   }
 };
 
@@ -70,38 +59,27 @@ struct WorkloadAnalysis {
   }
 };
 
-/// \brief Clusters equivalent subqueries and derives the candidate set.
+/// \brief Clusters equivalent subqueries of a whole workload and derives
+/// the candidate set: the batch entry point over ClustererSession.
 ///
 /// Equivalence detection substitutes EQUITAS [45] with canonical-form
 /// comparison (see plan/canonical.h).
 ///
-/// The two expensive phases — per-query subquery extraction with
-/// canonical-key computation (one SubtreeCanonicalKeys walk per query
-/// plan), and candidate-overlap detection — run across Options::pool.
-/// Both are deterministic under any thread count: extraction results
-/// are merged on the calling thread in query order (so cluster ids
-/// match a sequential run), and overlap rows are sorted after the
-/// parallel lookups.
+/// AnalyzeStreaming runs three steps, all deterministic under any
+/// thread count:
+///  1. Extraction, parallel across Options::pool in chunks of at most
+///     `extract_chunk` queries: each task plans its query through
+///     `query_fn`, keys it with one SubtreeCanonicalKeys walk and costs
+///     each subquery. The plans die with the task.
+///  2. The records fold into a ClustererSession in query order, so
+///     clusters, counts and argmin members match a sequential run.
+///  3. Snapshot(), which re-derives the candidates' plans in parallel
+///     and detects candidate overlap (DESIGN.md §10).
 ///
-/// Memory bounds (DESIGN.md §10): extraction is chunked so at most
-/// `extract_chunk` queries' plans are in flight; overlap detection
-/// (kKeyIndex) indexes the candidates' cluster keys, which are unique,
-/// and looks up every proper-subtree key of each candidate plan in it,
-/// so it is exact without a verification step and never renders keys
-/// for all |Z|²/2 pairs. Its working set is the |Z|-entry index plus one
-/// plan's subtree keys per task. The exhaustive pairwise scan survives
-/// as the kAllPairs oracle; both produce identical overlap tables.
+/// Memory is O(extract_chunk plans + clusters' member records + |Z|
+/// plans): no plan of a non-candidate cluster is ever retained.
 class SubqueryClusterer {
  public:
-  /// Candidate-overlap detection algorithm.
-  enum class OverlapAlgorithm {
-    /// Exact lookup of each candidate's subtree keys in an index of the
-    /// candidates' cluster keys (default).
-    kKeyIndex,
-    /// The exhaustive pairwise scan (oracle for tests).
-    kAllPairs,
-  };
-
   struct Options {
     ExtractorOptions extractor;
     /// A cluster becomes a candidate when members appear in at least
@@ -109,8 +87,6 @@ class SubqueryClusterer {
     size_t min_sharing = 2;
     /// Executor for the parallel phases; null => DefaultPool().
     ThreadPool* pool = nullptr;
-    /// Overlap detection algorithm; results are identical either way.
-    OverlapAlgorithm overlap = OverlapAlgorithm::kKeyIndex;
     /// Queries whose extracted plans may be in flight at once during
     /// the extraction phase (peak transient memory is O(extract_chunk),
     /// not O(|Q|)).
@@ -118,32 +94,24 @@ class SubqueryClusterer {
   };
 
   /// Optional cost oracle used to pick each cluster's least-overhead
-  /// member as the candidate; when absent the smallest plan wins.
+  /// member as the candidate; when absent the smallest plan wins. Must
+  /// be pure: extraction tasks call it concurrently.
   using CostFn = std::function<double(const PlanNode&)>;
 
-  /// Plan source for the streaming paths: returns query `qi`'s plan
-  /// (nullptr to skip). Called concurrently for distinct indices;
-  /// AnalyzeStreaming calls it once per query, and BuildStreamingProblem
-  /// calls it again for each associated query.
+  /// Plan source: returns query `qi`'s plan (nullptr to skip). Must be
+  /// pure and is called concurrently for distinct indices.
+  /// AnalyzeStreaming calls it once per query, plus once more for each
+  /// query holding a candidate's least-cost member (Snapshot re-derives
+  /// that plan); BuildStreamingProblem calls it again for each
+  /// associated query.
   using QueryFn = std::function<PlanNodePtr(size_t)>;
 
   SubqueryClusterer() : options_() {}
   explicit SubqueryClusterer(Options options, CostFn cost_fn = nullptr)
       : options_(options), cost_fn_(std::move(cost_fn)) {}
 
-  /// Runs extraction + equivalence clustering + overlap detection.
-  WorkloadAnalysis Analyze(const std::vector<PlanNodePtr>& queries) const;
-
-  /// Memory-bounded one-pass variant for paper-scale workloads: streams
-  /// queries in chunks (`query_fn` once per query), keeping only
-  /// per-cluster aggregates (key, count, query indices, and the current
-  /// argmin subplan with its cost) while query plans stay transient.
-  /// Peak memory is O(extract_chunk + clusters), never O(all occurrence
-  /// plans): each cluster holds one subplan, as its candidate.
-  ///
-  /// Produces the same clusters (order, keys, counts, query indices,
-  /// candidates, overlap table) as Analyze() for a pure cost oracle —
-  /// occurrences themselves are not retained (see SubqueryCluster).
+  /// Extraction + equivalence clustering + overlap detection over
+  /// queries 0..num_queries-1 (see the class comment).
   WorkloadAnalysis AnalyzeStreaming(size_t num_queries,
                                     const QueryFn& query_fn) const;
 
@@ -155,38 +123,31 @@ class SubqueryClusterer {
 /// Overlap per Definition 5 evaluated on canonical subtree keys, so two
 /// equivalent-but-structurally-different subplans still register their
 /// common subtrees. Re-keys both plans per call, so it is used only by
-/// oracles: the batch clusterer's kAllPairs scan and the all-pairs
-/// rebuild behind OnlineAdvisor::DenseOracleProblem. The batch
-/// clusterer (kKeyIndex) and the advisor's ingest find overlap partners
-/// through subtree-key indexes instead.
+/// oracles: the all-pairs rebuild behind OnlineAdvisor::
+/// DenseOracleProblem and the tests' all-pairs overlap scan. The
+/// clusterer and the advisor's ingest find overlap partners through
+/// subtree-key indexes instead.
 bool CanonicalPlansOverlap(const PlanNode& a, const PlanNode& b);
 
-namespace internal {
-/// Derives candidates / associated queries / overlap table from fully
-/// built clusters — the shared tail of Analyze, AnalyzeStreaming, and
-/// ClustererSession::Snapshot.
-void FinishAnalysis(const SubqueryClusterer::Options& options,
-                    ThreadPool& pool, WorkloadAnalysis* analysis);
-}  // namespace internal
-
-/// \brief Incremental clustering over a live (sliding-window) workload.
+/// \brief The one clustering state, for a whole workload (batch) or a
+/// live sliding window (online).
 ///
-/// The batch clusterer answers "cluster these N queries"; the session
-/// answers "query q arrived / retired" while keeping exactly the state
-/// the batch pass would have: per-cluster members keyed by
-/// (query id, extraction ordinal), occurrence counts per query, and the
-/// least-cost candidate member under the same strict-< tie-break. The
-/// batch result stays the bit-identity oracle: Snapshot() over the live
-/// window compares field-for-field with Analyze() over the same plans
-/// in ascending-id order (clusters re-emerge in first-appearance order,
-/// query indices as positions in the sorted live-id list).
+/// Queries arrive with ascending ids and may retire in any order. Per
+/// cluster the session keeps the members as (query id, extraction
+/// ordinal, cost) in arrival order — so a query's members form one
+/// contiguous run and its live occurrence count is that run's length —
+/// the number of distinct live queries, and which member is the argmin:
+/// the least cost, ties to the earliest member.
 ///
-/// Members are retained (plan + cost per occurrence), so memory is
-/// O(live occurrences) — sized for a sliding window, not the unbounded
-/// history AnalyzeStreaming's one-pass aggregate path covers.
+/// No member plan is retained. A candidate's plan is re-derived on
+/// demand as the ordinal-th extracted subquery of `query_fn(query id)`
+/// (a plan is a pure function of its SQL) and cached only while the
+/// cluster stays a candidate with the same argmin member: Candidate()
+/// derives it when a cluster has crossed `min_sharing` or its argmin
+/// changed, and Snapshot() derives the uncached ones in parallel.
 ///
 /// Not internally synchronized: the owner (OnlineAdvisor) serializes
-/// access.
+/// access, Candidate() and Snapshot() included.
 class ClustererSession {
  public:
   /// Candidate-set deltas of one Ingest/Retire, in deterministic order
@@ -205,22 +166,37 @@ class ClustererSession {
   /// A current candidate cluster as the advisor consumes it.
   struct CandidateInfo {
     std::string key;
-    PlanNodePtr plan;                 ///< least-cost member
+    /// The argmin member's plan; null when `query_fn` cannot supply it.
+    PlanNodePtr plan;
     std::vector<uint64_t> query_ids;  ///< live queries containing it, asc
   };
 
-  explicit ClustererSession(SubqueryClusterer::Options options,
-                            SubqueryClusterer::CostFn cost_fn = nullptr);
+  /// One extracted subquery as the fold consumes it.
+  struct Subquery {
+    std::string key;
+    double cost = 0.0;
+  };
 
-  /// Adds query `query_id` (ids must be unique among live queries; the
-  /// advisor uses arrival order, so ascending ids = arrival order).
-  /// Extracts and clusters its subqueries; `effects` (optional)
-  /// receives the candidate-set delta.
+  /// `query_fn` maps a live query id to its plan (see the class
+  /// comment); without it candidates have null plans.
+  explicit ClustererSession(SubqueryClusterer::Options options,
+                            SubqueryClusterer::CostFn cost_fn = nullptr,
+                            SubqueryClusterer::QueryFn query_fn = nullptr);
+
+  /// `plan`'s subqueries in extraction order, keyed by one
+  /// SubtreeCanonicalKeys walk and costed. Safe to call concurrently.
+  std::vector<Subquery> Extract(const PlanNodePtr& plan) const;
+
+  /// Adds query `query_id`, whose id must exceed every live id, and
+  /// folds its subqueries; `effects` (optional) receives the
+  /// candidate-set delta. IngestQuery extracts `plan` first.
   Status IngestQuery(uint64_t query_id, const PlanNodePtr& plan,
                      MutationEffects* effects = nullptr);
+  Status IngestSubqueries(uint64_t query_id, std::vector<Subquery> subqueries,
+                          MutationEffects* effects = nullptr);
 
   /// Removes a live query and every occurrence it contributed (no
-  /// re-extraction: the session remembers the query's keys).
+  /// re-extraction: the session remembers the query's clusters).
   Status RetireQuery(uint64_t query_id, MutationEffects* effects = nullptr);
 
   /// Live query ids, ascending.
@@ -228,10 +204,11 @@ class ClustererSession {
   size_t num_live_queries() const { return queries_.size(); }
 
   /// Canonical keys of `query_id`'s extracted subqueries, in extraction
-  /// order (duplicates preserved — one entry per occurrence); nullptr
-  /// when the query is not live. The advisor uses this to find which
-  /// existing candidate columns a freshly ingested row intersects.
-  const std::vector<std::string>* QueryKeys(uint64_t query_id) const;
+  /// order (duplicates preserved — one entry per occurrence); empty when
+  /// the query is not live. The views stay valid until the next
+  /// mutation. The advisor uses this to find which existing candidate
+  /// columns a freshly ingested row intersects.
+  std::vector<std::string_view> QueryKeys(uint64_t query_id) const;
 
   /// Current candidate clusters (>= min_sharing distinct queries),
   /// ascending canonical key.
@@ -245,40 +222,61 @@ class ClustererSession {
   /// construction — the drift signal for the advisor's trigger policy.
   uint64_t churn_events() const { return churn_events_; }
 
-  /// The WorkloadAnalysis of the live window, bit-comparable to
-  /// Analyze() over LiveQueryIds()'s plans in that order (occurrences
-  /// vectors excepted — like AnalyzeStreaming, the session reports
-  /// counts). Runs overlap detection, so it is O(batch tail), not O(1).
+  /// The WorkloadAnalysis of the live window, with query indices as
+  /// positions in LiveQueryIds() and clusters in first-appearance order
+  /// over that list. Re-derives uncached candidate plans and runs
+  /// overlap detection, so it is O(batch tail), not O(1).
   WorkloadAnalysis Snapshot() const;
 
  private:
+  /// One occurrence: the ordinal-th subquery of query `query_id`.
   struct Member {
+    uint64_t query_id = 0;
+    size_t ordinal = 0;  ///< position in Extract(query)'s output
     double cost = 0.0;
-    PlanNodePtr plan;
   };
+  using MemberId = std::pair<uint64_t, size_t>;  ///< (query id, ordinal)
   struct ClusterState {
-    /// (query id, extraction ordinal) -> member; map order is the batch
-    /// traversal order, so argmin recomputes reproduce the batch
-    /// tie-break exactly.
-    std::map<std::pair<uint64_t, size_t>, Member> members;
-    /// Live occurrence count per query; size() = distinct queries.
-    std::map<uint64_t, size_t> per_query;
-    PlanNodePtr candidate;  ///< least-cost member (strict-< tie-break)
+    std::vector<Member> members;  ///< arrival order: ascending (id, ordinal)
+    size_t num_queries = 0;       ///< distinct live queries among members
+    size_t argmin = 0;            ///< index into members
+    /// The argmin member's plan, cached while the cluster is a candidate
+    /// and the argmin member stays; otherwise null.
+    mutable PlanNodePtr plan;
+  };
+  using Clusters = std::unordered_map<std::string, ClusterState>;
+  /// A cluster one mutation touched, with its state before the mutation.
+  struct Touched {
+    Clusters::value_type* entry = nullptr;
+    bool was_candidate = false;
+    MemberId argmin;
   };
 
   bool IsCandidate(const ClusterState& cluster) const {
-    return cluster.per_query.size() >= options_.min_sharing;
+    return cluster.num_queries > 0 &&
+           cluster.num_queries >= options_.min_sharing;
   }
+  static MemberId ArgminId(const ClusterState& cluster);
+  /// Distinct live query ids among the members, ascending.
+  static std::vector<uint64_t> QueriesOf(const ClusterState& cluster);
 
-  /// Recomputes `cluster.candidate`; true when the plan changed.
-  bool RecomputeCandidate(ClusterState* cluster);
+  /// Reports the touched clusters' candidate-set changes in ascending
+  /// key order, drops plans that went stale and erases emptied clusters.
+  void Settle(std::vector<Touched>* touched, MutationEffects* effects);
+
+  /// The extracted subqueries of query_fn_(query_id) (empty when there
+  /// is no plan); a member's plan is the one at its ordinal.
+  std::vector<PlanNodePtr> Rederive(uint64_t query_id) const;
 
   SubqueryClusterer::Options options_;
   SubqueryClusterer::CostFn cost_fn_;
-  std::map<std::string, ClusterState> clusters_;
-  /// query id -> its subquery keys in extraction order (retire replays
-  /// these instead of re-extracting).
-  std::map<uint64_t, std::vector<std::string>> queries_;
+  SubqueryClusterer::QueryFn query_fn_;
+  /// Keyed by hash; orderings that are part of the API are sorted on
+  /// demand (CandidateKeys, MutationEffects, Snapshot).
+  Clusters clusters_;
+  /// Live query id -> the clusters of its subqueries in extraction
+  /// order (entries of clusters_, whose nodes are stable).
+  std::map<uint64_t, std::vector<Clusters::value_type*>> queries_;
   uint64_t churn_events_ = 0;
 };
 

@@ -2,8 +2,9 @@
 // incremental path is checked against its batch oracle, per DESIGN.md
 // §12:
 //
-//  1. Subquery layer: ClustererSession ingest/retire vs a batch
-//     Analyze() over the live window (bit-comparable Snapshot()).
+//  1. Subquery layer: ClustererSession ingest/retire vs the oracle
+//     analysis of the live window (tests/analysis_oracle.h), under a
+//     constant and a non-constant cost.
 //  2. Index layer: after arbitrary ingest/retire/window-churn mutation
 //     sequences, the incrementally maintained MvsProblemIndex is
 //     EXPECT_EQ-identical to an index rebuilt from scratch over the
@@ -31,8 +32,10 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "analysis_oracle.h"
 #include "engine/database.h"
 #include "engine/executor.h"
 #include "engine/rewriter.h"
@@ -50,46 +53,14 @@
 namespace autoview {
 namespace {
 
-std::vector<PlanNodePtr> BuildWorkloadPlans(const GeneratedWorkload& w) {
-  std::vector<PlanNodePtr> plans;
-  plans.reserve(w.sql.size());
-  PlanBuilder builder(&w.db->catalog());
-  for (const auto& sql : w.sql) {
-    auto r = builder.BuildFromSql(sql);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    plans.push_back(r.ok() ? r.value() : nullptr);
-  }
-  return plans;
-}
-
-/// Snapshot() documents bit-comparability to Analyze() over the live
-/// plans in ascending-id order, occurrences vectors excepted (the
-/// session keeps counts, not member plans).
-void ExpectAnalysesEquivalent(const WorkloadAnalysis& a,
-                              const WorkloadAnalysis& b) {
-  EXPECT_EQ(a.num_queries, b.num_queries);
-  EXPECT_EQ(a.num_subqueries, b.num_subqueries);
-  EXPECT_EQ(a.num_equivalent_pairs, b.num_equivalent_pairs);
-  ASSERT_EQ(a.clusters.size(), b.clusters.size());
-  for (size_t c = 0; c < a.clusters.size(); ++c) {
-    EXPECT_EQ(a.clusters[c].canonical_key, b.clusters[c].canonical_key);
-    EXPECT_EQ(a.clusters[c].num_occurrences(),
-              b.clusters[c].num_occurrences());
-    EXPECT_EQ(a.clusters[c].query_indices, b.clusters[c].query_indices);
-    ASSERT_NE(a.clusters[c].candidate, nullptr);
-    ASSERT_NE(b.clusters[c].candidate, nullptr);
-    EXPECT_EQ(CanonicalKey(*a.clusters[c].candidate),
-              CanonicalKey(*b.clusters[c].candidate));
-  }
-  EXPECT_EQ(a.candidates, b.candidates);
-  EXPECT_EQ(a.associated_queries, b.associated_queries);
-  EXPECT_EQ(a.overlapping, b.overlapping);
-}
+using testing::BuildWorkloadPlans;
+using testing::ExpectAnalysesEquivalent;
+using testing::OracleAnalyze;
 
 // ---------------------------------------------------------------------
 // 1. Subquery layer: session mutations vs the batch oracle.
 
-TEST(ClustererSessionTest, IngestRetireMatchesBatchAnalyze) {
+TEST(ClustererSessionTest, IngestRetireMatchesOracleAnalysis) {
   for (const uint64_t seed : {11u, 12u}) {
     CloudWorkloadSpec spec = Wk1Spec(0.3);
     spec.seed = seed;
@@ -97,11 +68,13 @@ TEST(ClustererSessionTest, IngestRetireMatchesBatchAnalyze) {
     const auto plans = BuildWorkloadPlans(workload);
 
     SubqueryClusterer::Options opts;
-    ClustererSession session(opts, [](const PlanNode&) { return 1.0; });
+    const auto unit_cost = [](const PlanNode&) { return 1.0; };
+    ClustererSession session(opts, unit_cost,
+                             [&plans](size_t qi) { return plans[qi]; });
 
     // Ingest everything, then retire a third (every third query) — the
-    // surviving window must match a batch Analyze over exactly the
-    // surviving plans in id order.
+    // surviving window must match the oracle over exactly the surviving
+    // plans in id order.
     for (size_t qi = 0; qi < plans.size(); ++qi) {
       ASSERT_TRUE(session.IngestQuery(qi, plans[qi]).ok());
     }
@@ -115,18 +88,96 @@ TEST(ClustererSessionTest, IngestRetireMatchesBatchAnalyze) {
     }
     ASSERT_EQ(session.LiveQueryIds().size(), live.size());
 
-    const WorkloadAnalysis batch =
-        SubqueryClusterer(opts, [](const PlanNode&) { return 1.0; })
-            .Analyze(live);
-    ExpectAnalysesEquivalent(batch, session.Snapshot());
+    ExpectAnalysesEquivalent(OracleAnalyze(live, opts, unit_cost),
+                             session.Snapshot());
     EXPECT_GT(session.churn_events(), 0u);
   }
+}
+
+// A cost that differs between members of one cluster makes the argmin a
+// real choice. The session keeps no member plan, so every candidate plan
+// it reports is re-derived from `query_fn`: after a cluster crosses
+// min_sharing with its argmin in an older query, and after the argmin
+// member's query retires.
+TEST(ClustererSessionTest, RederivesArgminPlansUnderNonConstantCost) {
+  CloudWorkloadSpec spec = Wk1Spec(0.3);
+  spec.seed = 13;
+  const GeneratedWorkload workload = GenerateCloudWorkload(spec);
+  const auto plans = BuildWorkloadPlans(workload);
+  std::unordered_map<const PlanNode*, size_t> owner;
+  for (size_t qi = 0; qi < plans.size(); ++qi) {
+    for (const PlanNodePtr& node : plans[qi]->Subtrees()) {
+      owner.emplace(node.get(), qi);
+    }
+  }
+  // Operator count plus a per-query fraction: pure, and not monotone in
+  // arrival order.
+  const auto cost = [&owner](const PlanNode& plan) {
+    return static_cast<double>(plan.NumOperators()) +
+           static_cast<double>(owner.at(&plan) * 7919 % 101) / 101.0;
+  };
+  const SubqueryClusterer::Options opts;
+  ClustererSession session(opts, cost,
+                           [&plans](size_t qi) { return plans[qi]; });
+
+  // Crossing min_sharing: the plan is the least-cost member so far.
+  std::unordered_map<std::string, const PlanNode*> best;
+  size_t crossed_with_older_argmin = 0;
+  for (size_t qi = 0; qi < plans.size(); ++qi) {
+    ClustererSession::MutationEffects effects;
+    ASSERT_TRUE(session.IngestQuery(qi, plans[qi], &effects).ok());
+    for (const PlanNodePtr& sub :
+         SubqueryExtractor(opts.extractor).Extract(plans[qi])) {
+      const auto [it, inserted] = best.emplace(CanonicalKey(*sub), sub.get());
+      if (!inserted && cost(*sub) < cost(*it->second)) it->second = sub.get();
+    }
+    for (const std::string& key : effects.candidates_added) {
+      const auto info = session.Candidate(key);
+      ASSERT_TRUE(info.has_value());
+      ASSERT_NE(info->plan, nullptr);
+      EXPECT_EQ(info->plan.get(), best.at(key));
+      if (owner.at(info->plan.get()) < qi) ++crossed_with_older_argmin;
+    }
+  }
+  EXPECT_GT(crossed_with_older_argmin, 0u);
+
+  // Retiring the argmin member's query replans a cluster that stays a
+  // candidate; its new plan comes from a surviving query.
+  std::set<size_t> retired;
+  size_t replanned = 0;
+  for (const std::string& key : session.CandidateKeys()) {
+    if (retired.size() == 40) break;
+    const auto info = session.Candidate(key);
+    if (!info.has_value()) continue;  // an earlier retire removed it
+    const size_t qi = owner.at(info->plan.get());
+    ClustererSession::MutationEffects effects;
+    ASSERT_TRUE(session.RetireQuery(qi, &effects).ok());
+    retired.insert(qi);
+    const auto& out = effects.candidates_replanned;
+    if (std::find(out.begin(), out.end(), key) == out.end()) continue;
+    ++replanned;
+    const auto after = session.Candidate(key);
+    ASSERT_TRUE(after.has_value());
+    ASSERT_NE(after->plan, nullptr);
+    EXPECT_EQ(retired.count(owner.at(after->plan.get())), 0u);
+  }
+  EXPECT_GT(replanned, 0u);
+
+  std::vector<PlanNodePtr> live;
+  for (size_t qi = 0; qi < plans.size(); ++qi) {
+    if (retired.count(qi) == 0) live.push_back(plans[qi]);
+  }
+  const WorkloadAnalysis oracle = OracleAnalyze(live, opts, cost);
+  ExpectAnalysesEquivalent(oracle, session.Snapshot());
+  ExpectAnalysesEquivalent(oracle,
+                           testing::Analyze(SubqueryClusterer(opts, cost), live));
 }
 
 TEST(ClustererSessionTest, RetireEverythingLeavesEmptySession) {
   const GeneratedWorkload workload = GenerateCloudWorkload(Wk1Spec(0.2));
   const auto plans = BuildWorkloadPlans(workload);
-  ClustererSession session({}, [](const PlanNode&) { return 1.0; });
+  ClustererSession session({}, [](const PlanNode&) { return 1.0; },
+                           [&plans](size_t qi) { return plans[qi]; });
   for (size_t qi = 0; qi < plans.size(); ++qi) {
     ASSERT_TRUE(session.IngestQuery(qi, plans[qi]).ok());
   }
@@ -498,7 +549,10 @@ TEST(AdvisorSwapTest, HotSwapIsAtomicUnderConcurrentPins) {
     });
   }
 
-  // Writer: keep mutating the instance and swapping generations.
+  // Writer: keep mutating the instance and swapping generations, once
+  // the readers are pinning (a loaded host may not schedule them before
+  // the writer would finish).
+  while (pins.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   for (size_t qi = half; qi < rig.workload.sql.size(); ++qi) {
     ASSERT_TRUE(rig.advisor->IngestSql(rig.workload.sql[qi]).ok());
     if (qi % 8 == 0) {

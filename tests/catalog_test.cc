@@ -189,7 +189,11 @@ TEST(CatalogTest, TableNamesSorted) {
 
 TEST(CatalogTest, TableNamesSortedAfterShuffledInserts) {
   std::vector<std::string> names;
-  for (int i = 0; i < 500; ++i) names.push_back("t" + std::to_string(i));
+  for (int i = 0; i < 500; ++i) {
+    std::string name = "t";
+    name += std::to_string(i);
+    names.push_back(std::move(name));
+  }
   std::vector<std::string> shuffled = names;
   Rng rng(5);
   rng.Shuffle(&shuffled);
@@ -222,7 +226,8 @@ TEST(CatalogTest, ReferencesStayValidAcrossManyInserts) {
   const TableStats& base_stats = catalog.GetStats("base");
   const std::vector<ColumnSchema>* columns = &schema->columns();
   for (int i = 0; i < 1000; ++i) {
-    const std::string name = "v" + std::to_string(i);
+    std::string name = "v";
+    name += std::to_string(i);
     ASSERT_TRUE(
         catalog.AddTable(TableSchema(name, {{"x", ColumnType::kDouble}})).ok());
     TableStats s;

@@ -369,7 +369,9 @@ TEST_F(EngineTest, RewriteRestoresWideSchemaColumnOrder) {
   const size_t kCols = 48;
   std::vector<ColumnSchema> cols;
   for (size_t c = 0; c < kCols; ++c) {
-    cols.push_back({"c" + std::to_string(c), ColumnType::kInt64});
+    std::string name = "c";
+    name += std::to_string(c);
+    cols.push_back({std::move(name), ColumnType::kInt64});
   }
   std::vector<Row> rows;
   for (int64_t r = 0; r < 20; ++r) {
@@ -384,7 +386,10 @@ TEST_F(EngineTest, RewriteRestoresWideSchemaColumnOrder) {
 
   std::string select = "SELECT ";
   for (size_t c = kCols; c-- > 0;) {
-    select += "c" + std::to_string(c) + " AS r" + std::to_string(c);
+    select += "c";
+    select += std::to_string(c);
+    select += " AS r";
+    select += std::to_string(c);
     if (c != 0) select += ", ";
   }
   auto query = MustBuild(select + " FROM wide WHERE c0 >= 0");

@@ -87,7 +87,8 @@ std::vector<QueryGolden> Measure(const GeneratedWorkload& workload) {
   }
 
   Executor executor(db);
-  const WorkloadAnalysis analysis = SubqueryClusterer().Analyze(plans);
+  const WorkloadAnalysis analysis = SubqueryClusterer().AnalyzeStreaming(
+      plans.size(), [&plans](size_t qi) { return plans[qi]; });
   MaterializedViewStore store(db, ViewStoreOptions{});
   std::vector<const MaterializedView*> views;
   for (size_t c : analysis.candidates) {

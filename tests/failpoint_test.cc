@@ -119,7 +119,9 @@ class FailpointEngineTest : public FailpointTest {
     FailpointTest::SetUp();
     std::vector<Row> rows;
     for (int i = 0; i < 20; ++i) {
-      rows.push_back({Value(int64_t{i}), Value("m" + std::to_string(i % 3))});
+      std::string memo = "m";
+      memo += std::to_string(i % 3);
+      rows.push_back({Value(int64_t{i}), Value(std::move(memo))});
     }
     ASSERT_TRUE(db_.AddTable(TableSchema("t", {{"a", ColumnType::kInt64},
                                                {"b", ColumnType::kString}}),

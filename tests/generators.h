@@ -96,11 +96,14 @@ inline PlanNodePtr RandomPlan(const Catalog& catalog,
   switch (rng.UniformInt(0, 6)) {
     case 0: {
       const int64_t n = rng.UniformInt(0, 9);
-      const Value literal = out[col].type == ColumnType::kString
-                                ? Value("v" + std::to_string(n))
-                                : out[col].type == ColumnType::kDouble
-                                      ? Value(static_cast<double>(n))
-                                      : Value(n);
+      Value literal(n);
+      if (out[col].type == ColumnType::kString) {
+        std::string text = "v";
+        text += std::to_string(n);
+        literal = Value(std::move(text));
+      } else if (out[col].type == ColumnType::kDouble) {
+        literal = Value(static_cast<double>(n));
+      }
       ExprPtr predicate = Expr::Compare(
           rng.Bernoulli(0.5) ? CompareOp::kEq : CompareOp::kLt,
           rng.Bernoulli(0.5) ? column : Expr::Literal(literal),

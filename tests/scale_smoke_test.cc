@@ -77,11 +77,12 @@ void RunFullScalePipeline(const CloudWorkloadSpec& spec,
   const WorkloadAnalysis analysis =
       clusterer.AnalyzeStreaming(workload.sql.size(), query_fn);
   EXPECT_GT(analysis.candidates.size(), 0u);
-  // Streaming clustering retains no plans: occurrence counts are
-  // aggregate-only.
-  for (const SubqueryCluster& cluster : analysis.clusters) {
-    EXPECT_TRUE(cluster.occurrences.empty());
-    EXPECT_GT(cluster.num_occurrences(), 0u);
+  // Clustering retains only the candidates' plans.
+  std::vector<bool> is_candidate(analysis.clusters.size(), false);
+  for (size_t c : analysis.candidates) is_candidate[c] = true;
+  for (size_t c = 0; c < analysis.clusters.size(); ++c) {
+    EXPECT_GT(analysis.clusters[c].occurrence_count, 0u);
+    EXPECT_EQ(analysis.clusters[c].candidate != nullptr, is_candidate[c]);
   }
 
   StreamingProblemOptions options;

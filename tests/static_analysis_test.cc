@@ -165,9 +165,14 @@ TEST(StaticAnalysisRuntime, MetadataAppendsNeverInterleave) {
   Hammer([&store](int t) {
     for (int i = 0; i < kAppendsPerThread; ++i) {
       MetadataRecord r;
-      r.query_sql = "SELECT q" + std::to_string(t) + "_" + std::to_string(i);
-      r.view_sql = "SELECT v" + std::to_string(t);
-      r.tables = "t" + std::to_string(t);
+      r.query_sql = "SELECT q";
+      r.query_sql += std::to_string(t);
+      r.query_sql += "_";
+      r.query_sql += std::to_string(i);
+      r.view_sql = "SELECT v";
+      r.view_sql += std::to_string(t);
+      r.tables = "t";
+      r.tables += std::to_string(t);
       r.rewritten_cost = t + i * 1e-3;
       r.query_cost = t;
       r.subquery_cost = i;
@@ -222,7 +227,9 @@ TEST(StaticAnalysisRuntime, ViewStoreEvictionRecoveryHammer) {
   std::vector<Row> rows;
   for (int64_t k = 0; k < 8; ++k) {
     for (int64_t n = 0; n < (k + 1) * 2; ++n) {
-      rows.push_back({Value(k), Value("h" + std::to_string(k * 100 + n))});
+      std::string tag = "h";
+      tag += std::to_string(k * 100 + n);
+      rows.push_back({Value(k), Value(std::move(tag))});
     }
   }
   ASSERT_TRUE(db.AddTable(TableSchema("ht", {{"k", ColumnType::kInt64},
@@ -330,7 +337,9 @@ TEST(StaticAnalysisRuntime, ViewStoreEvictionRecoveryHammer) {
   std::vector<Row> rows2;
   for (int64_t k = 0; k < 8; ++k) {
     for (int64_t n = 0; n < (k + 1) * 2; ++n) {
-      rows2.push_back({Value(k), Value("h" + std::to_string(k * 100 + n))});
+      std::string tag = "h";
+      tag += std::to_string(k * 100 + n);
+      rows2.push_back({Value(k), Value(std::move(tag))});
     }
   }
   ASSERT_TRUE(db2.AddTable(TableSchema("ht", {{"k", ColumnType::kInt64},

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
+#include <unordered_map>
 
+#include "analysis_oracle.h"
 #include "catalog/catalog.h"
 #include "engine/database.h"
 #include "generators.h"
@@ -98,14 +101,14 @@ TEST_F(SubqueryTest, ClusterEquivalentSubqueriesAcrossQueries) {
       "on t2.user_id = t3.user_id group by t2.user_id");
   ASSERT_TRUE(q1 && q2);
 
-  SubqueryClusterer clusterer;
-  auto analysis = clusterer.Analyze({q1, q2});
+  const std::vector<PlanNodePtr> plans = {q1, q2};
+  auto analysis = testing::Analyze(SubqueryClusterer(), plans);
   EXPECT_EQ(analysis.num_queries, 2u);
   EXPECT_EQ(analysis.num_subqueries, 6u);
   // Exactly one cluster has two occurrences (the shared s2).
   size_t shared = 0;
   for (const auto& cluster : analysis.clusters) {
-    if (cluster.num_occurrences() == 2) {
+    if (cluster.occurrence_count == 2) {
       ++shared;
       EXPECT_EQ(cluster.query_indices.size(), 2u);
     }
@@ -145,8 +148,8 @@ TEST_F(SubqueryTest, OverlapPairsInAnalysis) {
       "where dt = '1010' and memo_type = 'pen') t1 "
       "inner join user_action a on t1.user_id = a.user_id");
   ASSERT_TRUE(q1 && q2 && q3);
-  SubqueryClusterer clusterer;
-  auto analysis = clusterer.Analyze({q1, q2, q3});
+  const std::vector<PlanNodePtr> plans = {q1, q2, q3};
+  auto analysis = testing::Analyze(SubqueryClusterer(), plans);
   // Candidates: join-cluster (q1, q2) and s1-cluster (q1, q2, q3); also
   // s2 appears in q1 and q2.
   EXPECT_GE(analysis.candidates.size(), 2u);
@@ -154,20 +157,28 @@ TEST_F(SubqueryTest, OverlapPairsInAnalysis) {
 }
 
 TEST_F(SubqueryTest, CandidatePicksCheapestMember) {
-  auto q1 = MustBuild(kFig2Sql);
-  auto q2 = MustBuild(kFig2Sql);
-  ASSERT_TRUE(q1 && q2);
-  // Cost oracle that prefers the second query's plans.
-  int calls = 0;
-  SubqueryClusterer::Options opts;
-  SubqueryClusterer clusterer(opts, [&](const PlanNode&) {
-    return static_cast<double>(100 - (calls++));
-  });
-  auto analysis = clusterer.Analyze({q1, q2});
-  for (const auto& cluster : analysis.clusters) {
-    ASSERT_NE(cluster.candidate, nullptr);
+  const std::vector<PlanNodePtr> plans = {MustBuild(kFig2Sql),
+                                          MustBuild(kFig2Sql)};
+  ASSERT_TRUE(plans[0] && plans[1]);
+  // A pure cost oracle that prefers the second query's subplans: the
+  // later member must win with its strictly lower cost, and the
+  // candidate re-derived from the query must be that very node.
+  std::unordered_map<const PlanNode*, size_t> owner;
+  for (size_t qi = 0; qi < plans.size(); ++qi) {
+    for (const PlanNodePtr& node : plans[qi]->Subtrees()) {
+      owner.emplace(node.get(), qi);
+    }
   }
-  EXPECT_GT(calls, 0);
+  const SubqueryClusterer clusterer({}, [&owner](const PlanNode& plan) {
+    return 100.0 - static_cast<double>(owner.at(&plan));
+  });
+  const WorkloadAnalysis analysis = testing::Analyze(clusterer, plans);
+  ASSERT_EQ(analysis.candidates.size(), 3u);
+  for (size_t c : analysis.candidates) {
+    const PlanNodePtr& candidate = analysis.clusters[c].candidate;
+    ASSERT_NE(candidate, nullptr);
+    EXPECT_EQ(owner.at(candidate.get()), 1u);
+  }
 }
 
 // With include_root the query's own root is a subquery. The candidate
@@ -177,7 +188,10 @@ TEST_F(SubqueryTest, CandidatePicksCheapestMember) {
 TEST_F(SubqueryTest, RootCandidateOutlivesQueryPlansInSession) {
   SubqueryClusterer::Options opts;
   opts.extractor.include_root = true;
-  ClustererSession session(opts);
+  // Each re-derivation plans the query afresh, so the candidate is the
+  // only handle left on its node.
+  ClustererSession session(opts, nullptr,
+                           [this](size_t) { return MustBuild(kFig2Sql); });
   std::string root_key;
   size_t root_operators = 0;
   {
@@ -204,23 +218,19 @@ TEST_F(SubqueryTest, RootCandidateOutlivesQueryPlansInBatchAnalyses) {
   ASSERT_NE(reference, nullptr);
   const std::string root_key = CanonicalKey(*reference);
 
-  // AnalyzeStreaming keeps only the argmin subplan of a plan it drops
-  // after the chunk; Analyze gets plans the caller then drops.
-  const WorkloadAnalysis streamed = clusterer.AnalyzeStreaming(
+  // The clusterer drops each plan after extraction and re-derives the
+  // candidate from a fresh plan it then drops too.
+  const WorkloadAnalysis analysis = clusterer.AnalyzeStreaming(
       2, [this](size_t) { return MustBuild(kFig2Sql); });
-  const WorkloadAnalysis batch =
-      clusterer.Analyze({MustBuild(kFig2Sql), MustBuild(kFig2Sql)});
-  for (const WorkloadAnalysis* analysis : {&streamed, &batch}) {
-    const SubqueryCluster* root = nullptr;
-    for (const auto& cluster : analysis->clusters) {
-      if (cluster.canonical_key == root_key) root = &cluster;
-    }
-    ASSERT_NE(root, nullptr);
-    ASSERT_NE(root->candidate, nullptr);
-    EXPECT_GT(root->candidate.use_count(), 0);
-    EXPECT_EQ(root->candidate->NumOperators(), reference->NumOperators());
-    EXPECT_EQ(CanonicalKey(*root->candidate), root_key);
+  const SubqueryCluster* root = nullptr;
+  for (const auto& cluster : analysis.clusters) {
+    if (cluster.canonical_key == root_key) root = &cluster;
   }
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(root->candidate, nullptr);
+  EXPECT_GT(root->candidate.use_count(), 0);
+  EXPECT_EQ(root->candidate->NumOperators(), reference->NumOperators());
+  EXPECT_EQ(CanonicalKey(*root->candidate), root_key);
 }
 
 TEST(VerifyTest, ExecutionVerificationAgreesWithCanonicalizer) {
@@ -268,8 +278,7 @@ TEST(VerifyTest, ExecutionVerificationAgreesWithCanonicalizer) {
 }
 
 TEST_F(SubqueryTest, EmptyWorkload) {
-  SubqueryClusterer clusterer;
-  auto analysis = clusterer.Analyze({});
+  auto analysis = testing::Analyze(SubqueryClusterer(), {});
   EXPECT_EQ(analysis.num_queries, 0u);
   EXPECT_EQ(analysis.num_subqueries, 0u);
   EXPECT_TRUE(analysis.candidates.empty());
@@ -293,17 +302,14 @@ TEST_F(SubqueryTest, KeyIndexOverlapsMatchAllPairsOnRandomPlans) {
     for (const size_t min_sharing : {1u, 2u}) {
       for (const size_t threads : {1u, 4u}) {
         ThreadPool pool(threads);
-        SubqueryClusterer::Options key_index;
-        key_index.extractor.include_root = true;
-        key_index.min_sharing = min_sharing;
-        key_index.pool = &pool;
-        SubqueryClusterer::Options all_pairs = key_index;
-        all_pairs.overlap = SubqueryClusterer::OverlapAlgorithm::kAllPairs;
-        const auto a = SubqueryClusterer(key_index).Analyze(queries);
-        const auto b = SubqueryClusterer(all_pairs).Analyze(queries);
+        SubqueryClusterer::Options options;
+        options.extractor.include_root = true;
+        options.min_sharing = min_sharing;
+        options.pool = &pool;
+        const auto a = testing::Analyze(SubqueryClusterer(options), queries);
         EXPECT_GT(a.num_overlapping_pairs(), 0u)
             << "seed " << seed << " min_sharing " << min_sharing;
-        EXPECT_EQ(a.overlapping, b.overlapping)
+        EXPECT_EQ(a.overlapping, testing::AllPairsOverlaps(a))
             << "seed " << seed << " min_sharing " << min_sharing
             << " threads " << threads;
       }
@@ -313,44 +319,12 @@ TEST_F(SubqueryTest, KeyIndexOverlapsMatchAllPairsOnRandomPlans) {
 
 // ---------------------------------------------------------------------
 // Memory-bounded clustering: the key-index overlap detection and the
-// one-pass streaming analysis must be *bit-identical* to the all-pairs
-// oracle / batch path — the contract DESIGN.md §10 pins.
+// chunked, session-folded analysis must be *bit-identical* to the
+// oracle (tests/analysis_oracle.h) — the contract DESIGN.md §10 pins.
 
-std::vector<PlanNodePtr> BuildWorkloadPlans(const GeneratedWorkload& w) {
-  std::vector<PlanNodePtr> plans;
-  plans.reserve(w.sql.size());
-  PlanBuilder builder(&w.db->catalog());
-  for (const auto& sql : w.sql) {
-    auto r = builder.BuildFromSql(sql);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    plans.push_back(r.ok() ? r.value() : nullptr);
-  }
-  return plans;
-}
-
-/// Everything except per-occurrence plans must agree; candidate plans
-/// are compared by canonical key (the streaming path plans each query
-/// itself, so pointer identity is not expected).
-void ExpectAnalysesEquivalent(const WorkloadAnalysis& a,
-                              const WorkloadAnalysis& b) {
-  EXPECT_EQ(a.num_queries, b.num_queries);
-  EXPECT_EQ(a.num_subqueries, b.num_subqueries);
-  EXPECT_EQ(a.num_equivalent_pairs, b.num_equivalent_pairs);
-  ASSERT_EQ(a.clusters.size(), b.clusters.size());
-  for (size_t c = 0; c < a.clusters.size(); ++c) {
-    EXPECT_EQ(a.clusters[c].canonical_key, b.clusters[c].canonical_key);
-    EXPECT_EQ(a.clusters[c].num_occurrences(),
-              b.clusters[c].num_occurrences());
-    EXPECT_EQ(a.clusters[c].query_indices, b.clusters[c].query_indices);
-    ASSERT_NE(a.clusters[c].candidate, nullptr);
-    ASSERT_NE(b.clusters[c].candidate, nullptr);
-    EXPECT_EQ(CanonicalKey(*a.clusters[c].candidate),
-              CanonicalKey(*b.clusters[c].candidate));
-  }
-  EXPECT_EQ(a.candidates, b.candidates);
-  EXPECT_EQ(a.associated_queries, b.associated_queries);
-  EXPECT_EQ(a.overlapping, b.overlapping);
-}
+using testing::BuildWorkloadPlans;
+using testing::ExpectAnalysesEquivalent;
+using testing::OracleAnalyze;
 
 TEST(ClustererScaleTest, KeyIndexOverlapMatchesAllPairs) {
   for (const uint64_t seed : {11u, 12u}) {
@@ -359,16 +333,10 @@ TEST(ClustererScaleTest, KeyIndexOverlapMatchesAllPairs) {
     const GeneratedWorkload workload = GenerateCloudWorkload(spec);
     const auto plans = BuildWorkloadPlans(workload);
 
-    SubqueryClusterer::Options key_index;
-    key_index.overlap = SubqueryClusterer::OverlapAlgorithm::kKeyIndex;
-    SubqueryClusterer::Options all_pairs;
-    all_pairs.overlap = SubqueryClusterer::OverlapAlgorithm::kAllPairs;
-
-    const auto a = SubqueryClusterer(key_index).Analyze(plans);
-    const auto b = SubqueryClusterer(all_pairs).Analyze(plans);
+    const WorkloadAnalysis a = testing::Analyze(SubqueryClusterer(), plans);
     EXPECT_GT(a.num_overlapping_pairs(), 0u);
-    EXPECT_EQ(a.overlapping, b.overlapping);
-    ExpectAnalysesEquivalent(a, b);
+    EXPECT_EQ(a.overlapping, testing::AllPairsOverlaps(a));
+    ExpectAnalysesEquivalent(OracleAnalyze(plans, {}), a);
   }
 }
 
@@ -376,7 +344,13 @@ TEST(ClustererScaleTest, StreamingMatchesBatchAcrossChunksAndThreads) {
   const GeneratedWorkload workload = GenerateCloudWorkload(Wk2Spec(0.5));
   const auto plans = BuildWorkloadPlans(workload);
 
-  const WorkloadAnalysis batch = SubqueryClusterer().Analyze(plans);
+  std::vector<size_t> argmin_query;
+  const WorkloadAnalysis oracle =
+      OracleAnalyze(plans, {}, nullptr, &argmin_query);
+  std::set<size_t> holds_argmin;
+  for (size_t c : oracle.candidates) holds_argmin.insert(argmin_query[c]);
+  ASSERT_FALSE(holds_argmin.empty());
+  ASSERT_LT(holds_argmin.size(), plans.size());
 
   for (const size_t chunk : {1u, 7u, 1024u}) {
     for (const size_t threads : {1u, 4u}) {
@@ -391,29 +365,15 @@ TEST(ClustererScaleTest, StreamingMatchesBatchAcrossChunksAndThreads) {
       opts.pool = &pool;
       const WorkloadAnalysis streaming =
           SubqueryClusterer(opts).AnalyzeStreaming(plans.size(), query_fn);
-      ExpectAnalysesEquivalent(batch, streaming);
-      // One pass: each query is planned exactly once.
+      ExpectAnalysesEquivalent(oracle, streaming);
+      // Each query is planned once for extraction, and once more exactly
+      // when it holds a candidate's least-cost member, whose plan the
+      // final snapshot re-derives.
       for (size_t qi = 0; qi < plans.size(); ++qi) {
-        EXPECT_EQ(calls[qi].load(), 1)
+        EXPECT_EQ(calls[qi].load(), 1 + static_cast<int>(holds_argmin.count(qi)))
             << "query " << qi << " chunk " << chunk << " threads " << threads;
       }
-      // The streaming path never retains member plans.
-      for (const auto& cluster : streaming.clusters) {
-        EXPECT_TRUE(cluster.occurrences.empty());
-      }
     }
-  }
-}
-
-TEST(ClustererScaleTest, BatchChunkSizeDoesNotChangeResults) {
-  const GeneratedWorkload workload = GenerateCloudWorkload(Wk1Spec(0.4));
-  const auto plans = BuildWorkloadPlans(workload);
-  const WorkloadAnalysis base = SubqueryClusterer().Analyze(plans);
-  for (const size_t chunk : {1u, 3u, 50u}) {
-    SubqueryClusterer::Options opts;
-    opts.extract_chunk = chunk;
-    const WorkloadAnalysis chunked = SubqueryClusterer(opts).Analyze(plans);
-    ExpectAnalysesEquivalent(base, chunked);
   }
 }
 

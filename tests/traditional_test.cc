@@ -24,9 +24,11 @@ class TraditionalTest : public ::testing::Test {
     Rng rng(3);
     std::vector<Row> rows;
     for (int i = 0; i < 1000; ++i) {
-      rows.push_back({Value(rng.UniformInt(0, 99)),       // key: uniform
-                      Value(rng.UniformInt(0, 9)),        // cat: uniform
-                      Value("s" + std::to_string(rng.UniformInt(0, 4)))});
+      const Value key(rng.UniformInt(0, 99));  // uniform
+      const Value cat(rng.UniformInt(0, 9));   // uniform
+      std::string tag = "s";
+      tag += std::to_string(rng.UniformInt(0, 4));
+      rows.push_back({key, cat, Value(std::move(tag))});
     }
     ASSERT_TRUE(db_.AddTable(TableSchema("facts",
                                          {{"key", ColumnType::kInt64},

@@ -74,8 +74,8 @@ TEST(GeneratorTest, WorkloadsShareSubqueries) {
   for (const auto& sql : wk.sql) {
     plans.push_back(builder.BuildFromSql(sql).value());
   }
-  SubqueryClusterer clusterer;
-  auto analysis = clusterer.Analyze(plans);
+  auto analysis = SubqueryClusterer().AnalyzeStreaming(
+      plans.size(), [&plans](size_t qi) { return plans[qi]; });
   EXPECT_GT(analysis.num_equivalent_pairs, 0u);
   EXPECT_GT(analysis.candidates.size(), 0u);
   EXPECT_GT(analysis.associated_queries.size(), plans.size() / 3);
