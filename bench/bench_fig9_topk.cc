@@ -24,7 +24,9 @@ int main() {
     for (TopkStrategy strategy :
          {TopkStrategy::kFrequency, TopkStrategy::kOverhead,
           TopkStrategy::kBenefit, TopkStrategy::kNormalized}) {
-      curves.push_back(TopkUtilityCurve(problem, strategy, step));
+      auto curve = TopkUtilityCurve(problem, strategy, step);
+      AV_CHECK(curve.ok());
+      curves.push_back(std::move(curve).value());
     }
 
     TablePrinter table({"k", "TopkFreq", "TopkOver", "TopkBen", "TopkNorm"});

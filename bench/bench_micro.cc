@@ -9,6 +9,7 @@
 
 #include "core/autoview.h"
 #include "costmodel/wide_deep.h"
+#include "ilp/problem_index.h"
 #include "nn/modules.h"
 #include "nn/optimizer.h"
 #include "plan/builder.h"
@@ -188,7 +189,8 @@ MvsProblem MakeRandomProblem(size_t nq, size_t nz) {
 
 void BM_YOptSolveAll(benchmark::State& state) {
   MvsProblem p = MakeRandomProblem(static_cast<size_t>(state.range(0)), 24);
-  YOptSolver yopt(&p);
+  const MvsProblemIndex index(p);
+  YOptSolver yopt(&index);
   std::vector<bool> z(24, true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(yopt.SolveAll(z));

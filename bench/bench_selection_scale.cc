@@ -1,7 +1,8 @@
-// Selection-engine scaling micro-benchmark (google-benchmark): IterView
-// and RLView wall time on synthetic sparse MVS instances at |Q| x |Z| in
-// {50x200, 200x1000, 500x4000} with ~5% nonzero benefits, naive vs
-// incremental engine. Both engines are bit-identical by contract
+// Selection scaling micro-benchmark (google-benchmark): IterView and
+// RLView wall time on synthetic sparse MVS instances at |Q| x |Z| in
+// {50x200, 200x1000, 500x4000} with ~5% nonzero benefits. Arm 0 runs the
+// dense test oracle (tests/selection_oracle.h), arm 1 the library's
+// index-driven selector. The two are bit-identical by contract
 // (tests/problem_index_test.cc); the per-run "utility" counter makes the
 // equality visible in the emitted JSON.
 //
@@ -9,22 +10,22 @@
 //   ./bench/bench_selection_scale --benchmark_repetitions=3
 //       --benchmark_out=../BENCH_selection.json --benchmark_out_format=json
 // The JSON context records the autoview build type and source commit.
-// Each run is single-threaded by construction (one restart, no pool
-// fan-out), so the reported speedups are algorithmic, not parallelism.
+// Every run is one single-threaded trial, so the reported speedups are
+// algorithmic, not parallelism.
 
 #include <benchmark/benchmark.h>
 
 #include "select/iterview.h"
 #include "select/rlview.h"
+#include "selection_oracle.h"
 #include "util/logging.h"
 #include "util/random.h"
 
 namespace autoview {
 namespace {
 
-/// Local ~5% sparse instance generator (mirrors the shape of
-/// tests/generators.h RandomSparseProblem; duplicated because the bench
-/// tree does not include test headers).
+/// ~5% sparse instance generator with cheap views (a variant of
+/// tests/generators.h RandomSparseProblem).
 MvsProblem SparseProblem(size_t nq, size_t nz, uint64_t seed,
                          double density = 0.05) {
   Rng rng(seed);
@@ -53,18 +54,22 @@ MvsProblem SparseProblem(size_t nq, size_t nz, uint64_t seed,
   return p;
 }
 
-SelectionEngine EngineArg(const benchmark::State& state) {
-  return state.range(2) != 0 ? SelectionEngine::kIncremental
-                             : SelectionEngine::kNaive;
-}
+/// Arg 2: 0 = the dense oracle, 1 = the library.
+bool OracleArm(const benchmark::State& state) { return state.range(2) == 0; }
 
-IterViewSelector::Options IterOptions(const benchmark::State& state) {
+IterViewSelector::Options IterOptions() {
   IterViewSelector::Options options;
   options.iterations = 12;
   options.seed = 42;
-  options.restarts = 1;  // single trial => single thread
-  options.engine = EngineArg(state);
   return options;
+}
+
+Result<MvsSolution> RunIterView(const benchmark::State& state,
+                                const MvsProblem& problem) {
+  if (OracleArm(state)) {
+    return testing::OracleIterView(IterOptions()).Select(problem);
+  }
+  return IterViewSelector(IterOptions()).Select(problem);
 }
 
 void BM_IterViewSelect(benchmark::State& state) {
@@ -72,28 +77,34 @@ void BM_IterViewSelect(benchmark::State& state) {
   const size_t nz = static_cast<size_t>(state.range(1));
   const MvsProblem problem = SparseProblem(nq, nz, /*seed=*/1234);
   for (auto _ : state) {
-    IterViewSelector selector(IterOptions(state));
-    auto result = selector.Select(problem);
+    auto result = RunIterView(state, problem);
     AV_CHECK(result.ok());
     benchmark::DoNotOptimize(result.value().utility);
   }
-  // Bit-identical across engines for a given shape (compare in JSON).
+  // Bit-identical across arms for a given shape (compare in JSON).
   // Computed outside the timing loop: the harness re-invokes this
   // function with zero loop iterations when assembling results, so a
   // counter fed from a loop-local would report the stale initializer.
-  auto check = IterViewSelector(IterOptions(state)).Select(problem);
+  auto check = RunIterView(state, problem);
   AV_CHECK(check.ok());
   state.counters["utility"] = check.value().utility;
 }
 
-RLViewSelector::Options RlOptions(const benchmark::State& state) {
+RLViewSelector::Options RlOptions() {
   RLViewSelector::Options options;
   options.seed = 42;
   options.init_iterations = 3;
   options.episodes = 1;
   options.max_steps_per_episode = 8;
-  options.engine = EngineArg(state);
   return options;
+}
+
+Result<MvsSolution> RunRLView(const benchmark::State& state,
+                              const MvsProblem& problem) {
+  if (OracleArm(state)) {
+    return testing::OracleRLView(RlOptions()).Select(problem);
+  }
+  return RLViewSelector(RlOptions()).Select(problem);
 }
 
 void BM_RLViewSelect(benchmark::State& state) {
@@ -101,19 +112,18 @@ void BM_RLViewSelect(benchmark::State& state) {
   const size_t nz = static_cast<size_t>(state.range(1));
   const MvsProblem problem = SparseProblem(nq, nz, /*seed=*/1234);
   for (auto _ : state) {
-    RLViewSelector selector(RlOptions(state));
-    auto result = selector.Select(problem);
+    auto result = RunRLView(state, problem);
     AV_CHECK(result.ok());
     benchmark::DoNotOptimize(result.value().utility);
   }
   // See BM_IterViewSelect for why this runs outside the timing loop.
-  auto check = RLViewSelector(RlOptions(state)).Select(problem);
+  auto check = RunRLView(state, problem);
   AV_CHECK(check.ok());
   state.counters["utility"] = check.value().utility;
 }
 
-// Args: {num_queries, num_views, engine} with engine 0 = naive oracle,
-// 1 = incremental.
+// Args: {num_queries, num_views, arm} with arm 0 = dense test oracle,
+// 1 = library.
 #define SELECTION_SHAPES(bench)                                        \
   BENCHMARK(bench)                                                     \
       ->Unit(benchmark::kMillisecond)                                  \

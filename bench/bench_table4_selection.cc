@@ -39,19 +39,17 @@ int main() {
 
     std::vector<MethodRow> rows;
 
-    // Greedy methods: sweep k, keep the best.
+    // Greedy methods: sweep k, keep the first k of the best utility.
     for (TopkStrategy strategy :
          {TopkStrategy::kFrequency, TopkStrategy::kOverhead,
           TopkStrategy::kBenefit, TopkStrategy::kNormalized}) {
-      TopkSelector selector(strategy, 0);
+      auto curve = TopkUtilityCurve(problem, strategy, 1);
+      AV_CHECK(curve.ok());
       double best = 0.0;
       size_t best_k = 0;
-      for (size_t k = 0; k <= nz; ++k) {
-        selector.set_k(k);
-        auto result = selector.Select(problem);
-        AV_CHECK(result.ok());
-        if (result.value().utility > best) {
-          best = result.value().utility;
+      for (size_t k = 0; k < curve.value().size(); ++k) {
+        if (curve.value()[k] > best) {
+          best = curve.value()[k];
           best_k = k;
         }
       }

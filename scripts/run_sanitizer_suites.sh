@@ -53,14 +53,14 @@ case "$mode" in
     ;;
   tsan)
     sanitize=thread
-    # problem_index_test covers the incremental selection engine across
-    # pool sizes (shared MvsProblemIndex read by concurrent trials);
-    # subquery_test the chunked clusterer (parallel extraction, the
-    # snapshot's parallel re-derivation of candidate plans, key-index
-    # overlap); view_store_test pins/evictions/async builds
+    # subquery_test covers the chunked clusterer (parallel extraction,
+    # the snapshot's parallel re-derivation of candidate plans, key-
+    # index overlap); view_store_test pins/evictions/async builds
     # racing on the store; advisor_test concurrent pinned serving racing
     # generation hot swaps, and two clients that ingest, rewrite and
     # execute while their own ingests re-select and swap.
+    # problem_index_test runs one thread since IterView has one trial;
+    # it stays so a parallel path added to the selectors is checked.
     suites="thread_pool_test static_analysis_test parallel_determinism_test problem_index_test subquery_test view_store_test advisor_test rewrite_fast_path_test"
     ;;
   *)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ilp/problem_index.h"
+
 namespace autoview {
 
 namespace {
@@ -88,7 +90,8 @@ void Branch(SearchContext* ctx, size_t pos, double bound) {
 Result<MvsSolution> BranchAndBoundSolver::Solve(
     const MvsProblem& problem) const {
   AV_RETURN_NOT_OK(problem.Validate());
-  YOptSolver yopt(&problem);
+  const MvsProblemIndex index(problem);
+  YOptSolver yopt(&index);
 
   SearchContext ctx;
   ctx.problem = &problem;

@@ -110,34 +110,6 @@ Status CompactMvsProblem::Validate() const {
   return Status::OK();
 }
 
-CompactMvsProblem CompactMvsProblem::FromDense(const MvsProblem& problem,
-                                               size_t shard_budget_bytes) {
-  CompactMvsProblem compact;
-  compact.rows = CompressedRowStore(shard_budget_bytes);
-  compact.overhead = problem.overhead;
-  compact.frequency = problem.frequency;
-  const size_t nz = problem.num_views();
-  compact.overlap_adjacency.resize(nz);
-  for (size_t j = 0; j < nz; ++j) {
-    for (size_t k = 0; k < nz; ++k) {
-      if (k != j && problem.overlap[j][k]) {
-        compact.overlap_adjacency[j].push_back(static_cast<uint32_t>(k));
-      }
-    }
-  }
-  std::vector<CompressedRowStore::Entry> entries;
-  for (const auto& row : problem.benefit) {
-    entries.clear();
-    for (size_t j = 0; j < row.size(); ++j) {
-      if (row[j] != 0.0) {
-        entries.push_back(CompressedRowStore::Entry{j, row[j]});
-      }
-    }
-    compact.rows.AppendRow(entries);
-  }
-  return compact;
-}
-
 void ShardedProblemBuilder::SetViews(
     std::vector<double> overhead,
     std::vector<std::vector<uint32_t>> overlap_adjacency,

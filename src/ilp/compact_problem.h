@@ -115,10 +115,6 @@ struct CompactMvsProblem {
   /// Structural validation (adjacency sorted/symmetric/irreflexive,
   /// view ids in range).
   Status Validate() const;
-
-  /// Compresses a dense problem (test oracle for the sharded path).
-  static CompactMvsProblem FromDense(const MvsProblem& problem,
-                                     size_t shard_budget_bytes = 1 << 20);
 };
 
 /// \brief Streaming builder for CompactMvsProblem: declare the views

@@ -77,20 +77,6 @@ bool IsFeasible(const MvsProblem& problem, const std::vector<bool>& z,
   return true;
 }
 
-bool YOptSolver::Overlaps(size_t a, size_t b) const {
-  return problem_ != nullptr ? problem_->overlap[a][b]
-                             : index_->OverlapTest(a, b);
-}
-
-size_t YOptSolver::NumQueries() const {
-  return problem_ != nullptr ? problem_->num_queries()
-                             : index_->num_queries();
-}
-
-size_t YOptSolver::NumViews() const {
-  return problem_ != nullptr ? problem_->num_views() : index_->num_views();
-}
-
 void YOptSolver::Search(const std::vector<size_t>& views,
                         const std::vector<double>& weights, size_t pos,
                         double current, std::vector<bool>* taken, double* best,
@@ -110,7 +96,7 @@ void YOptSolver::Search(const std::vector<size_t>& views,
   // Branch: take views[pos] if compatible with the current selection.
   bool compatible = true;
   for (size_t p = 0; p < pos && compatible; ++p) {
-    if ((*taken)[p] && Overlaps(views[p], views[pos])) {
+    if ((*taken)[p] && index_->OverlapTest(views[p], views[pos])) {
       compatible = false;
     }
   }
@@ -128,44 +114,33 @@ std::vector<bool> YOptSolver::SolveQuery(size_t query_index,
   std::vector<size_t> views;
   std::vector<double> weights;  // parallel to views throughout
   bool presorted = false;
-  if (index_ != nullptr) {
-    const auto& sparse_row = index_->Row(query_index);
-    if (!index_->RowHasTies(query_index)) {
-      // All benefits in the row are distinct, so the descending order is
-      // unique: filtering the precomputed order by z gives exactly what
-      // sorting the z-filtered subset would.
-      for (size_t p : index_->RowByBenefit(query_index)) {
-        if (z[sparse_row[p].index]) {
-          views.push_back(sparse_row[p].index);
-          weights.push_back(sparse_row[p].benefit);
-        }
-      }
-      presorted = true;
-    } else {
-      for (const MvsProblemIndex::Entry& e : sparse_row) {
-        if (z[e.index]) {
-          views.push_back(e.index);
-          weights.push_back(e.benefit);
-        }
+  const auto& sparse_row = index_->Row(query_index);
+  if (!index_->RowHasTies(query_index)) {
+    // All benefits in the row are distinct, so the descending order is
+    // unique: filtering the precomputed order by z gives exactly what
+    // sorting the z-filtered subset would.
+    for (size_t p : index_->RowByBenefit(query_index)) {
+      if (z[sparse_row[p].index]) {
+        views.push_back(sparse_row[p].index);
+        weights.push_back(sparse_row[p].benefit);
       }
     }
+    presorted = true;
   } else {
-    const auto& benefits = problem_->benefit[query_index];
-    for (size_t j = 0; j < z.size(); ++j) {
-      if (z[j] && benefits[j] > 0) {
-        views.push_back(j);
-        weights.push_back(benefits[j]);
+    for (const MvsProblemIndex::Entry& e : sparse_row) {
+      if (z[e.index]) {
+        views.push_back(e.index);
+        weights.push_back(e.benefit);
       }
     }
   }
   std::vector<bool> row(z.size(), false);
   if (views.empty()) return row;
 
-  // Descending-benefit order tightens the bound early. Sorting a
-  // position permutation by weights performs the exact comparison
-  // sequence the historical sort of view ids by dense benefits did
-  // (same length, same outcomes at every probe), so the resulting
-  // order — ties included — is identical.
+  // Descending-benefit order tightens the bound early. A row with ties
+  // sorts its z-filtered subset: std::sort is unstable, so filtering
+  // the full row's precomputed order could order equal benefits
+  // differently.
   if (!presorted) {
     std::vector<size_t> order(views.size());
     for (size_t p = 0; p < order.size(); ++p) order[p] = p;
@@ -194,7 +169,7 @@ std::vector<bool> YOptSolver::SolveQuery(size_t query_index,
     for (size_t p = 0; p < views.size(); ++p) {
       bool compatible = true;
       for (size_t q = 0; q < p && compatible; ++q) {
-        if (best_taken[q] && Overlaps(views[q], views[p])) {
+        if (best_taken[q] && index_->OverlapTest(views[q], views[p])) {
           compatible = false;
         }
       }
@@ -209,7 +184,7 @@ std::vector<bool> YOptSolver::SolveQuery(size_t query_index,
 
 std::vector<std::vector<bool>> YOptSolver::SolveAll(
     const std::vector<bool>& z) const {
-  const size_t nq = NumQueries();
+  const size_t nq = index_->num_queries();
   std::vector<std::vector<bool>> y;
   y.reserve(nq);
   for (size_t i = 0; i < nq; ++i) {
@@ -221,9 +196,7 @@ std::vector<std::vector<bool>> YOptSolver::SolveAll(
 double YOptSolver::UtilityOf(const std::vector<bool>& z) const {
   // Solver-produced y has its support inside the positive cells, the
   // regime where the sparse evaluation is bit-identical to the dense one.
-  std::vector<std::vector<bool>> y = SolveAll(z);
-  return problem_ != nullptr ? EvaluateUtility(*problem_, z, y)
-                             : index_->EvaluateUtilitySparse(z, y);
+  return index_->EvaluateUtilitySparse(z, SolveAll(z));
 }
 
 }  // namespace autoview

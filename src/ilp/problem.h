@@ -63,19 +63,12 @@ class MvsProblemIndex;
 /// call with a branch-and-bound that is exact for the (small) per-query
 /// instances.
 ///
-/// With an MvsProblemIndex attached, applicable-view collection walks
-/// the query's sparse CSR row instead of scanning all |Z| views, and
+/// Every read (benefits, overlap, sizes) goes through the index:
+/// applicable-view collection walks the query's sparse CSR row, and
 /// tie-free rows reuse the precomputed benefit-descending order instead
-/// of re-sorting per call. Results are bit-identical either way.
+/// of re-sorting per call. The index must outlive the solver.
 class YOptSolver {
  public:
-  explicit YOptSolver(const MvsProblem* problem) : problem_(problem) {}
-  YOptSolver(const MvsProblem* problem, const MvsProblemIndex* index)
-      : problem_(problem), index_(index) {}
-  /// Index-only mode: every read (benefits, overlap, overheads) is
-  /// served from the index, so no dense MvsProblem need exist. Produces
-  /// bit-identical answers to the dense-backed modes for the same
-  /// instance.
   explicit YOptSolver(const MvsProblemIndex* index) : index_(index) {}
 
   /// Optimal y row for query `query_index` under `z`.
@@ -94,12 +87,7 @@ class YOptSolver {
               std::vector<bool>* taken, double* best,
               std::vector<bool>* best_taken) const;
 
-  bool Overlaps(size_t a, size_t b) const;
-  size_t NumQueries() const;
-  size_t NumViews() const;
-
-  const MvsProblem* problem_ = nullptr;
-  const MvsProblemIndex* index_ = nullptr;
+  const MvsProblemIndex* index_;
 };
 
 }  // namespace autoview

@@ -93,10 +93,9 @@ void MvsProblemIndex::RecomputeMaxBenefit(size_t j) {
 }
 
 void MvsProblemIndex::RecomputeTotals() {
-  // Same ascending-view accumulation as the naive per-iteration
-  // aggregate loops (ComputeAggregates in iterview.cc). Always a fresh
-  // fold: float addition is not associative, so adjusting the old total
-  // by a delta would drift from what a rebuild computes.
+  // Same ascending-view accumulation as a dense per-view loop. Always a
+  // fresh fold: float addition is not associative, so adjusting the old
+  // total by a delta would drift from what a rebuild computes.
   total_overhead_ = 0.0;
   total_max_benefit_ = 0.0;
   for (size_t j = 0; j < overhead_.size(); ++j) {

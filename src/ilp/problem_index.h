@@ -10,12 +10,12 @@
 
 namespace autoview {
 
-/// \brief Read-only sparse index over one MVS instance, built once per
-/// Select() call and shared by every concurrent trial (const access
-/// only after construction).
+/// \brief Sparse index over one MVS instance: the only way the selectors
+/// and Y-Opt read an instance. Built once per Select() call (or kept
+/// and mutated by the online advisor).
 ///
 /// The index is self-contained: it can be built either from a dense
-/// MvsProblem (the oracle path) or from a CompactMvsProblem whose rows
+/// MvsProblem or from a CompactMvsProblem whose rows
 /// arrive from the streaming/sharded builder — the dense |Q| x |Z|
 /// matrix need never exist. Both constructors produce bit-identical
 /// structures for the same underlying instance (asserted by the
@@ -109,7 +109,7 @@ class MvsProblemIndex {
   double ViewUtility(size_t j) const { return max_benefit_[j] - overhead_[j]; }
 
   /// sum_j O_j and sum_j B_max[j], accumulated in ascending view order
-  /// (the order the naive per-iteration aggregate loops used).
+  /// (the order of a dense per-view loop).
   double TotalOverhead() const { return total_overhead_; }
   double TotalMaxBenefit() const { return total_max_benefit_; }
 
@@ -118,7 +118,7 @@ class MvsProblemIndex {
 
   /// Total positive benefit cells — exactly the cells a sparse utility
   /// evaluation reads (the benefit-cell count charged to
-  /// GlobalSelection() by the incremental engines).
+  /// GlobalSelection() by the selectors).
   size_t NumPositive() const { return num_positive_; }
 
   /// Utility of (z, y), bit-identical to the dense EvaluateUtility for

@@ -7,7 +7,6 @@
 namespace autoview {
 
 class MvsProblemIndex;
-class ThreadPool;
 
 /// \brief The paper's IterView function (§V-A2): randomized iterative
 /// optimization alternating Z-Opt (probabilistic flips, Eq. 3) and the
@@ -19,37 +18,24 @@ class ThreadPool;
 /// degenerating into a greedy method. The factory functions below
 /// configure the two variants.
 ///
-/// `restarts > 1` runs that many independent seeded trials — restart 0
-/// uses `seed` verbatim (so a single-restart run is unchanged from the
-/// historical behavior) and restart r uses Rng::StreamSeed(seed, r) —
-/// and keeps the maximum-utility solution, ties broken toward the lowest
-/// restart index. Trials execute concurrently on `pool` (DefaultPool()
-/// when null); because every trial owns its Rng stream and the winner is
-/// reduced in restart order on the calling thread, the outcome is
-/// bit-identical for any thread count, including 1.
+/// Every entry point reads the instance through one MvsProblemIndex and
+/// runs one trial on the Rng stream `seed`. Each iteration re-solves
+/// only the queries a flip touched and re-sums utilities sparsely in
+/// the dense summation order, so results are bit-identical to the dense
+/// loop of tests/selection_oracle.h.
 class IterViewSelector : public ViewSelector {
  public:
   struct Options {
     size_t iterations = 100;                 ///< n (or n1 inside RLView)
     size_t freeze_selected_after = SIZE_MAX; ///< BigSub threshold
     uint64_t seed = 42;
-    size_t restarts = 1;        ///< independent seeded trials, best kept
-    ThreadPool* pool = nullptr; ///< trial executor; null => DefaultPool()
 
-    /// Evaluation engine. kIncremental (default) builds a sparse
-    /// MvsProblemIndex once per Select() and re-derives only what each
-    /// Z-flip touched; kNaive is the original dense per-iteration
-    /// recomputation, kept as the bit-identical oracle. Both produce
-    /// the same flip sequence, traces, and solutions for any seed.
-    SelectionEngine engine = SelectionEngine::kIncremental;
-
-    /// Anytime budget: trials poll the deadline once per iteration and,
-    /// when it expires, every trial stops and Select() returns the best
-    /// incumbent seen so far with MvsSolution::timed_out set. The
-    /// returned incumbent is always feasible with utility >= 0 (the
-    /// all-zeros configuration is substituted if the search had only
-    /// visited worse states). Infinite by default, which keeps the
-    /// historical bit-identical behavior.
+    /// Anytime budget: the trial polls the deadline once per iteration
+    /// and, when it expires, Select() returns the best incumbent seen so
+    /// far with MvsSolution::timed_out set. The returned incumbent is
+    /// always feasible with utility >= 0 (the all-zeros configuration is
+    /// substituted if the search had only visited worse states).
+    /// Infinite by default, which never reads the clock.
     Deadline deadline;
     /// Cooperative external cancellation, same semantics as an expired
     /// deadline. Copies share the flag; cancel from any thread.
@@ -66,20 +52,17 @@ class IterViewSelector : public ViewSelector {
   /// BigSub [20]: freezing kicks in after half the iterations.
   static IterViewSelector BigSub(size_t iterations, uint64_t seed = 42);
 
+  /// Validates `problem`, builds its index and calls SelectIndexed.
   Result<MvsSolution> Select(const MvsProblem& problem) override;
 
-  /// Index-only entry point for the sharded/streaming pipeline: runs the
-  /// incremental trials directly against a prebuilt MvsProblemIndex (no
-  /// dense MvsProblem required — the index may come from a
-  /// CompactMvsProblem). Select() with the kIncremental engine routes
-  /// through this method, so the two are bit-identical by construction.
-  /// Ignores Options::engine (this path is inherently incremental).
+  /// Runs the trial against a prebuilt index (which may come from a
+  /// CompactMvsProblem; no dense MvsProblem is needed).
   Result<MvsSolution> SelectIndexed(const MvsProblemIndex& index);
 
-  /// Warm-started delta re-selection for the online advisor: seeds every
+  /// Warm-started delta re-selection for the online advisor: seeds the
   /// trial with the incumbent selection `warm_z` over the (mutated)
-  /// index, re-derives y = Y-Opt(warm_z), and runs the incremental
-  /// iteration loop from there — skipping both the random initialization
+  /// index, re-derives y = Y-Opt(warm_z), and runs the iteration loop
+  /// from there — skipping both the random initialization
   /// and the first-iteration all-queries re-solve (the warm y IS a
   /// solver output, so the dirty-query machinery applies from iteration
   /// one). Monotonicity guarantee: the result's utility is never below
@@ -106,14 +89,9 @@ class IterViewSelector : public ViewSelector {
 
 namespace internal {
 
-/// One Z-Opt pass (Eq. 3): flips each z_j with probability
-/// p_flip = p_overhead * p_benefit compared against threshold tau.
-/// Exposed for unit testing. `frozen` disables 1->0 flips (BigSub).
-void ZOptStep(const MvsProblem& problem, const std::vector<double>& b_cur,
-              double tau, bool frozen, std::vector<bool>* z);
-
-/// The flip probability of Eq. 3 for view j.
-double FlipProbability(const MvsProblem& problem,
+/// The flip probability of Eq. 3 for view j under selection z and
+/// per-view current benefits b_cur. Exposed for unit testing.
+double FlipProbability(const MvsProblemIndex& index,
                        const std::vector<double>& b_cur, size_t j,
                        const std::vector<bool>& z);
 

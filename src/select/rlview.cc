@@ -67,20 +67,15 @@ class QNet {
         std::vector<nn::Scalar>(row, row + feature_dim), 1, feature_dim));
   }
 
-  std::vector<double> Values(const std::vector<nn::Scalar>& phis, size_t n,
-                             size_t feature_dim) const {
-    Tensor q = ForwardAll(phis, n, feature_dim);
-    return std::vector<double>(q.data().begin(), q.data().end());
-  }
-
-  /// Values() through the no-grad inference path: no tape nodes, no
-  /// gradient buffers, reused activation storage, always the current
-  /// weights. Bit-identical to Values() — MlpInference runs MatMul's
-  /// kernel with Add/ReLU's element-wise arithmetic fused in, and the
-  /// dueling combination below mirrors ForwardAll's op order
-  /// ((a - mean_a) + v with MeanRows' accumulation order).
-  std::vector<double> ValuesFast(const std::vector<nn::Scalar>& phis, size_t n,
-                                 size_t feature_dim) {
+  /// Q values of all n actions through the no-grad inference path: no
+  /// tape nodes, no gradient buffers, reused activation storage, always
+  /// the current weights. Bit-identical to ForwardAll's values —
+  /// MlpInference runs MatMul's kernel with Add/ReLU's element-wise
+  /// arithmetic fused in, and the dueling combination below mirrors
+  /// ForwardAll's op order ((a - mean_a) + v with MeanRows' accumulation
+  /// order).
+  std::vector<double> QValues(const std::vector<nn::Scalar>& phis, size_t n,
+                              size_t feature_dim) {
     const std::vector<nn::Scalar>& a = advantage_inf_.Forward(phis.data(), n);
     std::vector<double> q(a.begin(), a.end());
     if (!dueling_) return q;
@@ -125,6 +120,18 @@ class QNet {
 
 }  // namespace
 
+IterViewSelector::Options RLViewSelector::WarmStartOptions() const {
+  // The warm start inherits the deadline, so even a budget too small
+  // for any RL episode still yields a feasible (possibly all-zeros)
+  // incumbent.
+  IterViewSelector::Options warm_options;
+  warm_options.iterations = options_.init_iterations;
+  warm_options.seed = options_.seed;
+  warm_options.deadline = options_.deadline;
+  warm_options.cancel = options_.cancel;
+  return warm_options;
+}
+
 Result<MvsSolution> RLViewSelector::Select(const MvsProblem& problem) {
   AV_RETURN_NOT_OK(problem.Validate());
   trace_.clear();
@@ -134,230 +141,10 @@ Result<MvsSolution> RLViewSelector::Select(const MvsProblem& problem) {
     empty.y.assign(problem.num_queries(), {});
     return empty;
   }
-  return options_.engine == SelectionEngine::kIncremental
-             ? SelectIncremental(problem)
-             : SelectNaive(problem);
-}
-
-Result<MvsSolution> RLViewSelector::SelectNaive(const MvsProblem& problem) {
-  const size_t nz = problem.num_views();
-  const size_t nq = problem.num_queries();
-  YOptSolver yopt(&problem);
-  Rng rng(options_.seed);
-
-  // Warm start: Z0, Y0 <- IterView (Algorithm 2, line 2). The warm
-  // start inherits the deadline, so even a budget too small for any RL
-  // episode still yields a feasible (possibly all-zeros) incumbent.
-  IterViewSelector::Options warm_options;
-  warm_options.iterations = options_.init_iterations;
-  warm_options.seed = options_.seed;
-  warm_options.deadline = options_.deadline;
-  warm_options.cancel = options_.cancel;
-  warm_options.engine = SelectionEngine::kNaive;
-  IterViewSelector warm(warm_options);
-  AV_ASSIGN_OR_RETURN(MvsSolution state, warm.Select(problem));
-  for (double u : warm.utility_trace()) trace_.push_back(u);
-  MvsSolution best = state;
-  bool timed_out = state.timed_out;
-  best.timed_out = false;  // set again below if the run was cut short
-
-  // Per-problem invariants, cached once.
-  std::vector<double> max_benefit(nz), overlap_degree(nz);
-  double o_max = 0.0, b_max_total = 0.0;
-  for (size_t j = 0; j < nz; ++j) {
-    max_benefit[j] = problem.MaxBenefit(j);
-    b_max_total += max_benefit[j];
-    o_max += problem.overhead[j];
-    size_t degree = 0;
-    for (size_t k = 0; k < nz; ++k) degree += problem.overlap[j][k];
-    overlap_degree[j] =
-        static_cast<double>(degree) / static_cast<double>(nz);
-  }
-  const double utility_scale = std::max(b_max_total, 1e-12);
-
-  // DQN mu(e|theta) (§V-B2) and the optional frozen target network.
-  QNet dqn(kFeatureDim, options_.dueling, &rng);
-  QNet target_net(kFeatureDim, options_.dueling, &rng);
-  target_net.CopyFrom(dqn);
-  const bool use_target = options_.target_sync_every > 0;
-  size_t train_steps = 0;
-  nn::Adam::Options adam_opts;
-  adam_opts.lr = options_.learning_rate;
-  nn::Adam adam(dqn.Parameters(), adam_opts);
-
-  std::deque<Transition> memory;
-  const size_t max_steps =
-      options_.max_steps_per_episode ? options_.max_steps_per_episode : nz;
-
-  auto benefits_of = [&](const std::vector<std::vector<bool>>& y) {
-    std::vector<double> b_cur(nz, 0.0);
-    for (size_t i = 0; i < nq; ++i) {
-      for (size_t j = 0; j < nz; ++j) {
-        if (y[i][j] && problem.benefit[i][j] > 0) {
-          b_cur[j] += problem.benefit[i][j];
-        }
-      }
-    }
-    return b_cur;
-  };
-  // Row-major (nz x kFeatureDim) feature matrix for all actions.
-  auto features_of = [&](const std::vector<bool>& z,
-                         const std::vector<double>& b_cur, double utility) {
-    const double utility_norm = utility / utility_scale;
-    double o_cur = 0.0, b_cur_total = 0.0;
-    for (size_t k = 0; k < nz; ++k) {
-      if (z[k]) o_cur += problem.overhead[k];
-      b_cur_total += b_cur[k];
-    }
-    auto phis = std::make_shared<std::vector<nn::Scalar>>(nz * kFeatureDim);
-    for (size_t j = 0; j < nz; ++j) {
-      nn::Scalar* row = &(*phis)[j * kFeatureDim];
-      row[0] = z[j] ? 1.0 : 0.0;
-      row[1] = problem.overhead[j] / std::max(o_max, 1e-12);
-      row[2] = max_benefit[j] / std::max(b_max_total, 1e-12);
-      row[3] = b_cur[j] / std::max(b_cur_total, 1e-12);
-      row[4] = overlap_degree[j];
-      row[5] = utility_norm;
-      row[6] = o_cur / std::max(o_max, 1e-12);
-      row[7] = 1.0;
-    }
-    return FeatureMatrix(std::move(phis));
-  };
-
-  for (size_t episode = 0; episode < options_.episodes && !timed_out;
-       ++episode) {
-    // Linearly decaying exploration: explore early, exploit late.
-    const double epsilon =
-        options_.epsilon *
-        (1.0 - static_cast<double>(episode) /
-                   static_cast<double>(std::max<size_t>(1, options_.episodes)));
-    // Every episode restarts from the warm-start state (line 6).
-    std::vector<bool> z = state.z;
-    std::vector<std::vector<bool>> y = state.y;
-    double utility = EvaluateUtility(problem, z, y);
-    std::vector<double> b_cur = benefits_of(y);
-    FeatureMatrix phis = features_of(z, b_cur, utility);
-
-    size_t t = 0;
-    double reward = 0.0;
-    do {
-      // Anytime behavior: keep the incumbent, stop the episode. The
-      // infinite default never reads the clock (bit-identity).
-      if (StopRequested(options_.deadline, options_.cancel)) {
-        timed_out = true;
-        break;
-      }
-      // Action selection: argmax_j Q(e_t)[j], epsilon-greedy.
-      size_t action;
-      if (rng.Bernoulli(epsilon)) {
-        action = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(nz) - 1));
-      } else {
-        std::vector<double> q = dqn.Values(*phis, nz, kFeatureDim);
-        action = static_cast<size_t>(
-            std::max_element(q.begin(), q.end()) - q.begin());
-      }
-
-      // Environment step: flip z_a, re-solve Y with the ILP solver.
-      // Only queries that can use view `action` are affected, so the
-      // per-query exact Y-Opt is re-run incrementally.
-      z[action] = !z[action];
-      size_t solved = 0;
-      for (size_t i = 0; i < nq; ++i) {
-        if (problem.benefit[i][action] == 0.0) continue;
-        y[i] = yopt.SolveQuery(i, z);
-        ++solved;
-      }
-      GlobalSelection().RecordQueriesSolved(solved);
-      const double next_utility = EvaluateUtility(problem, z, y);
-      GlobalSelection().RecordUtilityCells(static_cast<uint64_t>(nq) * nz);
-      reward = next_utility - utility;
-
-      b_cur = benefits_of(y);
-      FeatureMatrix next_phis = features_of(z, b_cur, next_utility);
-
-      Transition transition;
-      transition.state_actions = phis;
-      transition.action = action;
-      transition.reward = reward;
-      transition.next_actions = next_phis;
-      transition.num_actions = nz;
-      memory.push_back(std::move(transition));
-      if (memory.size() > options_.memory_capacity) memory.pop_front();
-
-      utility = next_utility;
-      phis = std::move(next_phis);
-      trace_.push_back(utility);
-      if (utility > best.utility) {
-        best.z = z;
-        best.y = y;
-        best.utility = utility;
-      }
-
-      // Fine-tune the DQN once the replay memory is warm (line 16).
-      if (memory.size() >= options_.min_memory) {
-        adam.ZeroGrad();
-        std::vector<Tensor> preds, targets;
-        for (size_t b = 0; b < options_.batch_size; ++b) {
-          const Transition& tr = memory[static_cast<size_t>(rng.UniformInt(
-              0, static_cast<int64_t>(memory.size()) - 1))];
-          const QNet& bootstrap = use_target ? target_net : dqn;
-          std::vector<double> next_q =
-              bootstrap.Values(*tr.next_actions, tr.num_actions, kFeatureDim);
-          const double target =
-              tr.reward +
-              options_.gamma * *std::max_element(next_q.begin(), next_q.end());
-          Tensor q_all =
-              dqn.ForwardAll(*tr.state_actions, tr.num_actions, kFeatureDim);
-          preds.push_back(SelectRow(q_all, tr.action));
-          targets.push_back(Tensor::Full(1, 1, target));
-        }
-        MseLoss(nn::ConcatRows(preds), nn::ConcatRows(targets)).Backward();
-        adam.Step();
-        ++train_steps;
-        if (use_target && train_steps % options_.target_sync_every == 0) {
-          target_net.CopyFrom(dqn);
-        }
-      }
-      ++t;
-      // Paper termination: continue while t < |Z| or the last reward was
-      // positive; a hard cap bounds pathological positive-reward chains.
-    } while ((t < max_steps || reward > 0.0) && t < 4 * max_steps);
-  }
-  best.timed_out = timed_out;
-  // The warm start already recorded its own timeout; only count the
-  // episode phase here to keep one user-visible Select() == one record.
-  if (timed_out && !state.timed_out) GlobalRobustness().RecordTimeout();
-  for (const Tensor& param : dqn.Parameters()) {
-    trained_weights_.push_back(param.data());
-  }
-  return best;
-}
-
-/// SelectNaive with every dense recomputation replaced by its sparse,
-/// bit-identical counterpart (tests/problem_index_test.cc asserts the
-/// equivalence): the environment step re-solves exactly the inverted-
-/// index column of the flipped view, the per-step reward is a sparse
-/// re-sum over the CSR support — O(nnz) cells instead of |Q| x |Z| —
-/// b_cur is re-derived only for views whose usage changed, and every
-/// DQN action-scoring call runs through the no-grad inference path.
-/// Training keeps the autograd tape but, for the plain network, tapes
-/// only each sample's chosen-action row (QNet::ForwardAction); the
-/// inference path reads the live weights, so it sees every update.
-Result<MvsSolution> RLViewSelector::SelectIncremental(
-    const MvsProblem& problem) {
   const MvsProblemIndex index(problem);
-
-  // Warm start: Z0, Y0 <- IterView (Algorithm 2, line 2); runs its own
-  // incremental engine (same bit-exact result as the naive one).
-  IterViewSelector::Options warm_options;
-  warm_options.iterations = options_.init_iterations;
-  warm_options.seed = options_.seed;
-  warm_options.deadline = options_.deadline;
-  warm_options.cancel = options_.cancel;
-  warm_options.engine = SelectionEngine::kIncremental;
-  IterViewSelector warm(warm_options);
-  AV_ASSIGN_OR_RETURN(MvsSolution state, warm.Select(problem));
+  // Warm start: Z0, Y0 <- IterView (Algorithm 2, line 2).
+  IterViewSelector warm(WarmStartOptions());
+  AV_ASSIGN_OR_RETURN(MvsSolution state, warm.SelectIndexed(index));
   for (double u : warm.utility_trace()) trace_.push_back(u);
   return EpisodesIndexed(index, state);
 }
@@ -380,12 +167,7 @@ Result<MvsSolution> RLViewSelector::ReselectDelta(
   // utility under this index, and the episode incumbent below only
   // improves on its start state, so the whole re-selection is monotone
   // with respect to the incumbent.
-  IterViewSelector::Options warm_options;
-  warm_options.iterations = options_.init_iterations;
-  warm_options.seed = options_.seed;
-  warm_options.deadline = options_.deadline;
-  warm_options.cancel = options_.cancel;
-  IterViewSelector warm(warm_options);
+  IterViewSelector warm(WarmStartOptions());
   AV_ASSIGN_OR_RETURN(MvsSolution state, warm.ReselectDelta(index, warm_z));
   for (double u : warm.utility_trace()) trace_.push_back(u);
   return EpisodesIndexed(index, state);
@@ -402,8 +184,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
   bool timed_out = state.timed_out;
   best.timed_out = false;  // set again below if the run was cut short
 
-  // Per-problem invariants, served by the index (ascending-view
-  // accumulation, bit-identical to the dense pass).
+  // Per-problem invariants, served by the index.
   std::vector<double> max_benefit(nz), overlap_degree(nz);
   const double o_max = index.TotalOverhead();
   const double b_max_total = index.TotalMaxBenefit();
@@ -428,9 +209,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
   const size_t max_steps =
       options_.max_steps_per_episode ? options_.max_steps_per_episode : nz;
 
-  // Row-major (nz x kFeatureDim) feature matrix for all actions. The
-  // index's overhead copy stands in for problem.overhead — the values
-  // are identical by construction, so the features stay bit-exact.
+  // Row-major (nz x kFeatureDim) feature matrix for all actions.
   auto features_of = [&](const std::vector<bool>& z,
                          const std::vector<double>& b_cur, double utility) {
     const double utility_norm = utility / utility_scale;
@@ -455,8 +234,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
   };
 
   // The episode start state is fixed, so its utility and per-view
-  // benefits are computed once (sparse, in the naive summation order)
-  // and copied at each restart.
+  // benefits are computed once and copied at each restart.
   const double state_utility = index.EvaluateUtilitySparse(state.z, state.y);
   std::vector<double> state_b_cur(nz, 0.0);
   for (size_t j = 0; j < nz; ++j) {
@@ -495,7 +273,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
         action = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(nz) - 1));
       } else {
-        std::vector<double> q = dqn.ValuesFast(*phis, nz, kFeatureDim);
+        std::vector<double> q = dqn.QValues(*phis, nz, kFeatureDim);
         action = static_cast<size_t>(
             std::max_element(q.begin(), q.end()) - q.begin());
       }
@@ -549,9 +327,10 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
       // Bootstrap targets need no gradients, so they use the fast
       // scorer. The prediction pass tapes one row per sample (see
       // QNet::ForwardAction). Each sample stays its own subgraph under
-      // ConcatRows, so Backward accumulates the samples in SelectNaive's
-      // order and the weights stay bit-identical; batching the samples
-      // into one matmul would reorder those float sums.
+      // ConcatRows, so Backward accumulates the samples in the order of
+      // a full ForwardAll pass and the weights stay bit-identical;
+      // batching the samples into one matmul would reorder those float
+      // sums.
       if (memory.size() >= options_.min_memory) {
         adam.ZeroGrad();
         std::vector<Tensor> preds, targets;
@@ -559,7 +338,7 @@ Result<MvsSolution> RLViewSelector::EpisodesIndexed(
           const Transition& tr = memory[static_cast<size_t>(rng.UniformInt(
               0, static_cast<int64_t>(memory.size()) - 1))];
           QNet& bootstrap = use_target ? target_net : dqn;
-          std::vector<double> next_q = bootstrap.ValuesFast(
+          std::vector<double> next_q = bootstrap.QValues(
               *tr.next_actions, tr.num_actions, kFeatureDim);
           const double target =
               tr.reward +

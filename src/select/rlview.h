@@ -44,15 +44,6 @@ class RLViewSelector : public ViewSelector {
     /// heads. Off by default (the paper's network is a plain MLP).
     bool dueling = false;
 
-    /// Evaluation engine. kIncremental (default) re-solves only the
-    /// queries touched by the flipped view via the inverted index,
-    /// computes each step's reward from a sparse utility re-sum, and
-    /// scores DQN actions through the no-grad inference fast path.
-    /// kNaive is the original dense implementation, kept as the
-    /// bit-identical oracle: same action sequence, rewards, network
-    /// weights, and solution for any seed.
-    SelectionEngine engine = SelectionEngine::kIncremental;
-
     /// Anytime budget shared by the IterView warm start and the RL
     /// episodes: polled between episode steps; on expiry Select()
     /// returns the best incumbent seen with MvsSolution::timed_out set.
@@ -65,6 +56,8 @@ class RLViewSelector : public ViewSelector {
   explicit RLViewSelector(Options options) : options_(options) {}
   RLViewSelector() : RLViewSelector(Options{}) {}
 
+  /// Validates `problem`, builds its index once, and runs the IterView
+  /// warm start and the RL episodes over it.
   Result<MvsSolution> Select(const MvsProblem& problem) override;
 
   /// Warm-started delta re-selection for the online advisor: the
@@ -83,8 +76,8 @@ class RLViewSelector : public ViewSelector {
 
   /// The DQN's parameters after the last Select or ReselectDelta, one
   /// vector per parameter tensor in the network's Parameters() order;
-  /// empty when that call built no network. Both engines must leave the
-  /// same weights bit for bit.
+  /// empty when that call built no network. The dense loop of
+  /// tests/selection_oracle.h must leave the same weights bit for bit.
   const std::vector<std::vector<double>>& trained_weights() const {
     return trained_weights_;
   }
@@ -92,16 +85,17 @@ class RLViewSelector : public ViewSelector {
  private:
   static constexpr size_t kFeatureDim = 8;
 
-  /// The two engines behind Select() (see Options::engine).
-  Result<MvsSolution> SelectNaive(const MvsProblem& problem);
-  Result<MvsSolution> SelectIncremental(const MvsProblem& problem);
+  /// The IterView warm start's options (Algorithm 2, line 2): n1
+  /// iterations on this selector's seed, deadline and token.
+  IterViewSelector::Options WarmStartOptions() const;
 
-  /// The incremental RL episode loop, shared by SelectIncremental() and
-  /// ReselectDelta(): restarts every episode from `state` (the warm
-  /// start's best solution) and reads the instance exclusively through
-  /// the index — bit-identical to the dense loop because the index
-  /// stores its own overhead copy and every sparse sum re-runs the
-  /// naive summation order.
+  /// The RL episode loop shared by Select() and ReselectDelta(): restarts
+  /// every episode from `state` (the warm start's best solution) and
+  /// reads the instance only through the index. Each environment step
+  /// re-solves the flipped view's column and re-sums the reward sparsely
+  /// in the dense summation order, and actions are scored through the
+  /// no-grad inference path, so the run is bit-identical to the dense
+  /// loop of tests/selection_oracle.h.
   Result<MvsSolution> EpisodesIndexed(const MvsProblemIndex& index,
                                       const MvsSolution& state);
 

@@ -8,21 +8,6 @@
 
 namespace autoview {
 
-/// \brief Evaluation engine of the iterative selectors.
-///
-/// kIncremental (the default) builds an MvsProblemIndex per Select()
-/// call and re-derives only what each flip touched: Y-Opt re-solves
-/// dirty queries via the inverted index, per-view benefits are
-/// recomputed only for views whose usage changed, and utilities are
-/// sparse ordered re-sums over the nonzero support. kNaive keeps the
-/// original dense per-iteration recomputation; it is retained as the
-/// bit-identical oracle (tests/problem_index_test.cc) and as the
-/// baseline of bench/bench_selection_scale.cc.
-enum class SelectionEngine {
-  kNaive,
-  kIncremental,
-};
-
 /// \brief Common interface of the view-selection methods compared in
 /// Table IV / Figures 9-10.
 class ViewSelector {
@@ -66,9 +51,6 @@ class TopkSelector : public ViewSelector {
   /// The ranked candidate order for `problem` (before truncation at k).
   std::vector<size_t> Ranking(const MvsProblem& problem) const;
 
-  void set_k(size_t k) { k_ = k; }
-  size_t k() const { return k_; }
-
  private:
   TopkStrategy strategy_;
   size_t k_;
@@ -76,7 +58,10 @@ class TopkSelector : public ViewSelector {
 
 /// Sweeps k in [0, num_views] and returns the utility at each k —
 /// the curves of Fig. 9. `step` subsamples the sweep for large |Z|.
-std::vector<double> TopkUtilityCurve(const MvsProblem& problem,
-                                     TopkStrategy strategy, size_t step = 1);
+/// Each point equals TopkSelector(strategy, k).Select(problem)'s
+/// utility; a malformed problem is an InvalidArgument, not a curve.
+Result<std::vector<double>> TopkUtilityCurve(const MvsProblem& problem,
+                                             TopkStrategy strategy,
+                                             size_t step = 1);
 
 }  // namespace autoview

@@ -1,9 +1,28 @@
 #include <algorithm>
 #include <numeric>
 
+#include "ilp/problem_index.h"
 #include "select/selector.h"
 
 namespace autoview {
+
+namespace {
+
+/// Materializes the first k views of `order` and assigns them per query
+/// with the exact Y-Opt.
+MvsSolution SelectTopK(const MvsProblemIndex& index,
+                       const std::vector<size_t>& order, size_t k) {
+  MvsSolution solution;
+  solution.z.assign(index.num_views(), false);
+  for (size_t p = 0; p < k && p < order.size(); ++p) {
+    solution.z[order[p]] = true;
+  }
+  solution.y = YOptSolver(&index).SolveAll(solution.z);
+  solution.utility = index.EvaluateUtilitySparse(solution.z, solution.y);
+  return solution;
+}
+
+}  // namespace
 
 const char* TopkStrategyName(TopkStrategy strategy) {
   switch (strategy) {
@@ -48,27 +67,21 @@ std::vector<size_t> TopkSelector::Ranking(const MvsProblem& problem) const {
 Result<MvsSolution> TopkSelector::Select(const MvsProblem& problem) {
   AV_RETURN_NOT_OK(problem.Validate());
   trace_.clear();
-  std::vector<size_t> order = Ranking(problem);
-  MvsSolution solution;
-  solution.z.assign(problem.num_views(), false);
-  for (size_t p = 0; p < k_ && p < order.size(); ++p) {
-    solution.z[order[p]] = true;
-  }
-  YOptSolver yopt(&problem);
-  solution.y = yopt.SolveAll(solution.z);
-  solution.utility = EvaluateUtility(problem, solution.z, solution.y);
+  const MvsProblemIndex index(problem);
+  MvsSolution solution = SelectTopK(index, Ranking(problem), k_);
   trace_.push_back(solution.utility);
   return solution;
 }
 
-std::vector<double> TopkUtilityCurve(const MvsProblem& problem,
-                                     TopkStrategy strategy, size_t step) {
+Result<std::vector<double>> TopkUtilityCurve(const MvsProblem& problem,
+                                             TopkStrategy strategy,
+                                             size_t step) {
+  AV_RETURN_NOT_OK(problem.Validate());
+  const std::vector<size_t> order = TopkSelector(strategy, 0).Ranking(problem);
+  const MvsProblemIndex index(problem);
   std::vector<double> curve;
-  TopkSelector selector(strategy, 0);
   for (size_t k = 0; k <= problem.num_views(); k += std::max<size_t>(1, step)) {
-    selector.set_k(k);
-    auto result = selector.Select(problem);
-    curve.push_back(result.ok() ? result.value().utility : 0.0);
+    curve.push_back(SelectTopK(index, order, k).utility);
   }
   return curve;
 }

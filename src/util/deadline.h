@@ -56,8 +56,8 @@ class Deadline {
 
 /// \brief Cooperative cancellation flag shared by value.
 ///
-/// Copies alias the same flag: hand a token to concurrent trials /
-/// chunks, call RequestCancel() from anywhere, and every holder observes
+/// Copies alias the same flag: hand a token to concurrent tasks, call
+/// RequestCancel() from anywhere, and every holder observes
 /// it. Default-constructed tokens each own a fresh (uncancelled) flag.
 class CancellationToken {
  public:

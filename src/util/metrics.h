@@ -82,12 +82,12 @@ class RobustnessCounters {
 /// The process-wide robustness counters.
 RobustnessCounters& GlobalRobustness();
 
-/// \brief Lock-free work counters of the selection engines, so the
-/// naive-vs-incremental cost claims are verifiable by observation (not
-/// just wall time): how many benefit cells each utility/reward
-/// evaluation touched and how many per-query Y-Opt re-solves ran. The
-/// naive paths charge the dense |Q|x|Z| scan they perform; the
-/// incremental paths charge only the sparse support they actually read.
+/// \brief Lock-free work counters of the selectors, so the dense-vs-
+/// sparse cost claims are verifiable by observation (not just wall
+/// time): how many benefit cells each utility/reward evaluation touched
+/// and how many per-query Y-Opt re-solves ran. The dense test oracle
+/// (tests/selection_oracle.h) charges the |Q|x|Z| scan it performs; the
+/// library charges only the sparse support it actually reads.
 class SelectionCounters {
  public:
   /// Benefit-matrix cells read while computing a utility (or a DQN

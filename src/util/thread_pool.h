@@ -18,7 +18,7 @@ namespace autoview {
 /// \brief Fixed-size FIFO thread pool (no work stealing).
 ///
 /// The pool backs the embarrassingly parallel hot paths of the system:
-/// multi-restart IterView trials, batched Wide-Deep inference over the
+/// batched Wide-Deep inference over the
 /// benefit matrix, and subquery extraction / overlap detection. Every
 /// caller is required to produce results that are bit-identical to a
 /// sequential run, so the pool deliberately offers only order-free

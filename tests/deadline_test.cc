@@ -11,6 +11,7 @@
 #include "ilp/problem.h"
 #include "select/iterview.h"
 #include "select/rlview.h"
+#include "selection_oracle.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -115,23 +116,20 @@ TEST(AnytimeSelectionTest, IterViewUnderTightDeadlineStaysFeasible) {
   EXPECT_GE(GlobalRobustness().Read().selection_timeouts, 1u);
 }
 
-TEST(AnytimeSelectionTest, TightDeadlineStaysFeasibleOnBothEngines) {
-  // The engine dispatch must not weaken any anytime guarantee: under a
-  // wall-clock budget both the naive oracle and the incremental fast
-  // path poll at the same per-iteration point and return a feasible,
-  // non-negative incumbent. (The runs are not comparable to each other
-  // here — wall-clock expiry is nondeterministic; bit-equivalence under
+TEST(AnytimeSelectionTest, TightDeadlineStaysFeasibleOnOracleAndLibrary) {
+  // Under a wall-clock budget both the dense oracle and the library poll
+  // at the same per-iteration point and return a feasible, non-negative
+  // incumbent. (The runs are not comparable to each other here —
+  // wall-clock expiry is nondeterministic; bit-equivalence under
   // *deterministic* expiry is covered in problem_index_test.cc.)
   const MvsProblem problem = testing::RandomSparseProblem(50, 200, 13, 0.05);
-  for (SelectionEngine engine :
-       {SelectionEngine::kNaive, SelectionEngine::kIncremental}) {
+  for (const bool dense : {true, false}) {
     IterViewSelector::Options options;
     options.iterations = 200'000;  // far more than 1ms allows
     options.seed = 7;
-    options.engine = engine;
     options.deadline = Deadline::AfterMillis(1.0);
-    IterViewSelector selector(options);
-    auto r = selector.Select(problem);
+    auto r = dense ? testing::OracleIterView(options).Select(problem)
+                   : IterViewSelector(options).Select(problem);
     ASSERT_TRUE(r.ok());
     const MvsSolution& s = r.value();
     EXPECT_TRUE(s.timed_out);

@@ -2,6 +2,7 @@
 
 #include "ilp/branch_and_bound.h"
 #include "ilp/problem.h"
+#include "ilp/problem_index.h"
 #include "select/iterview.h"
 #include "select/rlview.h"
 #include "select/selector.h"
@@ -54,7 +55,8 @@ MvsProblem RandomProblem(size_t nq, size_t nz, uint64_t seed) {
 
 /// Brute force over all 2^|Z| z assignments with exact Y-Opt.
 double BruteForceOptimal(const MvsProblem& p) {
-  YOptSolver yopt(&p);
+  const MvsProblemIndex index(p);
+  YOptSolver yopt(&index);
   const size_t nz = p.num_views();
   double best = 0.0;
   for (uint64_t mask = 0; mask < (1ULL << nz); ++mask) {
@@ -100,7 +102,8 @@ TEST(MvsProblemTest, UtilityAndFeasibility) {
 
 TEST(YOptTest, PicksNonOverlappingOptimum) {
   MvsProblem p = TinyProblem();
-  YOptSolver yopt(&p);
+  const MvsProblemIndex index(p);
+  YOptSolver yopt(&index);
   std::vector<bool> all(4, true);
   // Query 0: v0 (3.0) and v2 (2.5) overlap; v0+v3 = 3.5 beats v2+v3 = 3.0.
   std::vector<bool> y0 = yopt.SolveQuery(0, all);
@@ -115,7 +118,8 @@ TEST(YOptTest, PicksNonOverlappingOptimum) {
 
 TEST(YOptTest, RespectsZ) {
   MvsProblem p = TinyProblem();
-  YOptSolver yopt(&p);
+  const MvsProblemIndex index(p);
+  YOptSolver yopt(&index);
   std::vector<bool> none(4, false);
   for (const auto& row : yopt.SolveAll(none)) {
     for (bool used : row) EXPECT_FALSE(used);
@@ -125,7 +129,8 @@ TEST(YOptTest, RespectsZ) {
 TEST(YOptTest, MatchesBruteForceOnRandomInstances) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     MvsProblem p = RandomProblem(4, 8, seed);
-    YOptSolver yopt(&p);
+    const MvsProblemIndex index(p);
+    YOptSolver yopt(&index);
     std::vector<bool> all(8, true);
     for (size_t i = 0; i < p.num_queries(); ++i) {
       std::vector<bool> row = yopt.SolveQuery(i, all);
@@ -220,8 +225,9 @@ TEST(TopkTest, CurveRisesThenFalls) {
   // Make two views clearly harmful.
   p.overhead[0] = 100.0;
   p.overhead[1] = 80.0;
-  std::vector<double> curve =
-      TopkUtilityCurve(p, TopkStrategy::kNormalized, 1);
+  auto result = TopkUtilityCurve(p, TopkStrategy::kNormalized, 1);
+  ASSERT_TRUE(result.ok());
+  const std::vector<double>& curve = result.value();
   ASSERT_EQ(curve.size(), 11u);
   EXPECT_EQ(curve[0], 0.0);
   double peak = *std::max_element(curve.begin(), curve.end());
@@ -229,8 +235,22 @@ TEST(TopkTest, CurveRisesThenFalls) {
   EXPECT_GT(peak, 0.0);
 }
 
-TEST(IterViewTest, FlipProbabilityBehavesPerEq3) {
+TEST(TopkTest, CurveRejectsMalformedProblem) {
+  // A failed selection is an error, not a flat curve of zero utilities.
   MvsProblem p = TinyProblem();
+  p.overlap[1][2] = true;  // asymmetric
+  for (TopkStrategy strategy :
+       {TopkStrategy::kFrequency, TopkStrategy::kOverhead,
+        TopkStrategy::kBenefit, TopkStrategy::kNormalized}) {
+    auto curve = TopkUtilityCurve(p, strategy, 1);
+    ASSERT_FALSE(curve.ok());
+    EXPECT_EQ(curve.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(IterViewTest, FlipProbabilityBehavesPerEq3) {
+  const MvsProblem dense = TinyProblem();
+  const MvsProblemIndex p(dense);
   std::vector<double> b_cur = {9.0, 6.0, 0.0, 0.0};
   // Selected expensive view with zero current benefit is flip-prone.
   std::vector<bool> z = {true, true, true, true};

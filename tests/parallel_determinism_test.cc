@@ -1,108 +1,19 @@
 // Property suite for the parallelism contract: every pooled code path
-// (multi-restart IterView, batched Wide-Deep inference, subquery
-// extraction + overlap detection) must produce results bit-identical to
-// a 1-thread run under the same seed, for any worker count.
+// (batched Wide-Deep inference, subquery extraction + overlap
+// detection) must produce results bit-identical to a 1-thread run under
+// the same seed, for any worker count.
 
 #include <gtest/gtest.h>
 
 #include "core/autoview.h"
 #include "costmodel/wide_deep.h"
-#include "generators.h"
 #include "plan/builder.h"
-#include "select/iterview.h"
 #include "subquery/clusterer.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace autoview {
 namespace {
-
-using testing::RandomProblem;
-
-// ---------------------------------------------------------------------------
-// IterView / BigSub: seeded multi-restart selection is independent of
-// the worker count — same utility, same selected view set Z, same
-// per-query assignment Y, same winning-trial trace.
-// ---------------------------------------------------------------------------
-
-class IterViewDeterminismP : public ::testing::TestWithParam<uint64_t> {};
-
-MvsSolution RunIterView(const MvsProblem& problem, uint64_t seed,
-                        size_t freeze_after, ThreadPool* pool,
-                        std::vector<double>* trace) {
-  IterViewSelector::Options options;
-  options.iterations = 30;
-  options.freeze_selected_after = freeze_after;
-  options.seed = seed;
-  options.restarts = 6;
-  options.pool = pool;
-  IterViewSelector selector(options);
-  auto result = selector.Select(problem);
-  EXPECT_TRUE(result.ok());
-  *trace = selector.utility_trace();
-  return result.value();
-}
-
-TEST_P(IterViewDeterminismP, OneThreadMatchesManyThreads) {
-  const uint64_t seed = GetParam();
-  const MvsProblem problem = RandomProblem(24, 14, seed);
-  ThreadPool one(1), many(4);
-  for (size_t freeze : {static_cast<size_t>(SIZE_MAX), size_t{15}}) {
-    std::vector<double> trace_one, trace_many;
-    const MvsSolution a = RunIterView(problem, seed, freeze, &one, &trace_one);
-    const MvsSolution b =
-        RunIterView(problem, seed, freeze, &many, &trace_many);
-    EXPECT_EQ(a.utility, b.utility);  // bitwise, not approximate
-    EXPECT_EQ(a.z, b.z);
-    EXPECT_EQ(a.y, b.y);
-    EXPECT_EQ(trace_one, trace_many);
-  }
-}
-
-TEST_P(IterViewDeterminismP, SingleRestartPreservesLegacyStream) {
-  // restarts == 1 must reproduce the historical single-trial result
-  // (restart 0 consumes the raw seed, not a derived stream).
-  const uint64_t seed = GetParam();
-  const MvsProblem problem = RandomProblem(20, 12, seed + 100);
-  IterViewSelector legacy = IterViewSelector::IterView(30, seed);
-  auto expected = legacy.Select(problem);
-  ASSERT_TRUE(expected.ok());
-
-  IterViewSelector::Options options;
-  options.iterations = 30;
-  options.seed = seed;
-  options.restarts = 1;
-  IterViewSelector selector(options);
-  auto got = selector.Select(problem);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(expected.value().utility, got.value().utility);
-  EXPECT_EQ(expected.value().z, got.value().z);
-  EXPECT_EQ(expected.value().y, got.value().y);
-}
-
-TEST_P(IterViewDeterminismP, MoreRestartsNeverHurt) {
-  const uint64_t seed = GetParam();
-  const MvsProblem problem = RandomProblem(24, 14, seed);
-  ThreadPool pool(4);
-  std::vector<double> trace;
-  const MvsSolution single =
-      RunIterView(problem, seed, SIZE_MAX, &pool, &trace);
-  IterViewSelector::Options options;
-  options.iterations = 30;
-  options.seed = seed;
-  options.restarts = 12;
-  options.pool = &pool;
-  IterViewSelector selector(options);
-  auto result = selector.Select(problem);
-  ASSERT_TRUE(result.ok());
-  // The 12-restart winner dominates the 6-restart winner: the trial set
-  // of the former is a superset of the latter's.
-  EXPECT_GE(result.value().utility, single.utility);
-  EXPECT_TRUE(IsFeasible(problem, result.value().z, result.value().y));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IterViewDeterminismP,
-                         ::testing::Values(31, 32, 33, 34));
 
 // ---------------------------------------------------------------------------
 // Wide-Deep: batched parallel inference must equal the sequential

@@ -1,11 +1,10 @@
-// Tests for MvsProblemIndex and the incremental selection engines.
+// Tests for MvsProblemIndex and the index-driven selectors.
 //
-// The contract under test is strict: the incremental engines must be
-// *bit-identical* to the naive ones — same flip sequence, same
-// per-iteration utilities, same final solution — for any seed, size,
-// restart count, thread count, and deadline outcome. The naive
-// implementations stay in the tree precisely to serve as the oracle
-// here (and as the baseline of bench/bench_selection_scale.cc).
+// The contract under test is strict: every selector reads the instance
+// only through the index and re-derives only what a flip touched, yet
+// must be *bit-identical* to the dense loops of selection_oracle.h —
+// same flip sequence, same per-iteration utilities, same DQN weights,
+// same final solution — for any seed, size and deadline outcome.
 
 #include "ilp/problem_index.h"
 
@@ -20,12 +19,16 @@
 #include "ilp/problem.h"
 #include "select/iterview.h"
 #include "select/rlview.h"
+#include "selection_oracle.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 
 namespace autoview {
 namespace {
 
+using testing::CompactFromDense;
+using testing::DenseYOpt;
+using testing::OracleIterView;
+using testing::OracleRLView;
 using testing::RandomProblem;
 using testing::RandomSparseProblem;
 
@@ -102,7 +105,7 @@ TEST(ProblemIndexTest, SparseUtilityAndBenefitAreBitIdentical) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     const MvsProblem p = RandomProblem(25, 60, seed);
     const MvsProblemIndex index(p);
-    YOptSolver yopt(&p, &index);
+    YOptSolver yopt(&index);
     Rng rng(seed * 31);
     std::vector<bool> z(p.num_views());
     for (size_t j = 0; j < z.size(); ++j) z[j] = rng.Bernoulli(0.5);
@@ -126,8 +129,8 @@ TEST(ProblemIndexTest, IndexedYOptMatchesDense) {
   for (size_t j = 5; j < 15; ++j) p.benefit[3][j] = 1.25;  // ties
   for (size_t j = 20; j < 26; ++j) p.benefit[7][j] = 0.5;  // more ties
   const MvsProblemIndex index(p);
-  YOptSolver dense(&p);
-  YOptSolver indexed(&p, &index);
+  DenseYOpt dense(&p);
+  YOptSolver indexed(&index);
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<bool> z(p.num_views());
@@ -140,7 +143,7 @@ TEST(ProblemIndexTest, IndexedYOptMatchesDense) {
 }
 
 // ---------------------------------------------------------------------
-// Engine equivalence: IterView / BigSub.
+// Oracle equivalence: IterView / BigSub.
 
 void ExpectSameSolution(const MvsSolution& a, const MvsSolution& b) {
   EXPECT_EQ(a.z, b.z);
@@ -149,19 +152,14 @@ void ExpectSameSolution(const MvsSolution& a, const MvsSolution& b) {
   EXPECT_EQ(a.timed_out, b.timed_out);
 }
 
-IterViewSelector::Options IterOptions(SelectionEngine engine, uint64_t seed,
-                                      size_t iterations, size_t restarts,
-                                      ThreadPool* pool) {
+IterViewSelector::Options IterOptions(uint64_t seed, size_t iterations) {
   IterViewSelector::Options o;
-  o.engine = engine;
   o.seed = seed;
   o.iterations = iterations;
-  o.restarts = restarts;
-  o.pool = pool;
   return o;
 }
 
-TEST(IncrementalEquivalenceTest, IterViewMatchesNaiveAcrossSeeds) {
+TEST(OracleEquivalenceTest, IterViewMatchesOracleAcrossSeeds) {
   const struct {
     size_t nq, nz;
     double density;
@@ -173,32 +171,24 @@ TEST(IncrementalEquivalenceTest, IterViewMatchesNaiveAcrossSeeds) {
               ? RandomProblem(shape.nq, shape.nz, seed)
               : RandomSparseProblem(shape.nq, shape.nz, seed, shape.density,
                                     /*negative_fraction=*/0.15);
-      IterViewSelector naive(IterOptions(SelectionEngine::kNaive, seed, 25,
-                                         /*restarts=*/1, nullptr));
-      IterViewSelector fast(IterOptions(SelectionEngine::kIncremental, seed,
-                                        25, /*restarts=*/1, nullptr));
-      auto a = naive.Select(p);
+      OracleIterView oracle(IterOptions(seed, 25));
+      IterViewSelector fast(IterOptions(seed, 25));
+      auto a = oracle.Select(p);
       auto b = fast.Select(p);
       ASSERT_TRUE(a.ok() && b.ok());
       ExpectSameSolution(a.value(), b.value());
       // Bit-identical per-iteration utilities, not just the winner.
-      EXPECT_EQ(naive.utility_trace(), fast.utility_trace())
+      EXPECT_EQ(oracle.utility_trace(), fast.utility_trace())
           << "nq=" << shape.nq << " nz=" << shape.nz << " seed=" << seed;
     }
   }
 }
 
-TEST(IncrementalEquivalenceTest, BigSubFreezingMatchesNaive) {
+TEST(OracleEquivalenceTest, BigSubFreezingMatchesOracle) {
   const MvsProblem p = RandomSparseProblem(30, 80, /*seed=*/5, 0.08);
   for (uint64_t seed : {3u, 17u}) {
-    IterViewSelector naive = IterViewSelector::BigSub(30, seed);
-    IterViewSelector::Options fast_opts = naive.options();
-    // BigSub's factory predates the engine option; both defaults are
-    // incremental, so pin the oracle explicitly.
-    IterViewSelector::Options naive_opts = naive.options();
-    naive_opts.engine = SelectionEngine::kNaive;
-    fast_opts.engine = SelectionEngine::kIncremental;
-    IterViewSelector oracle(naive_opts), fast(fast_opts);
+    IterViewSelector fast = IterViewSelector::BigSub(30, seed);
+    OracleIterView oracle(fast.options());
     auto a = oracle.Select(p);
     auto b = fast.Select(p);
     ASSERT_TRUE(a.ok() && b.ok());
@@ -207,32 +197,11 @@ TEST(IncrementalEquivalenceTest, BigSubFreezingMatchesNaive) {
   }
 }
 
-TEST(IncrementalEquivalenceTest, RestartsAndThreadCountsAgree) {
-  const MvsProblem p = RandomSparseProblem(20, 50, /*seed=*/21, 0.1);
-  ThreadPool one(1), four(4);
-  Result<MvsSolution> reference =
-      IterViewSelector(
-          IterOptions(SelectionEngine::kNaive, 9, 15, /*restarts=*/5, &one))
-          .Select(p);
-  ASSERT_TRUE(reference.ok());
-  for (ThreadPool* pool : {&one, &four}) {
-    for (SelectionEngine engine :
-         {SelectionEngine::kNaive, SelectionEngine::kIncremental}) {
-      IterViewSelector selector(
-          IterOptions(engine, 9, 15, /*restarts=*/5, pool));
-      auto got = selector.Select(p);
-      ASSERT_TRUE(got.ok());
-      ExpectSameSolution(reference.value(), got.value());
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
-// Engine equivalence: RLView (delta rewards + no-grad DQN scoring).
+// Oracle equivalence: RLView (sparse rewards + no-grad DQN scoring).
 
-RLViewSelector::Options RlOptions(SelectionEngine engine, uint64_t seed) {
+RLViewSelector::Options RlOptions(uint64_t seed) {
   RLViewSelector::Options o;
-  o.engine = engine;
   o.seed = seed;
   o.init_iterations = 4;
   o.episodes = 3;
@@ -242,11 +211,10 @@ RLViewSelector::Options RlOptions(SelectionEngine engine, uint64_t seed) {
   return o;
 }
 
-/// Both engines must leave the same trained DQN, bit for bit (memcmp, so
+/// Both loops must leave the same trained DQN, bit for bit (memcmp, so
 /// -0.0 vs 0.0 or NaN payloads would also show).
-void ExpectSameWeights(const RLViewSelector& naive,
-                       const RLViewSelector& fast) {
-  const auto& a = naive.trained_weights();
+void ExpectSameWeights(const OracleRLView& oracle, const RLViewSelector& fast) {
+  const auto& a = oracle.trained_weights();
   const auto& b = fast.trained_weights();
   ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
@@ -259,168 +227,227 @@ void ExpectSameWeights(const RLViewSelector& naive,
   }
 }
 
-TEST(IncrementalEquivalenceTest, RLViewMatchesNaive) {
+TEST(OracleEquivalenceTest, RLViewMatchesOracle) {
   for (uint64_t seed : {2u, 13u}) {
     const MvsProblem p = RandomSparseProblem(15, 24, seed, 0.12,
                                              /*negative_fraction=*/0.1);
-    RLViewSelector naive(RlOptions(SelectionEngine::kNaive, seed));
-    RLViewSelector fast(RlOptions(SelectionEngine::kIncremental, seed));
-    auto a = naive.Select(p);
+    OracleRLView oracle(RlOptions(seed));
+    RLViewSelector fast(RlOptions(seed));
+    auto a = oracle.Select(p);
     auto b = fast.Select(p);
     ASSERT_TRUE(a.ok() && b.ok());
     ExpectSameSolution(a.value(), b.value());
-    EXPECT_EQ(naive.utility_trace(), fast.utility_trace()) << "seed " << seed;
-    ExpectSameWeights(naive, fast);
+    EXPECT_EQ(oracle.utility_trace(), fast.utility_trace()) << "seed " << seed;
+    ExpectSameWeights(oracle, fast);
   }
 }
 
-TEST(IncrementalEquivalenceTest, RLViewVariantsMatchNaive) {
+TEST(OracleEquivalenceTest, RLViewVariantsMatchOracle) {
   const MvsProblem p = RandomSparseProblem(12, 20, /*seed=*/8, 0.15);
   for (const bool dueling : {false, true}) {
     for (const size_t target_sync : {size_t{0}, size_t{2}}) {
-      RLViewSelector::Options naive_opts = RlOptions(SelectionEngine::kNaive, 5);
-      naive_opts.dueling = dueling;
-      naive_opts.target_sync_every = target_sync;
-      RLViewSelector::Options fast_opts = naive_opts;
-      fast_opts.engine = SelectionEngine::kIncremental;
-      RLViewSelector naive(naive_opts), fast(fast_opts);
-      auto a = naive.Select(p);
+      RLViewSelector::Options opts = RlOptions(5);
+      opts.dueling = dueling;
+      opts.target_sync_every = target_sync;
+      OracleRLView oracle(opts);
+      RLViewSelector fast(opts);
+      auto a = oracle.Select(p);
       auto b = fast.Select(p);
       ASSERT_TRUE(a.ok() && b.ok());
       ExpectSameSolution(a.value(), b.value());
-      EXPECT_EQ(naive.utility_trace(), fast.utility_trace())
+      EXPECT_EQ(oracle.utility_trace(), fast.utility_trace())
           << "dueling=" << dueling << " target_sync=" << target_sync;
-      ExpectSameWeights(naive, fast);
+      ExpectSameWeights(oracle, fast);
     }
   }
 }
 
-TEST(IncrementalEquivalenceTest, RLViewDefaultTrainingMatchesNaive) {
+TEST(OracleEquivalenceTest, RLViewDefaultTrainingMatchesOracle) {
   // The cases above reach the training branch for a handful of steps.
   // Here the replay and batch settings are the defaults (batch 16,
   // min_memory 32), the memory is small enough to wrap, and the episodes
-  // run hundreds of training steps, so the incremental engine's
-  // one-row training pass is checked against the naive engine's full
-  // ForwardAll pass over a long run of Adam updates.
+  // run hundreds of training steps, so the library's one-row training
+  // pass is checked against the oracle's full ForwardAll pass over a
+  // long run of Adam updates.
   const MvsProblem p = RandomSparseProblem(20, 40, /*seed=*/11, 0.1,
                                            /*negative_fraction=*/0.1);
   for (const bool dueling : {false, true}) {
-    RLViewSelector::Options naive_opts;
-    naive_opts.engine = SelectionEngine::kNaive;
-    naive_opts.seed = 21;
-    naive_opts.init_iterations = 4;
-    naive_opts.episodes = 9;
-    naive_opts.memory_capacity = 64;
-    naive_opts.dueling = dueling;
-    ASSERT_EQ(naive_opts.batch_size, 16u);
-    ASSERT_EQ(naive_opts.min_memory, 32u);
-    RLViewSelector::Options fast_opts = naive_opts;
-    fast_opts.engine = SelectionEngine::kIncremental;
-    RLViewSelector naive(naive_opts), fast(fast_opts);
-    auto a = naive.Select(p);
+    RLViewSelector::Options opts;
+    opts.seed = 21;
+    opts.init_iterations = 4;
+    opts.episodes = 9;
+    opts.memory_capacity = 64;
+    opts.dueling = dueling;
+    ASSERT_EQ(opts.batch_size, 16u);
+    ASSERT_EQ(opts.min_memory, 32u);
+    OracleRLView oracle(opts);
+    RLViewSelector fast(opts);
+    auto a = oracle.Select(p);
     auto b = fast.Select(p);
     ASSERT_TRUE(a.ok() && b.ok());
     ExpectSameSolution(a.value(), b.value());
-    EXPECT_EQ(naive.utility_trace(), fast.utility_trace())
+    EXPECT_EQ(oracle.utility_trace(), fast.utility_trace())
         << "dueling=" << dueling;
-    ExpectSameWeights(naive, fast);
+    ExpectSameWeights(oracle, fast);
     // Every episode step is one trace entry; each step from the 32nd on
     // trains, and the memory wraps past its 64 entries.
-    const size_t steps =
-        naive.utility_trace().size() - naive_opts.init_iterations;
-    EXPECT_GE(steps, naive_opts.episodes * p.num_views());
-    EXPECT_GE(steps - naive_opts.min_memory, 300u);
+    const size_t steps = oracle.utility_trace().size() - opts.init_iterations;
+    EXPECT_GE(steps, opts.episodes * p.num_views());
+    EXPECT_GE(steps - opts.min_memory, 300u);
   }
 }
 
 // ---------------------------------------------------------------------
 // Deadline / cancellation equivalence.
 
-TEST(IncrementalEquivalenceTest, ExpiredDeadlineGivesSameIncumbent) {
+TEST(OracleEquivalenceTest, ExpiredDeadlineGivesSameIncumbent) {
   // Wall-clock budgets are not reproducible, but an already-expired
-  // deadline is: both engines observe expiry at the same poll point, so
-  // they must return the same (timed-out, feasible) incumbent.
+  // deadline is: the oracle and the library observe expiry at the same
+  // poll point, so they must return the same (timed-out, feasible)
+  // incumbent.
   const MvsProblem p = RandomSparseProblem(18, 40, /*seed=*/4, 0.1);
-  for (SelectionEngine engine :
-       {SelectionEngine::kNaive, SelectionEngine::kIncremental}) {
-    IterViewSelector::Options o =
-        IterOptions(engine, 6, 20, /*restarts=*/2, nullptr);
-    o.deadline = Deadline::AfterMillis(0.0);
-    IterViewSelector selector(o);
-    auto got = selector.Select(p);
+  IterViewSelector::Options o = IterOptions(6, 20);
+  o.deadline = Deadline::AfterMillis(0.0);
+  OracleIterView oracle(o);
+  IterViewSelector fast(o);
+  for (ViewSelector* selector : {static_cast<ViewSelector*>(&oracle),
+                                 static_cast<ViewSelector*>(&fast)}) {
+    auto got = selector->Select(p);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(got.value().timed_out);
     EXPECT_GE(got.value().utility, 0.0);
     EXPECT_TRUE(IsFeasible(p, got.value().z, got.value().y));
   }
-  // The two engines agree bitwise on the timed-out incumbent.
-  IterViewSelector::Options na =
-      IterOptions(SelectionEngine::kNaive, 6, 20, 2, nullptr);
-  IterViewSelector::Options inc =
-      IterOptions(SelectionEngine::kIncremental, 6, 20, 2, nullptr);
-  na.deadline = Deadline::AfterMillis(0.0);
-  inc.deadline = Deadline::AfterMillis(0.0);
-  IterViewSelector a(na), b(inc);
-  auto ra = a.Select(p);
-  auto rb = b.Select(p);
+  // The two agree bitwise on the timed-out incumbent.
+  auto ra = oracle.Select(p);
+  auto rb = fast.Select(p);
   ASSERT_TRUE(ra.ok() && rb.ok());
   ExpectSameSolution(ra.value(), rb.value());
-  EXPECT_EQ(a.utility_trace(), b.utility_trace());
+  EXPECT_EQ(oracle.utility_trace(), fast.utility_trace());
 }
 
-TEST(IncrementalEquivalenceTest, CancelledTokenGivesSameIncumbent) {
+TEST(OracleEquivalenceTest, CancelledTokenGivesSameIncumbent) {
   const MvsProblem p = RandomSparseProblem(15, 30, /*seed=*/2, 0.1);
   CancellationToken cancelled;
   cancelled.RequestCancel();
+  RLViewSelector::Options o = RlOptions(3);
+  o.cancel = cancelled;
+  OracleRLView oracle(o);
+  RLViewSelector fast(o);
   std::vector<MvsSolution> solutions;
   std::vector<std::vector<double>> traces;
-  for (SelectionEngine engine :
-       {SelectionEngine::kNaive, SelectionEngine::kIncremental}) {
-    RLViewSelector::Options o = RlOptions(engine, 3);
-    o.cancel = cancelled;
-    RLViewSelector selector(o);
-    auto got = selector.Select(p);
+  for (ViewSelector* selector : {static_cast<ViewSelector*>(&oracle),
+                                 static_cast<ViewSelector*>(&fast)}) {
+    auto got = selector->Select(p);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(got.value().timed_out);
     solutions.push_back(got.value());
-    traces.push_back(selector.utility_trace());
+    traces.push_back(selector->utility_trace());
   }
   ExpectSameSolution(solutions[0], solutions[1]);
   EXPECT_EQ(traces[0], traces[1]);
 }
 
 // ---------------------------------------------------------------------
-// Operation counters: the incremental reward path reads O(affected)
-// benefit cells, the naive one O(|Q| x |Z|) per evaluation.
+// Operation counters: the library's reward path reads O(affected)
+// benefit cells, the dense oracle O(|Q| x |Z|) per evaluation.
 
-TEST(IncrementalEquivalenceTest, RewardCostDropsFromDenseToSparse) {
+TEST(OracleEquivalenceTest, RewardCostDropsFromDenseToSparse) {
   const size_t nq = 40, nz = 120;
   const MvsProblem p = RandomSparseProblem(nq, nz, /*seed=*/6, 0.05);
   const MvsProblemIndex index(p);
 
-  auto run = [&](SelectionEngine engine) {
+  auto run = [&](ViewSelector&& selector) {
     GlobalSelection().Reset();
-    RLViewSelector selector(RlOptions(engine, 7));
     auto got = selector.Select(p);
     EXPECT_TRUE(got.ok());
     return GlobalSelection().Read();
   };
-  const auto naive = run(SelectionEngine::kNaive);
-  const auto incremental = run(SelectionEngine::kIncremental);
+  const auto dense = run(OracleRLView(RlOptions(7)));
+  const auto sparse = run(RLViewSelector(RlOptions(7)));
 
-  // Identical work shape implies the same evaluation count; each naive
-  // evaluation reads the full dense matrix, each incremental one only
-  // the sparse support (~5% here — require at least a 5x drop).
-  ASSERT_GT(naive.utility_cells, 0u);
-  ASSERT_GT(incremental.utility_cells, 0u);
-  EXPECT_LE(incremental.utility_cells * 5, naive.utility_cells);
-  // Per-step Y-Opt work: the naive environment step already re-solved
-  // only affected queries; the incremental engine must not do more.
-  EXPECT_LE(incremental.queries_solved, naive.queries_solved);
+  // Identical work shape implies the same evaluation count; each dense
+  // evaluation reads the full matrix, each sparse one only the support
+  // (~5% here — require at least a 5x drop).
+  ASSERT_GT(dense.utility_cells, 0u);
+  ASSERT_GT(sparse.utility_cells, 0u);
+  EXPECT_LE(sparse.utility_cells * 5, dense.utility_cells);
+  // Per-step Y-Opt work: the dense environment step already re-solved
+  // only affected queries; the library must not do more.
+  EXPECT_LE(sparse.queries_solved, dense.queries_solved);
   // And the sparse reward read is exactly the positive support.
-  EXPECT_EQ(incremental.utility_cells %
-                static_cast<uint64_t>(index.NumPositive()),
+  EXPECT_EQ(sparse.utility_cells % static_cast<uint64_t>(index.NumPositive()),
             0u);
+}
+
+// ---------------------------------------------------------------------
+// The Table IV / Fig. 9 baselines through index-only Y-Opt: Top-k (all
+// four rankings, single k and the k-sweep) and the exact OPT search
+// must give the oracle's dense-Y-Opt results bit for bit, including on
+// rows with tied benefits (the per-subset re-sort) and on a row with
+// more applicable views than the exact search takes (the greedy
+// fallback).
+
+MvsProblem BaselineInstance(uint64_t seed) {
+  MvsProblem p = RandomSparseProblem(10, 30, seed, 0.25,
+                                     /*negative_fraction=*/0.1);
+  for (size_t j = 2; j < 9; ++j) p.benefit[1][j] = 0.75;   // ties
+  for (size_t j = 12; j < 16; ++j) p.benefit[4][j] = 1.5;  // ties
+  // Row 6 can use every view: 30 applicable views > the 26-view cutoff.
+  Rng rng(seed + 1000);
+  for (size_t j = 0; j < p.num_views(); ++j) {
+    p.benefit[6][j] = rng.Uniform(0.1, 3.0);
+  }
+  p.frequency.assign(p.num_views(), 0);
+  for (const auto& row : p.benefit) {
+    for (size_t j = 0; j < row.size(); ++j) p.frequency[j] += row[j] > 0;
+  }
+  return p;
+}
+
+TEST(OracleEquivalenceTest, BaselinesMatchDenseYOpt) {
+  const TopkStrategy kStrategies[] = {
+      TopkStrategy::kFrequency, TopkStrategy::kOverhead,
+      TopkStrategy::kBenefit, TopkStrategy::kNormalized};
+  for (const uint64_t seed : {3u, 8u, 41u}) {
+    const MvsProblem p = BaselineInstance(seed);
+    const MvsProblemIndex index(p);
+    ASSERT_TRUE(index.RowHasTies(1));
+    ASSERT_GT(index.Row(6).size(), 26u);
+    for (const TopkStrategy strategy : kStrategies) {
+      auto curve = TopkUtilityCurve(p, strategy, 1);
+      ASSERT_TRUE(curve.ok());
+      ASSERT_EQ(curve.value().size(), p.num_views() + 1);
+      for (size_t k = 0; k <= p.num_views(); ++k) {
+        const MvsSolution expected = testing::OracleTopk(p, strategy, k);
+        auto got = TopkSelector(strategy, k).Select(p);
+        ASSERT_TRUE(got.ok());
+        ExpectSameSolution(expected, got.value());
+        EXPECT_EQ(curve.value()[k], expected.utility)
+            << TopkStrategyName(strategy) << " k=" << k;
+      }
+    }
+    // OPT: a budget the search meets, then half of what it used. Dearer
+    // views leave few with a positive net value, so the exact search
+    // finishes over all 30.
+    MvsProblem dear = p;
+    for (double& o : dear.overhead) o += 3.0;
+    BranchAndBoundSolver::Options options;
+    uint64_t oracle_nodes = 0;
+    auto expected = testing::OracleBranchAndBound(dear, options, &oracle_nodes);
+    BranchAndBoundSolver solver(options);
+    auto got = solver.Solve(dear);
+    ASSERT_TRUE(expected.ok() && got.ok()) << "seed " << seed;
+    EXPECT_EQ(oracle_nodes, solver.nodes_expanded());
+    ExpectSameSolution(expected.value(), got.value());
+    ASSERT_GT(oracle_nodes, 2u);
+    options.max_nodes = oracle_nodes / 2;
+    BranchAndBoundSolver starved(options);
+    EXPECT_FALSE(
+        testing::OracleBranchAndBound(dear, options, &oracle_nodes).ok());
+    EXPECT_FALSE(starved.Solve(dear).ok());
+    EXPECT_EQ(oracle_nodes, starved.nodes_expanded());
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -463,7 +490,7 @@ TEST(CompressedRowStoreTest, RoundTripsRowsExactly) {
 
 TEST(CompressedRowStoreTest, ForEachEntryMatchesDecodeRow) {
   const MvsProblem p = RandomSparseProblem(30, 80, /*seed=*/21, 0.1, 0.3);
-  const auto compact = CompactMvsProblem::FromDense(p, /*budget=*/128);
+  const auto compact = CompactFromDense(p, /*budget=*/128);
   std::vector<CompressedRowStore::Entry> decoded;
   for (size_t i = 0; i < p.num_queries(); ++i) {
     compact.rows.DecodeRow(i, &decoded);
@@ -493,7 +520,7 @@ TEST(CompactProblemTest, IndexFromShardsEqualsIndexFromDense) {
     for (const size_t budget : {32u, 1u << 20}) {
       const MvsProblem p =
           RandomSparseProblem(45, 130, seed, 0.07, /*negative=*/0.25);
-      const auto compact = CompactMvsProblem::FromDense(p, budget);
+      const auto compact = CompactFromDense(p, budget);
       ASSERT_TRUE(compact.Validate().ok());
 
       const MvsProblemIndex dense(p);
@@ -530,27 +557,20 @@ TEST(CompactProblemTest, IndexFromShardsEqualsIndexFromDense) {
 TEST(CompactProblemTest, SelectIndexedFromShardsMatchesDenseSelect) {
   for (const uint64_t seed : {5u, 23u}) {
     const MvsProblem p = RandomSparseProblem(35, 90, seed, 0.08, 0.2);
-    const auto compact = CompactMvsProblem::FromDense(p, /*budget=*/64);
+    const auto compact = CompactFromDense(p, /*budget=*/64);
     const MvsProblemIndex index(compact);
 
     IterViewSelector::Options options;
     options.iterations = 80;
     options.seed = seed;
-    for (const size_t restarts : {1u, 3u}) {
-      options.restarts = restarts;
-      IterViewSelector selector(options);
-      const auto sharded = selector.SelectIndexed(index);
-      ASSERT_TRUE(sharded.ok());
+    const auto sharded = IterViewSelector(options).SelectIndexed(index);
+    ASSERT_TRUE(sharded.ok());
+    const auto dense = OracleIterView(options).Select(p);
+    ASSERT_TRUE(dense.ok());
 
-      IterViewSelector::Options naive = options;
-      naive.engine = SelectionEngine::kNaive;
-      const auto dense = IterViewSelector(naive).Select(p);
-      ASSERT_TRUE(dense.ok());
-
-      EXPECT_EQ(sharded.value().z, dense.value().z);
-      EXPECT_EQ(sharded.value().y, dense.value().y);
-      EXPECT_EQ(sharded.value().utility, dense.value().utility);
-    }
+    EXPECT_EQ(sharded.value().z, dense.value().z);
+    EXPECT_EQ(sharded.value().y, dense.value().y);
+    EXPECT_EQ(sharded.value().utility, dense.value().utility);
   }
 }
 

@@ -189,18 +189,16 @@ TEST(ScaleSmokeTest, ShardedCsrMatchesDenseOracleAtReducedScale) {
     const MvsProblemIndex from_dense(dense.value());
     ExpectIndexesIdentical(from_shards, from_dense);
 
-    // And the selections coincide exactly: dense Select(kIncremental)
-    // routes through the dense-built index, SelectIndexed through the
-    // sharded one — identical inputs, identical bits out.
+    // And the selections coincide exactly: Select routes through the
+    // dense-built index, SelectIndexed through the sharded one —
+    // identical inputs, identical bits out.
     IterViewSelector::Options select;
     select.iterations = 60;
     select.seed = 99;
     IterViewSelector selector(select);
     const Result<MvsSolution> a = selector.SelectIndexed(from_shards);
     ASSERT_TRUE(a.ok());
-    IterViewSelector::Options incr = select;
-    incr.engine = SelectionEngine::kIncremental;
-    IterViewSelector dense_selector(incr);
+    IterViewSelector dense_selector(select);
     const Result<MvsSolution> b = dense_selector.Select(dense.value());
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a.value().z, b.value().z);
