@@ -31,7 +31,10 @@ case "$mode" in
     # through the live advisor;
     # engine_test, sort_limit_test, property_test and
     # executor_golden_test the executor, whose scans read the stored
-    # tables in place for the whole plan; subquery_test the extracted
+    # tables in place for the whole plan, whose bound predicate terms
+    # index rows by column and whose selections index them by position;
+    # expr_test the Expr tree evaluator, which returns cells by reference
+    # into the row it reads; subquery_test the extracted
     # subqueries' lifetimes (root candidates outliving their query);
     # nn_tensor_test the autograd tape's node lifetimes and Backward's
     # visit stamps; problem_index_test RLView's replay memory, whose
@@ -45,11 +48,11 @@ case "$mode" in
     # (tokens viewing the SQL text, plan nodes sharing column lists with
     # their children and the catalog, references into the catalog's
     # hash maps across inserts and removals).
-    suites="failpoint_test deadline_test persistence_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
+    suites="failpoint_test deadline_test persistence_test view_store_test advisor_test rewrite_fast_path_test engine_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test view_store_test advisor_test rewrite_fast_path_test engine_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test view_store_test advisor_test rewrite_fast_path_test engine_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test"
     ;;
   tsan)
     sanitize=thread

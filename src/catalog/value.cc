@@ -5,28 +5,6 @@
 
 namespace autoview {
 
-int Value::Compare(const Value& other) const {
-  const bool a_str = is_string();
-  const bool b_str = other.is_string();
-  if (a_str != b_str) return a_str ? 1 : -1;
-  if (a_str) {
-    const auto& a = AsString();
-    const auto& b = other.AsString();
-    return a < b ? -1 : (a == b ? 0 : 1);
-  }
-  if (is_int() && other.is_int()) {
-    // Exact: ints past 2^53 that round to the same double stay apart.
-    const int64_t a = AsInt();
-    const int64_t b = other.AsInt();
-    return a < b ? -1 : (a == b ? 0 : 1);
-  }
-  const double a = AsDouble();
-  const double b = other.AsDouble();
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
-}
-
 std::string Value::ToString() const {
   switch (v_.index()) {
     case 0:
@@ -52,10 +30,6 @@ uint64_t Value::Hash() const {
            0xabcdef1234567890ULL;
   }
   return std::hash<double>{}(d) ^ 0xabcdef1234567890ULL;
-}
-
-size_t Value::ByteSize() const {
-  return is_string() ? AsString().size() + sizeof(size_t) : 8;
 }
 
 }  // namespace autoview

@@ -45,7 +45,27 @@ class Value {
   /// Two ints compare exactly; an int and a double compare as doubles;
   /// strings lexicographically. Cross string/number comparison orders
   /// strings last.
-  int Compare(const Value& other) const;
+  int Compare(const Value& other) const {
+    const bool a_str = is_string();
+    const bool b_str = other.is_string();
+    if (a_str != b_str) return a_str ? 1 : -1;
+    if (a_str) {
+      const auto& a = AsString();
+      const auto& b = other.AsString();
+      return a < b ? -1 : (a == b ? 0 : 1);
+    }
+    if (is_int() && other.is_int()) {
+      // Exact: ints past 2^53 that round to the same double stay apart.
+      const int64_t a = AsInt();
+      const int64_t b = other.AsInt();
+      return a < b ? -1 : (a == b ? 0 : 1);
+    }
+    const double a = AsDouble();
+    const double b = other.AsDouble();
+    if (a < b) return -1;
+    if (a > b) return 1;
+    return 0;
+  }
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
@@ -59,7 +79,9 @@ class Value {
   uint64_t Hash() const;
 
   /// Approximate in-memory byte size (for view space overhead).
-  size_t ByteSize() const;
+  size_t ByteSize() const {
+    return is_string() ? AsString().size() + sizeof(size_t) : 8;
+  }
 
  private:
   std::variant<int64_t, double, std::string> v_;

@@ -19,10 +19,10 @@ struct EquiKey {
 };
 
 /// Splits a join condition into equi-key pairs (left col == right col)
-/// and residual conjuncts that must be evaluated on the combined row.
+/// and residual conjuncts, which stay the condition's own nodes.
 void SplitJoinCondition(const Expr& cond, size_t left_width,
                         std::vector<EquiKey>* keys,
-                        std::vector<ExprPtr>* residual) {
+                        std::vector<const Expr*>* residual) {
   if (cond.kind() == ExprKind::kAnd) {
     for (const auto& child : cond.children()) {
       SplitJoinCondition(*child, left_width, keys, residual);
@@ -41,10 +41,97 @@ void SplitJoinCondition(const Expr& cond, size_t left_width,
       return;
     }
   }
-  // Any non-equi (or single-side) conjunct becomes a residual filter. We
-  // re-wrap it as a shared Expr via a structural copy through shift 0.
-  residual->push_back(cond.ShiftColumns(0));
+  residual->push_back(&cond);
 }
+
+/// Appends the conjuncts of `expr` (its AND tree, flattened in order).
+void FlattenAnd(const Expr& expr, std::vector<const Expr*>* out) {
+  if (expr.kind() != ExprKind::kAnd) {
+    out->push_back(&expr);
+    return;
+  }
+  for (const auto& child : expr.children()) FlattenAnd(*child, out);
+}
+
+/// A conjunction bound once per operator to the rows it reads.
+///
+/// Each comparison of a column with a literal, or of two columns, becomes
+/// a term that reads its cells in place; any other conjunct (OR, NOT, two
+/// literals) is a term the Expr tree evaluates. The caller checks the
+/// conjuncts' columns against the row width first.
+class BoundPredicate {
+ public:
+  explicit BoundPredicate(const std::vector<const Expr*>& conjuncts) {
+    terms_.reserve(conjuncts.size());
+    for (const Expr* conjunct : conjuncts) {
+      terms_.push_back(BindTerm(*conjunct));
+    }
+  }
+
+  /// True when every conjunct holds on `row`.
+  bool Matches(const Row& row) const {
+    for (const Term& term : terms_) {
+      if (!(term.tree != nullptr ? term.tree->EvalPredicate(row)
+                                 : Holds(term, row))) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct Term {
+    const Expr* tree = nullptr;  ///< set: evaluated by the Expr tree
+    CompareOp op = CompareOp::kEq;
+    size_t a = 0;                    ///< the (first) column
+    size_t b = 0;                    ///< the second column, if no literal
+    const Value* literal = nullptr;  ///< the literal compared with `a`
+    bool negate = false;             ///< the literal was on the left
+  };
+
+  static Term BindTerm(const Expr& conjunct) {
+    Term term;
+    if (conjunct.kind() != ExprKind::kCompare) {
+      term.tree = &conjunct;
+      return term;
+    }
+    const Expr& l = *conjunct.children()[0];
+    const Expr& r = *conjunct.children()[1];
+    term.op = conjunct.compare_op();
+    const bool l_col = l.kind() == ExprKind::kColumn;
+    const bool r_col = r.kind() == ExprKind::kColumn;
+    if (l_col && r_col) {
+      term.a = l.column_index();
+      term.b = r.column_index();
+    } else if (l_col && r.kind() == ExprKind::kLiteral) {
+      term.a = l.column_index();
+      term.literal = &r.literal();
+    } else if (r_col && l.kind() == ExprKind::kLiteral) {
+      // Compare(lit, cell) == -Compare(cell, lit).
+      term.a = r.column_index();
+      term.literal = &l.literal();
+      term.negate = true;
+    } else {
+      term.tree = &conjunct;
+    }
+    return term;
+  }
+
+  /// A comparison term, read in place.
+  static bool Holds(const Term& term, const Row& row) {
+    const Value& x = row[term.a];
+    int c;
+    if (term.literal != nullptr) {
+      c = x.Compare(*term.literal);
+      if (term.negate) c = -c;
+    } else {
+      c = x.Compare(row[term.b]);
+    }
+    return CompareHolds(term.op, c);
+  }
+
+  std::vector<Term> terms_;
+};
 
 /// Sum of the cells' ByteSize(): one row's share of Table::ByteSize().
 uint64_t RowBytes(const Row& row) {
@@ -158,12 +245,60 @@ struct AggState {
 
 }  // namespace
 
+/// One operator's output: its header, plus the rows it holds.
+///
+/// The header is a plan node's output or a scanned table's columns; both
+/// outlive the execution. The rows are either owned or borrowed from a
+/// scanned table. A borrowed table stays valid as long as a
+/// Database::GetTable() pointer does, which covers the whole plan (base
+/// tables are never dropped, served views are pinned). Only borrowed rows
+/// carry a selection: when present, it holds the positions in rows() of
+/// the rows this result holds, ascending; when absent, it holds them all.
+/// Owned rows are all held (an operator that drops some erases them).
+struct Executor::NodeResult {
+  const std::vector<OutputColumn>* columns = nullptr;
+  std::vector<Row> owned;
+  const Table* borrowed = nullptr;
+  std::optional<std::vector<uint32_t>> selection;
+  uint64_t bytes = 0;  ///< sum of Value::ByteSize() over the held cells
+  double peak_bytes = 0.0;
+
+  const std::vector<Row>& rows() const {
+    return borrowed != nullptr ? borrowed->rows : owned;
+  }
+  size_t width() const { return columns->size(); }
+  size_t size() const {
+    return selection ? selection->size() : rows().size();
+  }
+  /// Calls f(position in rows(), row) for each held row, in order.
+  template <typename F>
+  void ForEach(F&& f) const {
+    const std::vector<Row>& all = rows();
+    if (selection) {
+      for (uint32_t i : *selection) f(i, all[i]);
+    } else {
+      for (size_t i = 0; i < all.size(); ++i) f(i, all[i]);
+    }
+  }
+  /// The held rows as an owned vector: moved out of owned rows, copied
+  /// out of borrowed ones.
+  std::vector<Row> TakeRows() && {
+    if (borrowed == nullptr) return std::move(owned);
+    if (!selection) return borrowed->rows;
+    std::vector<Row> out;
+    out.reserve(selection->size());
+    for (uint32_t i : *selection) out.push_back(borrowed->rows[i]);
+    return out;
+  }
+};
+
 Result<ExecResult> Executor::Execute(const PlanNode& plan) const {
   double cpu = 0.0;
   AV_ASSIGN_OR_RETURN(NodeResult root, Exec(plan, &cpu));
   ExecResult result;
   result.cost = Report(root, cpu);
-  result.table = std::move(root).TakeTable();
+  result.table.columns = *root.columns;
+  result.table.rows = std::move(root).TakeRows();
   return result;
 }
 
@@ -179,7 +314,7 @@ CostReport Executor::Report(const NodeResult& root, double cpu_units) const {
   // spill penalty on all their work (see CostConstants).
   cost.cpu_units = cpu_units * consts_.SpillMultiplier(root.peak_bytes);
   cost.peak_bytes = root.peak_bytes;
-  cost.output_rows = root.rows().size();
+  cost.output_rows = root.size();
   cost.output_bytes = root.bytes;
   return cost;
 }
@@ -210,14 +345,17 @@ Result<Executor::NodeResult> Executor::Exec(const PlanNode& node,
 Result<Executor::NodeResult> Executor::ExecSort(const PlanNode& node,
                                                 double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  const double n = static_cast<double>(in.rows().size());
+  const double n = static_cast<double>(in.size());
   *cpu += consts_.sort_row * n * std::log2(n + 2.0);
   const auto& keys = node.sort_keys();
   NodeResult out;
+  out.columns = in.columns;
   out.bytes = in.bytes;
-  out.table = std::move(in).TakeTable();
+  out.peak_bytes =
+      std::max(in.peak_bytes, static_cast<double>(out.bytes) * 2);
+  out.owned = std::move(in).TakeRows();
   std::stable_sort(
-      out.table.rows.begin(), out.table.rows.end(),
+      out.owned.begin(), out.owned.end(),
       [&keys](const Row& a, const Row& b) {
         for (const auto& key : keys) {
           const int c = a[key.column].Compare(b[key.column]);
@@ -231,57 +369,50 @@ Result<Executor::NodeResult> Executor::ExecSort(const PlanNode& node,
         }
         return false;
       });
-  out.peak_bytes =
-      std::max(in.peak_bytes, static_cast<double>(out.bytes) * 2);
   return out;
 }
 
 Result<Executor::NodeResult> Executor::ExecLimit(const PlanNode& node,
                                                  double* cpu) const {
-  AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
+  AV_ASSIGN_OR_RETURN(NodeResult out, Exec(*node.child(0), cpu));
   const size_t n = static_cast<size_t>(node.limit());
-  NodeResult out;
-  out.peak_bytes = in.peak_bytes;
-  if (in.rows().size() <= n) {
-    out.bytes = in.bytes;
-    out.table = std::move(in).TakeTable();
-  } else {
-    if (in.borrowed != nullptr) {
-      out.table.columns = in.borrowed->columns;
-      out.table.rows.assign(in.rows().begin(), in.rows().begin() + n);
+  if (out.size() > n) {
+    if (out.borrowed == nullptr) {
+      out.owned.resize(n);
+    } else if (out.selection) {
+      out.selection->resize(n);
     } else {
-      out.table = std::move(in.table);
-      out.table.rows.resize(n);
+      out.selection.emplace(n);
+      for (uint32_t i = 0; i < n; ++i) (*out.selection)[i] = i;
     }
-    for (const Row& row : out.table.rows) out.bytes += RowBytes(row);
+    out.bytes = 0;
+    out.ForEach([&](uint32_t, const Row& row) { out.bytes += RowBytes(row); });
   }
-  *cpu += consts_.limit_row * static_cast<double>(out.table.rows.size());
+  *cpu += consts_.limit_row * static_cast<double>(out.size());
   return out;
 }
 
 Result<Executor::NodeResult> Executor::ExecDistinct(const PlanNode& node,
                                                     double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  const std::vector<Row>& rows = in.rows();
-  *cpu += consts_.distinct_row * static_cast<double>(rows.size());
+  *cpu += consts_.distinct_row * static_cast<double>(in.size());
   NodeResult out;
-  out.table.columns = node.output();
+  out.columns = &node.output();
   std::vector<size_t> all_cols(node.output().size());
   for (size_t c = 0; c < all_cols.size(); ++c) all_cols[c] = c;
   // Kept rows are moved out of an owned input, copied from a borrowed one.
-  std::vector<Row>* owned = in.borrowed == nullptr ? &in.table.rows : nullptr;
-  KeyIndex seen(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const uint64_t h = KeyHash(rows[i], all_cols);
+  std::vector<Row>* owned = in.borrowed == nullptr ? &in.owned : nullptr;
+  KeyIndex seen(in.size());
+  in.ForEach([&](uint32_t i, const Row& row) {
+    const uint64_t h = KeyHash(row, all_cols);
     const auto same = [&](uint32_t e) {
-      return KeysEqual(out.table.rows[e], all_cols, rows[i], all_cols);
+      return KeysEqual(out.owned[e], all_cols, row, all_cols);
     };
-    if (seen.Find(h, same) != KeyIndex::kNone) continue;
+    if (seen.Find(h, same) != KeyIndex::kNone) return;
     seen.Add(h);
-    out.bytes += RowBytes(rows[i]);
-    out.table.rows.push_back(owned != nullptr ? std::move((*owned)[i])
-                                              : rows[i]);
-  }
+    out.bytes += RowBytes(row);
+    out.owned.push_back(owned != nullptr ? std::move((*owned)[i]) : row);
+  });
   // The kept rows plus only the duplicate input rows: the input is
   // measured as if the kept rows had been moved out of it. This is part
   // of the pinned cost contract; counting the whole input would change
@@ -297,48 +428,64 @@ Result<Executor::NodeResult> Executor::ExecScan(const PlanNode& node,
   AV_FAILPOINT_STATUS("executor.scan");
   NodeResult out;
   AV_ASSIGN_OR_RETURN(out.borrowed, db_->GetTable(node.table(), &out.bytes));
-  *cpu += consts_.scan_row * static_cast<double>(out.rows().size());
+  out.columns = &out.borrowed->columns;
+  *cpu += consts_.scan_row * static_cast<double>(out.size());
   out.peak_bytes = static_cast<double>(out.bytes);
   return out;
 }
 
 Result<Executor::NodeResult> Executor::ExecFilter(const PlanNode& node,
                                                   double* cpu) const {
-  AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  const std::vector<Row>& rows = in.rows();
-  *cpu += consts_.filter_row * static_cast<double>(rows.size());
-  // Owned input rows are moved to the output; borrowed ones are copied,
-  // and only when they pass.
-  std::vector<Row>* owned = in.borrowed == nullptr ? &in.table.rows : nullptr;
-  NodeResult out;
-  out.table.columns = node.output();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (!node.predicate()->EvalPredicate(rows[i])) continue;
-    out.bytes += RowBytes(rows[i]);
-    out.table.rows.push_back(owned != nullptr ? std::move((*owned)[i])
-                                              : rows[i]);
+  AV_ASSIGN_OR_RETURN(NodeResult out, Exec(*node.child(0), cpu));
+  *cpu += consts_.filter_row * static_cast<double>(out.size());
+  AV_RETURN_NOT_OK(CheckColumnBounds(*node.predicate(), out.width()));
+  std::vector<const Expr*> conjuncts;
+  FlattenAnd(*node.predicate(), &conjuncts);
+  const BoundPredicate predicate(conjuncts);
+  std::vector<uint32_t> kept;
+  uint64_t bytes = 0;
+  out.ForEach([&](uint32_t i, const Row& row) {
+    if (!predicate.Matches(row)) return;
+    bytes += RowBytes(row);
+    kept.push_back(i);
+  });
+  if (out.borrowed != nullptr) {
+    // The stored rows stay where they are; the selection narrows to the
+    // rows that pass.
+    out.selection = std::move(kept);
+  } else {
+    // Owned rows that pass move to the front; the rest are freed here.
+    for (size_t k = 0; k < kept.size(); ++k) {
+      if (kept[k] != k) out.owned[k] = std::move(out.owned[kept[k]]);
+    }
+    out.owned.resize(kept.size());
   }
-  out.peak_bytes = std::max(in.peak_bytes, static_cast<double>(out.bytes));
+  out.columns = &node.output();
+  out.bytes = bytes;
+  out.peak_bytes = std::max(out.peak_bytes, static_cast<double>(bytes));
   return out;
 }
 
 Result<Executor::NodeResult> Executor::ExecProject(const PlanNode& node,
                                                    double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  const std::vector<Row>& rows = in.rows();
-  *cpu += consts_.project_row * static_cast<double>(rows.size());
+  *cpu += consts_.project_row * static_cast<double>(in.size());
+  const auto& items = node.projections();
+  for (const auto& item : items) {
+    AV_RETURN_NOT_OK(CheckColumnBounds(*item.expr, in.width()));
+  }
   NodeResult out;
-  out.table.columns = node.output();
-  out.table.rows.reserve(rows.size());
-  for (const Row& row : rows) {
+  out.columns = &node.output();
+  out.owned.reserve(in.size());
+  in.ForEach([&](uint32_t, const Row& row) {
     Row projected;
-    projected.reserve(node.projections().size());
-    for (const auto& item : node.projections()) {
+    projected.reserve(items.size());
+    for (const auto& item : items) {
       projected.push_back(item.expr->EvalScalar(row));
     }
     out.bytes += RowBytes(projected);
-    out.table.rows.push_back(std::move(projected));
-  }
+    out.owned.push_back(std::move(projected));
+  });
   out.peak_bytes = std::max(in.peak_bytes, static_cast<double>(out.bytes));
   return out;
 }
@@ -347,59 +494,63 @@ Result<Executor::NodeResult> Executor::ExecJoin(const PlanNode& node,
                                                 double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult left, Exec(*node.child(0), cpu));
   AV_ASSIGN_OR_RETURN(NodeResult right, Exec(*node.child(1), cpu));
-  const size_t left_width = node.child(0)->num_output_columns();
-  const std::vector<Row>& left_rows = left.rows();
-  const std::vector<Row>& right_rows = right.rows();
+  const size_t left_width = left.width();
+  const Expr& condition = *node.join_condition();
+  AV_RETURN_NOT_OK(CheckColumnBounds(condition, left_width + right.width()));
 
   std::vector<EquiKey> keys;
-  std::vector<ExprPtr> residual;
-  SplitJoinCondition(*node.join_condition(), left_width, &keys, &residual);
+  std::vector<const Expr*> residual;
+  SplitJoinCondition(condition, left_width, &keys, &residual);
+  const BoundPredicate predicate(residual);
 
   NodeResult out;
-  out.table.columns = node.output();
+  out.columns = &node.output();
 
   auto emit_if_match = [&](const Row& l, const Row& r) {
     Row combined;
     combined.reserve(l.size() + r.size());
     combined.insert(combined.end(), l.begin(), l.end());
     combined.insert(combined.end(), r.begin(), r.end());
-    for (const auto& pred : residual) {
-      if (!pred->EvalPredicate(combined)) return;
-    }
+    if (!predicate.Matches(combined)) return;
     *cpu += consts_.join_output_row;
     out.bytes += RowBytes(combined);
-    out.table.rows.push_back(std::move(combined));
+    out.owned.push_back(std::move(combined));
   };
 
   double aux_bytes = 0.0;
   if (!keys.empty()) {
     // Hash join: build on the right child, probe with the left. Build
-    // entry e is right row e, and chains keep entries in build order.
+    // entry e is the right child's e-th held row, and chains keep entries
+    // in build order.
     std::vector<size_t> right_cols, left_cols;
     for (const auto& k : keys) {
       right_cols.push_back(k.right);
       left_cols.push_back(k.left);
     }
-    KeyIndex build(right_rows.size());
-    for (const Row& row : right_rows) build.Add(KeyHash(row, right_cols));
-    *cpu += consts_.join_build_row * static_cast<double>(right_rows.size());
+    KeyIndex build(right.size());
+    std::vector<const Row*> build_rows;
+    build_rows.reserve(right.size());
+    right.ForEach([&](uint32_t, const Row& row) {
+      build.Add(KeyHash(row, right_cols));
+      build_rows.push_back(&row);
+    });
+    *cpu += consts_.join_build_row * static_cast<double>(right.size());
     aux_bytes = static_cast<double>(right.bytes);
-    for (const Row& l : left_rows) {
+    left.ForEach([&](uint32_t, const Row& l) {
       *cpu += consts_.join_probe_row;
       build.Find(KeyHash(l, left_cols), [&](uint32_t e) {
-        const Row& r = right_rows[e];
+        const Row& r = *build_rows[e];
         if (KeysEqual(l, left_cols, r, right_cols)) emit_if_match(l, r);
         return false;  // visit every candidate
       });
-    }
+    });
   } else {
     // Nested loop fallback.
-    *cpu += consts_.nested_loop_pair *
-            static_cast<double>(left_rows.size()) *
-            static_cast<double>(right_rows.size());
-    for (const Row& l : left_rows) {
-      for (const Row& r : right_rows) emit_if_match(l, r);
-    }
+    *cpu += consts_.nested_loop_pair * static_cast<double>(left.size()) *
+            static_cast<double>(right.size());
+    left.ForEach([&](uint32_t, const Row& l) {
+      right.ForEach([&](uint32_t, const Row& r) { emit_if_match(l, r); });
+    });
   }
 
   const double here = static_cast<double>(out.bytes) + aux_bytes +
@@ -411,8 +562,7 @@ Result<Executor::NodeResult> Executor::ExecJoin(const PlanNode& node,
 Result<Executor::NodeResult> Executor::ExecAggregate(const PlanNode& node,
                                                      double* cpu) const {
   AV_ASSIGN_OR_RETURN(NodeResult in, Exec(*node.child(0), cpu));
-  const std::vector<Row>& rows = in.rows();
-  *cpu += consts_.agg_update_row * static_cast<double>(rows.size());
+  *cpu += consts_.agg_update_row * static_cast<double>(in.size());
 
   const auto& group_by = node.group_by();
   const auto& aggs = node.aggregates();
@@ -426,7 +576,7 @@ Result<Executor::NodeResult> Executor::ExecAggregate(const PlanNode& node,
   std::vector<size_t> key_cols(group_by.size());
   for (size_t g = 0; g < key_cols.size(); ++g) key_cols[g] = g;
   KeyIndex index(16);
-  for (const Row& row : rows) {
+  in.ForEach([&](uint32_t, const Row& row) {
     const uint64_t h = KeyHash(row, group_by);
     uint32_t e = index.Find(h, [&](uint32_t candidate) {
       return KeysEqual(row, group_by, groups[candidate].key, key_cols);
@@ -465,7 +615,7 @@ Result<Executor::NodeResult> Executor::ExecAggregate(const PlanNode& node,
           break;
       }
     }
-  }
+  });
 
   // Global aggregate over empty input still yields one row.
   if (groups.empty() && group_by.empty()) {
@@ -473,8 +623,8 @@ Result<Executor::NodeResult> Executor::ExecAggregate(const PlanNode& node,
   }
 
   NodeResult out;
-  out.table.columns = node.output();
-  out.table.rows.reserve(groups.size());
+  out.columns = &node.output();
+  out.owned.reserve(groups.size());
   for (Group& group : groups) {
     Row row = std::move(group.key);
     for (size_t a = 0; a < aggs.size(); ++a) {
@@ -505,9 +655,9 @@ Result<Executor::NodeResult> Executor::ExecAggregate(const PlanNode& node,
       }
     }
     out.bytes += RowBytes(row);
-    out.table.rows.push_back(std::move(row));
+    out.owned.push_back(std::move(row));
   }
-  *cpu += consts_.agg_output_row * static_cast<double>(out.table.rows.size());
+  *cpu += consts_.agg_output_row * static_cast<double>(out.owned.size());
 
   const double here = static_cast<double>(out.bytes) * 2.0 +
                       static_cast<double>(in.bytes);

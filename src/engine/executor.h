@@ -24,6 +24,24 @@ struct ExecResult {
 /// given plan and data: cpu_units are charged per logical row, so they do
 /// not depend on the physical row layout or key representation.
 ///
+/// Operators hand each other rows without copying them where they can.
+/// A scan reads the stored table in place. A filter over it passes on
+/// the table plus a selection: the positions of the rows that pass, in
+/// order. A filter over owned rows (a join's or an aggregate's output)
+/// keeps the passing rows and frees the rest. Project, join, aggregate,
+/// distinct, sort and limit read their input through the selection, so
+/// a row is copied only when an operator builds a new one (a projected
+/// or joined row, a group, a sorted run).
+/// Execute copies the root's selected rows out; ExecuteForCost only
+/// counts them.
+///
+/// A filter predicate, and a join's non-equi conjuncts, are bound once
+/// per operator: each comparison of a column with a literal or another
+/// column becomes a term that reads its cells in place, with the column
+/// bounds checked against the input width up front. The join's residual
+/// terms test the combined row. Other conjuncts (OR, NOT) are evaluated by the Expr tree. Both give
+/// Value::Compare's results.
+///
 /// Output order of each operator:
 ///   * Scan — the stored table's row order.
 ///   * Filter, Project — input order (Filter keeps the passing rows).
@@ -53,24 +71,8 @@ class Executor {
   const CostConstants& constants() const { return consts_; }
 
  private:
-  /// One operator's output. A scan borrows the stored table instead of
-  /// copying it; the borrowed rows stay valid as long as a
-  /// Database::GetTable() pointer does, which covers the whole plan
-  /// (base tables are never dropped, served views are pinned).
-  struct NodeResult {
-    Table table;                      ///< owned rows (unused if borrowed)
-    const Table* borrowed = nullptr;  ///< a scan's stored table
-    uint64_t bytes = 0;               ///< ByteSize() of rows()
-    double peak_bytes = 0.0;
-
-    const std::vector<Row>& rows() const {
-      return borrowed != nullptr ? borrowed->rows : table.rows;
-    }
-    /// The rows as an owned table, copying only if they are borrowed.
-    Table TakeTable() && {
-      return borrowed != nullptr ? *borrowed : std::move(table);
-    }
-  };
+  /// One operator's output (defined in executor.cc).
+  struct NodeResult;
 
   /// The CostReport of a finished plan whose root produced `root`.
   CostReport Report(const NodeResult& root, double cpu_units) const;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace autoview {
 
@@ -11,6 +12,16 @@ namespace {
 
 uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
+}
+
+/// One past the largest column index `expr` references (0 if none).
+size_t ColumnSpan(const Expr& expr) {
+  if (expr.kind() == ExprKind::kColumn) return expr.column_index() + 1;
+  size_t span = 0;
+  for (const ExprPtr& child : expr.children()) {
+    span = std::max(span, ColumnSpan(*child));
+  }
+  return span;
 }
 
 }  // namespace
@@ -102,7 +113,7 @@ ExprPtr Expr::Not(ExprPtr child) {
   return e;
 }
 
-Value Expr::EvalScalar(const std::vector<Value>& row) const {
+const Value& Expr::EvalScalar(const std::vector<Value>& row) const {
   switch (kind_) {
     case ExprKind::kColumn:
       AV_CHECK_LT(column_index_, row.size());
@@ -111,32 +122,15 @@ Value Expr::EvalScalar(const std::vector<Value>& row) const {
       return literal_;
     default:
       AV_CHECK(false);
-      return Value();
+      return literal_;
   }
 }
 
 bool Expr::EvalPredicate(const std::vector<Value>& row) const {
   switch (kind_) {
-    case ExprKind::kCompare: {
-      const Value l = children_[0]->EvalScalar(row);
-      const Value r = children_[1]->EvalScalar(row);
-      const int c = l.Compare(r);
-      switch (compare_op_) {
-        case CompareOp::kEq:
-          return c == 0;
-        case CompareOp::kNe:
-          return c != 0;
-        case CompareOp::kLt:
-          return c < 0;
-        case CompareOp::kLe:
-          return c <= 0;
-        case CompareOp::kGt:
-          return c > 0;
-        case CompareOp::kGe:
-          return c >= 0;
-      }
-      return false;
-    }
+    case ExprKind::kCompare:
+      return CompareHolds(compare_op_, children_[0]->EvalScalar(row).Compare(
+                                           children_[1]->EvalScalar(row)));
     case ExprKind::kAnd:
       for (const auto& c : children_) {
         if (!c->EvalPredicate(row)) return false;
@@ -261,31 +255,6 @@ bool Expr::Equals(const Expr& other) const {
   return true;
 }
 
-ExprPtr Expr::ShiftColumns(int64_t offset) const {
-  if (kind_ == ExprKind::kColumn) {
-    return Column(static_cast<size_t>(static_cast<int64_t>(column_index_) +
-                                      offset),
-                  column_name_, column_type_);
-  }
-  if (children_.empty()) return Literal(literal_);
-  std::vector<ExprPtr> kids;
-  kids.reserve(children_.size());
-  for (const auto& c : children_) kids.push_back(c->ShiftColumns(offset));
-  switch (kind_) {
-    case ExprKind::kCompare:
-      return Compare(compare_op_, kids[0], kids[1]);
-    case ExprKind::kAnd:
-      return And(std::move(kids));
-    case ExprKind::kOr:
-      return Or(std::move(kids));
-    case ExprKind::kNot:
-      return Not(kids[0]);
-    default:
-      AV_CHECK(false);
-      return nullptr;
-  }
-}
-
 ExprPtr Expr::RemapColumns(const std::vector<size_t>& mapping,
                            const std::vector<std::string>& names) const {
   if (kind_ == ExprKind::kColumn) {
@@ -324,6 +293,19 @@ std::vector<size_t> ReferencedColumns(const Expr& expr) {
     for (const auto& c : e->children()) stack.push_back(c.get());
   }
   return {cols.begin(), cols.end()};
+}
+
+Status CheckColumnBounds(const Expr& expr, size_t width) {
+  if (ColumnSpan(expr) <= width) return Status::OK();
+  // Error path only: name the smallest out-of-range column.
+  for (size_t col : ReferencedColumns(expr)) {
+    if (col >= width) {
+      return Status::InvalidArgument(
+          StrFormat("expression references column %zu of a %zu-column input",
+                    col, width));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace autoview

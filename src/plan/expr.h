@@ -22,6 +22,26 @@ const char* CompareOpName(CompareOp op);
 /// SQL spelling of a comparison op ("=", "<", ...).
 const char* CompareOpSymbol(CompareOp op);
 
+/// Whether `op` holds for a three-way comparison result `c` (negative,
+/// zero or positive, as Value::Compare returns).
+inline bool CompareHolds(CompareOp op, int c) {
+  switch (op) {
+    case CompareOp::kEq:
+      return c == 0;
+    case CompareOp::kNe:
+      return c != 0;
+    case CompareOp::kLt:
+      return c < 0;
+    case CompareOp::kLe:
+      return c <= 0;
+    case CompareOp::kGt:
+      return c > 0;
+    case CompareOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
@@ -55,11 +75,13 @@ class Expr {
   const std::vector<ExprPtr>& children() const { return children_; }
 
   /// Evaluates a boolean expression against `row`; non-boolean kinds
-  /// (column/literal) are not evaluable here.
+  /// (column/literal) are not evaluable here. Comparisons read their
+  /// operands in place.
   bool EvalPredicate(const std::vector<Value>& row) const;
 
-  /// Evaluates a scalar (column or literal) against `row`.
-  Value EvalScalar(const std::vector<Value>& row) const;
+  /// Evaluates a scalar (column or literal) against `row`: the row's cell
+  /// or this node's literal, by reference.
+  const Value& EvalScalar(const std::vector<Value>& row) const;
 
   /// Prefix rendering: `AND(EQ(dt, '1010'), EQ(memo_type, 'pen'))`.
   std::string ToPrefixString() const;
@@ -73,10 +95,6 @@ class Expr {
 
   /// Deep structural equality.
   bool Equals(const Expr& other) const;
-
-  /// Returns an equivalent expression with column indices shifted by
-  /// `offset` (used when gluing expressions over concatenated join rows).
-  ExprPtr ShiftColumns(int64_t offset) const;
 
   /// Returns an equivalent expression with each column index `i`
   /// remapped to `mapping[i]` and renamed to `names[mapping[i]]`.
@@ -96,5 +114,9 @@ class Expr {
 /// Collects all column indices referenced by `expr` into `out` (deduped,
 /// sorted).
 std::vector<size_t> ReferencedColumns(const Expr& expr);
+
+/// An error unless every column `expr` references is below `width`.
+/// Allocates nothing when the columns are in range.
+Status CheckColumnBounds(const Expr& expr, size_t width);
 
 }  // namespace autoview

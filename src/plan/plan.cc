@@ -16,30 +16,6 @@ uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
 }
 
-/// One past the largest column index `expr` references (0 if none).
-size_t ColumnSpan(const Expr& expr) {
-  if (expr.kind() == ExprKind::kColumn) return expr.column_index() + 1;
-  size_t span = 0;
-  for (const ExprPtr& child : expr.children()) {
-    span = std::max(span, ColumnSpan(*child));
-  }
-  return span;
-}
-
-/// Validates that every column referenced by `expr` is within bounds.
-Status CheckColumnBounds(const Expr& expr, size_t width) {
-  if (ColumnSpan(expr) <= width) return Status::OK();
-  // Error path only: name the smallest out-of-range column.
-  for (size_t col : ReferencedColumns(expr)) {
-    if (col >= width) {
-      return Status::InvalidArgument(
-          StrFormat("expression references column %zu of a %zu-column input",
-                    col, width));
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 void AppendUniqueColumns(const std::vector<OutputColumn>& cols,

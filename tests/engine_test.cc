@@ -476,6 +476,48 @@ TEST_F(EngineTest, TypeMismatchRejected) {
                    .ok());
 }
 
+// The executor checks a bound expression's columns against the input it
+// actually reads, once per operator: a plan built for a wider table than
+// the one now stored gets an error, not an out-of-range read.
+TEST_F(EngineTest, ColumnsPastTheInputWidthAreAnError) {
+  Database db;
+  const TableSchema wide("t", {{"a", ColumnType::kInt64},
+                               {"b", ColumnType::kInt64},
+                               {"c", ColumnType::kInt64}});
+  ASSERT_TRUE(db.AddTable(wide, {{Value(int64_t{1}), Value(int64_t{2}),
+                                  Value(int64_t{3})}})
+                  .ok());
+  auto scan = PlanNode::MakeScan(db.catalog(), "t");
+  ASSERT_TRUE(scan.ok());
+  auto c = Expr::Column(2, "c", ColumnType::kInt64);
+  auto filter = PlanNode::MakeFilter(
+      scan.value(),
+      Expr::Compare(CompareOp::kGt, c, Expr::Literal(Value(int64_t{0}))));
+  auto project = PlanNode::MakeProject(scan.value(), {{c, "c"}});
+  auto join = PlanNode::MakeJoin(
+      scan.value(), scan.value(),
+      Expr::And({Expr::Compare(CompareOp::kEq,
+                               Expr::Column(0, "a", ColumnType::kInt64),
+                               Expr::Column(3, "a", ColumnType::kInt64)),
+                 Expr::Compare(CompareOp::kLt, c,
+                               Expr::Column(5, "c", ColumnType::kInt64))}));
+  ASSERT_TRUE(filter.ok() && project.ok() && join.ok());
+  Executor exec(&db);
+  ASSERT_TRUE(exec.Execute(*filter.value()).ok());
+  ASSERT_TRUE(exec.Execute(*project.value()).ok());
+  ASSERT_TRUE(exec.Execute(*join.value()).ok());
+
+  ASSERT_TRUE(db.DropTable("t").ok());
+  ASSERT_TRUE(db.AddTable(TableSchema("t", {{"a", ColumnType::kInt64}}),
+                          {{Value(int64_t{1})}})
+                  .ok());
+  for (const auto& plan : {filter.value(), project.value(), join.value()}) {
+    auto result = exec.Execute(*plan);
+    ASSERT_FALSE(result.ok()) << plan->ToString();
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(EngineTest, TablesEqualUnorderedDetectsDifferences) {
   Table a, b;
   a.columns = b.columns = {{"x", ColumnType::kInt64}};

@@ -82,17 +82,6 @@ TEST(ExprTest, HashAndEquality) {
   EXPECT_FALSE(a->Equals(*c));
 }
 
-TEST(ExprTest, ShiftColumns) {
-  auto pred = Expr::Compare(CompareOp::kEq,
-                            Expr::Column(1, "x", ColumnType::kInt64),
-                            Expr::Column(3, "y", ColumnType::kInt64));
-  auto shifted = pred->ShiftColumns(2);
-  EXPECT_EQ(shifted->children()[0]->column_index(), 3u);
-  EXPECT_EQ(shifted->children()[1]->column_index(), 5u);
-  // Names preserved.
-  EXPECT_EQ(shifted->children()[0]->column_name(), "x");
-}
-
 TEST(ExprTest, RemapColumns) {
   auto pred = Expr::Compare(CompareOp::kEq,
                             Expr::Column(0, "old_a", ColumnType::kInt64),

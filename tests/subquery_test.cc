@@ -8,12 +8,12 @@
 #include "analysis_oracle.h"
 #include "catalog/catalog.h"
 #include "engine/database.h"
+#include "engine/executor.h"
 #include "generators.h"
 #include "plan/builder.h"
 #include "plan/canonical.h"
 #include "subquery/clusterer.h"
 #include "subquery/extractor.h"
-#include "subquery/verify.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
@@ -231,6 +231,45 @@ TEST_F(SubqueryTest, RootCandidateOutlivesQueryPlansInBatchAnalyses) {
   EXPECT_GT(root->candidate.use_count(), 0);
   EXPECT_EQ(root->candidate->NumOperators(), reference->NumOperators());
   EXPECT_EQ(CanonicalKey(*root->candidate), root_key);
+}
+
+/// Execution-based equivalence: a semantic check of the canonical-form
+/// detector (plan/canonical.h). Executes both plans and compares their
+/// result bags with columns matched BY NAME (canonically-equivalent plans
+/// may order their output columns differently). True when the bags are
+/// equal on this data (evidence, not proof), false on a definite
+/// counterexample, an error when the column-name sets differ or a plan
+/// fails to execute.
+Result<bool> VerifyEquivalenceByExecution(const Database& db,
+                                          const PlanNode& a,
+                                          const PlanNode& b) {
+  Executor exec(&db);
+  AV_ASSIGN_OR_RETURN(ExecResult ra, exec.Execute(a));
+  AV_ASSIGN_OR_RETURN(ExecResult rb, exec.Execute(b));
+  const Table& ta = ra.table;
+  const Table& tb = rb.table;
+  if (ta.num_columns() != tb.num_columns()) {
+    return Status::InvalidArgument("plans have different output widths");
+  }
+  std::vector<size_t> mapping(ta.num_columns());
+  for (size_t i = 0; i < ta.num_columns(); ++i) {
+    size_t j = 0;
+    while (j < tb.num_columns() && tb.columns[j].name != ta.columns[i].name) {
+      ++j;
+    }
+    if (j == tb.num_columns()) {
+      return Status::InvalidArgument("column name sets differ: " +
+                                     ta.columns[i].name);
+    }
+    mapping[i] = j;
+  }
+  Table aligned;
+  aligned.columns = ta.columns;
+  for (const Row& row : tb.rows) {
+    Row& reordered = aligned.rows.emplace_back();
+    for (size_t j : mapping) reordered.push_back(row[j]);
+  }
+  return TablesEqualUnordered(ta, aligned);
 }
 
 TEST(VerifyTest, ExecutionVerificationAgreesWithCanonicalizer) {
