@@ -124,6 +124,81 @@ void BM_ExecuteQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteQuery)->Arg(1000)->Arg(4000);
 
+/// The JOB preset's database (the tables advise-job executes over),
+/// generated once per binary.
+const GeneratedWorkload& JobPreset() {
+  static const GeneratedWorkload* const wk =
+      new GeneratedWorkload(GenerateJobWorkload(JobWorkloadSpec{}));
+  return *wk;
+}
+
+PlanNodePtr JobScan(const std::string& table) {
+  return PlanNode::MakeScan(JobPreset().db->catalog(), table).value();
+}
+
+ExprPtr JobColumn(const PlanNode& plan, size_t c) {
+  return Expr::Column(c, plan.output()[c].name, plan.output()[c].type);
+}
+
+/// Prices `plan` (ExecuteForCost, as ground truth and serving do) once
+/// per iteration; items are the input rows the plan scans.
+void RunCostLoop(benchmark::State& state, const PlanNode& plan,
+                 size_t scanned_rows) {
+  Executor exec(JobPreset().db.get());
+  for (auto _ : state) {
+    auto cost = exec.ExecuteForCost(plan);
+    benchmark::DoNotOptimize(cost);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(scanned_rows));
+}
+
+size_t JobRows(const std::string& table) {
+  return JobPreset().db->GetTable(table).value()->num_rows();
+}
+
+/// Filter over cast_info: two int64 column-literal terms (about a third
+/// of the rows pass role_id <= 4, then person_id < 400 narrows them).
+void BM_ExecFilter(benchmark::State& state) {
+  PlanNodePtr scan = JobScan("cast_info");
+  ExprPtr pred = Expr::And(
+      {Expr::Compare(CompareOp::kLe, JobColumn(*scan, 2),
+                     Expr::Literal(Value(int64_t{4}))),
+       Expr::Compare(CompareOp::kLt, JobColumn(*scan, 1),
+                     Expr::Literal(Value(int64_t{400})))});
+  PlanNodePtr filter = PlanNode::MakeFilter(scan, pred).value();
+  RunCostLoop(state, *filter, JobRows("cast_info"));
+}
+BENCHMARK(BM_ExecFilter);
+
+/// Hash join of movie_companies with title on movie_id = id (the fact
+/// to dimension join of most JOB queries; the string country_code
+/// column is carried through).
+void BM_ExecHashJoin(benchmark::State& state) {
+  PlanNodePtr left = JobScan("movie_companies");
+  PlanNodePtr right = JobScan("title");
+  const size_t width = left->output().size();
+  ExprPtr cond = Expr::Compare(
+      CompareOp::kEq, JobColumn(*left, 0),
+      Expr::Column(width, right->output()[0].name, right->output()[0].type));
+  PlanNodePtr join = PlanNode::MakeJoin(left, right, cond).value();
+  RunCostLoop(state, *join, JobRows("movie_companies") + JobRows("title"));
+}
+BENCHMARK(BM_ExecHashJoin);
+
+/// Aggregate over cast_info grouped by role_id: COUNT(*), SUM, MIN and
+/// MAX of int64 columns.
+void BM_ExecAggregate(benchmark::State& state) {
+  PlanNodePtr scan = JobScan("cast_info");
+  std::vector<AggItem> aggs = {{AggKind::kCountStar, std::nullopt, "", "n"},
+                               {AggKind::kSum, size_t{1}, "", "s"},
+                               {AggKind::kMin, size_t{0}, "", "lo"},
+                               {AggKind::kMax, size_t{0}, "", "hi"}};
+  PlanNodePtr agg = PlanNode::MakeAggregate(scan, {2}, aggs).value();
+  RunCostLoop(state, *agg, JobRows("cast_info"));
+}
+BENCHMARK(BM_ExecAggregate);
+
 void BM_LstmForward(benchmark::State& state) {
   Rng rng(1);
   nn::Lstm lstm(16, 32, &rng);

@@ -31,10 +31,13 @@ case "$mode" in
     # through the live advisor;
     # engine_test, sort_limit_test, property_test and
     # executor_golden_test the executor, whose scans read the stored
-    # tables in place for the whole plan, whose bound predicate terms
-    # index rows by column and whose selections index them by position;
-    # expr_test the Expr tree evaluator, which returns cells by reference
-    # into the row it reads; subquery_test the extracted
+    # tables' columns in place for the whole plan, whose bound predicate
+    # terms read column slots at selected positions and whose joins and
+    # aggregates gather cells by position; table_and_print_test the
+    # typed columns themselves, whose string cells are offsets into a
+    # character buffer that gathered columns share with the column they
+    # came from; expr_test the Expr tree evaluator, which returns cells
+    # by reference into the row it reads; subquery_test the extracted
     # subqueries' lifetimes (root candidates outliving their query);
     # nn_tensor_test the autograd tape's node lifetimes and Backward's
     # visit stamps; problem_index_test RLView's replay memory, whose
@@ -48,11 +51,11 @@ case "$mode" in
     # (tokens viewing the SQL text, plan nodes sharing column lists with
     # their children and the catalog, references into the catalog's
     # hash maps across inserts and removals).
-    suites="failpoint_test deadline_test persistence_test view_store_test advisor_test rewrite_fast_path_test engine_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
+    suites="failpoint_test deadline_test persistence_test view_store_test advisor_test rewrite_fast_path_test engine_test table_and_print_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test view_store_test advisor_test rewrite_fast_path_test engine_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test view_store_test advisor_test rewrite_fast_path_test engine_test table_and_print_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test"
     ;;
   tsan)
     sanitize=thread

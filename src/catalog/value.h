@@ -1,17 +1,90 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "catalog/schema.h"
 
 namespace autoview {
 
+/// \brief One cell read in place: an int64, a double, or a string that
+/// views bytes its owner keeps alive (a Value, or a Column's buffer).
+struct CellRef {
+  ColumnType type = ColumnType::kInt64;
+  union {
+    int64_t i = 0;  ///< kInt64
+    double d;       ///< kDouble
+  };
+  std::string_view s;  ///< kString
+
+  bool is_string() const { return type == ColumnType::kString; }
+  double AsDouble() const {
+    return type == ColumnType::kInt64 ? static_cast<double>(i) : d;
+  }
+};
+
+/// Three-way comparison of two cells. Two ints compare exactly; an int
+/// and a double compare as doubles; strings lexicographically. Cross
+/// string/number comparison orders strings last.
+inline int CompareCells(const CellRef& a, const CellRef& b) {
+  const bool a_str = a.is_string();
+  const bool b_str = b.is_string();
+  if (a_str != b_str) return a_str ? 1 : -1;
+  if (a_str) return a.s < b.s ? -1 : (a.s == b.s ? 0 : 1);
+  if (a.type == ColumnType::kInt64 && b.type == ColumnType::kInt64) {
+    // Exact: ints past 2^53 that round to the same double stay apart.
+    return a.i < b.i ? -1 : (a.i == b.i ? 0 : 1);
+  }
+  const double x = a.AsDouble();
+  const double y = b.AsDouble();
+  if (x < y) return -1;
+  if (x > y) return 1;
+  return 0;
+}
+
+/// HashCell() of an int cell holding `v`.
+inline uint64_t HashInt(int64_t v) {
+  // An int below 9e15 in magnitude is its own double's integral value.
+  if (std::fabs(static_cast<double>(v)) < 9e15) {
+    return std::hash<int64_t>{}(v) ^ 0xabcdef1234567890ULL;
+  }
+  return std::hash<double>{}(static_cast<double>(v)) ^ 0xabcdef1234567890ULL;
+}
+
+/// Stable 64-bit hash consistent with CompareCells() == 0 (int 3 and
+/// double 3.0 hash identically). Numbers hash by their double value, so
+/// distinct ints past 2^53 may collide; they still compare unequal.
+inline uint64_t HashCell(const CellRef& cell) {
+  switch (cell.type) {
+    case ColumnType::kInt64:
+      return HashInt(cell.i);
+    case ColumnType::kDouble:
+      if (cell.d == std::floor(cell.d) && std::fabs(cell.d) < 9e15) {
+        return std::hash<int64_t>{}(static_cast<int64_t>(cell.d)) ^
+               0xabcdef1234567890ULL;
+      }
+      return std::hash<double>{}(cell.d) ^ 0xabcdef1234567890ULL;
+    case ColumnType::kString:
+      break;
+  }
+  return std::hash<std::string_view>{}(cell.s) * 0x9e3779b97f4a7c15ULL;
+}
+
+/// Approximate in-memory byte size of a cell: 8 for a number, the length
+/// plus 8 for a string.
+inline uint64_t CellByteSize(const CellRef& cell) {
+  return cell.is_string() ? cell.s.size() + sizeof(size_t) : 8;
+}
+
 /// \brief A dynamically-typed scalar cell value.
 ///
-/// Used for expression literals, row materialization and aggregation
-/// state. Cheap int64/double paths; strings are owned.
+/// Used for expression literals and for rows at a table's edge (the rows
+/// Database::AddTable takes, a Table's row accessor). Strings are owned;
+/// tables store cells in typed columns instead (see Column).
 class Value {
  public:
   Value() : v_(int64_t{0}) {}
@@ -42,29 +115,26 @@ class Value {
   }
   const std::string& AsString() const { return std::get<std::string>(v_); }
 
-  /// Two ints compare exactly; an int and a double compare as doubles;
-  /// strings lexicographically. Cross string/number comparison orders
-  /// strings last.
+  /// This cell, read in place (see CellRef).
+  CellRef cell() const {
+    CellRef c;
+    c.type = type();
+    switch (v_.index()) {
+      case 0:
+        c.i = std::get<int64_t>(v_);
+        break;
+      case 1:
+        c.d = std::get<double>(v_);
+        break;
+      default:
+        c.s = std::get<std::string>(v_);
+    }
+    return c;
+  }
+
+  /// CompareCells() of the two cells.
   int Compare(const Value& other) const {
-    const bool a_str = is_string();
-    const bool b_str = other.is_string();
-    if (a_str != b_str) return a_str ? 1 : -1;
-    if (a_str) {
-      const auto& a = AsString();
-      const auto& b = other.AsString();
-      return a < b ? -1 : (a == b ? 0 : 1);
-    }
-    if (is_int() && other.is_int()) {
-      // Exact: ints past 2^53 that round to the same double stay apart.
-      const int64_t a = AsInt();
-      const int64_t b = other.AsInt();
-      return a < b ? -1 : (a == b ? 0 : 1);
-    }
-    const double a = AsDouble();
-    const double b = other.AsDouble();
-    if (a < b) return -1;
-    if (a > b) return 1;
-    return 0;
+    return CompareCells(cell(), other.cell());
   }
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
@@ -73,15 +143,11 @@ class Value {
   /// SQL-literal rendering ('abc' for strings).
   std::string ToString() const;
 
-  /// Stable 64-bit hash consistent with operator== (int 3 and double 3.0
-  /// hash identically). Numbers hash by AsDouble(), so distinct ints past
-  /// 2^53 may collide; they still compare unequal.
-  uint64_t Hash() const;
+  /// HashCell() of this cell.
+  uint64_t Hash() const { return HashCell(cell()); }
 
   /// Approximate in-memory byte size (for view space overhead).
-  size_t ByteSize() const {
-    return is_string() ? AsString().size() + sizeof(size_t) : 8;
-  }
+  size_t ByteSize() const { return CellByteSize(cell()); }
 
  private:
   std::variant<int64_t, double, std::string> v_;

@@ -26,11 +26,11 @@ Status Database::AddTable(TableSchema schema, std::vector<Row> rows) {
       }
     }
   }
-  Table table;
+  std::vector<OutputColumn> columns;
   for (const auto& col : schema.columns()) {
-    table.columns.push_back({col.name, col.type});
+    columns.push_back({col.name, col.type});
   }
-  table.rows = std::move(rows);
+  Table table = Table::FromRows(std::move(columns), std::move(rows));
   const std::string name = schema.name();
   AV_RETURN_NOT_OK(catalog_.AddTable(std::move(schema)));
   Store(name, std::move(table));
@@ -77,22 +77,22 @@ Status Database::ComputeStats(const std::string& name, size_t buckets) {
   if (it == tables_.end()) return Status::NotFound("no such table: " + name);
   const Table& table = it->second.table;
   TableStats stats;
-  stats.row_count = table.rows.size();
+  stats.row_count = table.num_rows();
   stats.byte_size = it->second.byte_size;
-  stats.columns.resize(table.columns.size());
-  for (size_t c = 0; c < table.columns.size(); ++c) {
+  stats.columns.resize(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
     ColumnStats& cs = stats.columns[c];
+    const Column& column = table.column(c);
     std::unordered_set<uint64_t> distinct;
     const bool numeric = table.columns[c].type != ColumnType::kString;
     double lo = 0, hi = 0;
-    bool first = true;
-    for (const auto& row : table.rows) {
-      distinct.insert(row[c].Hash());
+    for (size_t r = 0; r < column.size(); ++r) {
+      const CellRef cell = column.cell(r);
+      distinct.insert(HashCell(cell));
       if (numeric) {
-        const double v = row[c].AsDouble();
-        if (first) {
+        const double v = cell.AsDouble();
+        if (r == 0) {
           lo = hi = v;
-          first = false;
         } else {
           lo = std::min(lo, v);
           hi = std::max(hi, v);
@@ -102,15 +102,15 @@ Status Database::ComputeStats(const std::string& name, size_t buckets) {
     cs.distinct_count = static_cast<double>(distinct.size());
     cs.min_value = lo;
     cs.max_value = hi;
-    if (numeric && !table.rows.empty()) {
+    if (numeric && column.size() > 0) {
       cs.histogram.lo = lo;
       cs.histogram.hi = hi;
       cs.histogram.bucket_counts.assign(buckets, 0.0);
       const double width = (hi - lo) / static_cast<double>(buckets);
-      for (const auto& row : table.rows) {
-        size_t b = width > 0
-                       ? static_cast<size_t>((row[c].AsDouble() - lo) / width)
-                       : 0;
+      for (size_t r = 0; r < column.size(); ++r) {
+        size_t b = width > 0 ? static_cast<size_t>(
+                                   (column.cell(r).AsDouble() - lo) / width)
+                             : 0;
         if (b >= buckets) b = buckets - 1;
         cs.histogram.bucket_counts[b] += 1.0;
       }

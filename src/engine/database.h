@@ -20,7 +20,9 @@ namespace autoview {
 /// whose pin protocol guarantees a served table outlives its readers.
 class Database {
  public:
-  /// Registers schema + rows. Row cell types must match the schema.
+  /// Registers schema + rows. Row cell types must match the schema (a
+  /// double column also takes int cells). The rows are converted to
+  /// typed columns once, here, each row freed as it is stored.
   Status AddTable(TableSchema schema, std::vector<Row> rows)
       AV_EXCLUDES(mu_);
 

@@ -39,17 +39,5 @@ void Adam::ZeroGrad() {
   for (auto& p : params_) p.ZeroGrad();
 }
 
-void Sgd::Step() {
-  for (auto& p : params_) {
-    auto& value = p.mutable_data();
-    const auto& grad = p.grad();
-    for (size_t j = 0; j < value.size(); ++j) value[j] -= lr_ * grad[j];
-  }
-}
-
-void Sgd::ZeroGrad() {
-  for (auto& p : params_) p.ZeroGrad();
-}
-
 }  // namespace nn
 }  // namespace autoview

@@ -39,18 +39,5 @@ class Adam {
   int64_t t_ = 0;
 };
 
-/// \brief Plain SGD (used by baselines and tests).
-class Sgd {
- public:
-  Sgd(std::vector<Tensor> params, Scalar lr) : params_(std::move(params)), lr_(lr) {}
-
-  void Step();
-  void ZeroGrad();
-
- private:
-  std::vector<Tensor> params_;
-  Scalar lr_;
-};
-
 }  // namespace nn
 }  // namespace autoview

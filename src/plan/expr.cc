@@ -113,42 +113,6 @@ ExprPtr Expr::Not(ExprPtr child) {
   return e;
 }
 
-const Value& Expr::EvalScalar(const std::vector<Value>& row) const {
-  switch (kind_) {
-    case ExprKind::kColumn:
-      AV_CHECK_LT(column_index_, row.size());
-      return row[column_index_];
-    case ExprKind::kLiteral:
-      return literal_;
-    default:
-      AV_CHECK(false);
-      return literal_;
-  }
-}
-
-bool Expr::EvalPredicate(const std::vector<Value>& row) const {
-  switch (kind_) {
-    case ExprKind::kCompare:
-      return CompareHolds(compare_op_, children_[0]->EvalScalar(row).Compare(
-                                           children_[1]->EvalScalar(row)));
-    case ExprKind::kAnd:
-      for (const auto& c : children_) {
-        if (!c->EvalPredicate(row)) return false;
-      }
-      return true;
-    case ExprKind::kOr:
-      for (const auto& c : children_) {
-        if (c->EvalPredicate(row)) return true;
-      }
-      return false;
-    case ExprKind::kNot:
-      return !children_[0]->EvalPredicate(row);
-    default:
-      AV_CHECK(false);
-      return false;
-  }
-}
-
 std::string Expr::ToPrefixString() const {
   switch (kind_) {
     case ExprKind::kColumn:

@@ -74,15 +74,6 @@ class Expr {
   CompareOp compare_op() const { return compare_op_; }
   const std::vector<ExprPtr>& children() const { return children_; }
 
-  /// Evaluates a boolean expression against `row`; non-boolean kinds
-  /// (column/literal) are not evaluable here. Comparisons read their
-  /// operands in place.
-  bool EvalPredicate(const std::vector<Value>& row) const;
-
-  /// Evaluates a scalar (column or literal) against `row`: the row's cell
-  /// or this node's literal, by reference.
-  const Value& EvalScalar(const std::vector<Value>& row) const;
-
   /// Prefix rendering: `AND(EQ(dt, '1010'), EQ(memo_type, 'pen'))`.
   std::string ToPrefixString() const;
 

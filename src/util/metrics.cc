@@ -190,26 +190,6 @@ namespace {
 double SizeMismatch() { return std::numeric_limits<double>::quiet_NaN(); }
 }  // namespace
 
-void RunningStat::Add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const {
-  return n_ > 0 ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
 double MeanAbsoluteError(const std::vector<double>& y,
                          const std::vector<double>& yhat) {
   if (y.size() != yhat.size()) return SizeMismatch();
@@ -229,40 +209,6 @@ double MeanAbsolutePercentError(const std::vector<double>& y,
     total += std::fabs(y[i] - yhat[i]) / denom;
   }
   return total / static_cast<double>(y.size());
-}
-
-double RootMeanSquaredError(const std::vector<double>& y,
-                            const std::vector<double>& yhat) {
-  if (y.size() != yhat.size()) return SizeMismatch();
-  if (y.empty()) return 0.0;
-  double total = 0.0;
-  for (size_t i = 0; i < y.size(); ++i) {
-    const double d = y[i] - yhat[i];
-    total += d * d;
-  }
-  return std::sqrt(total / static_cast<double>(y.size()));
-}
-
-double PearsonCorrelation(const std::vector<double>& y,
-                          const std::vector<double>& yhat) {
-  if (y.size() != yhat.size()) return SizeMismatch();
-  const size_t n = y.size();
-  if (n == 0) return 0.0;
-  double my = 0, mh = 0;
-  for (size_t i = 0; i < n; ++i) {
-    my += y[i];
-    mh += yhat[i];
-  }
-  my /= static_cast<double>(n);
-  mh /= static_cast<double>(n);
-  double num = 0, dy = 0, dh = 0;
-  for (size_t i = 0; i < n; ++i) {
-    num += (y[i] - my) * (yhat[i] - mh);
-    dy += (y[i] - my) * (y[i] - my);
-    dh += (yhat[i] - mh) * (yhat[i] - mh);
-  }
-  if (dy <= 0 || dh <= 0) return 0.0;
-  return num / std::sqrt(dy * dh);
 }
 
 }  // namespace autoview

@@ -225,28 +225,6 @@ class RewriteCacheCounters {
 /// The process-wide rewrite-cache counters.
 RewriteCacheCounters& GlobalRewriteCache();
 
-/// \brief Streaming mean / variance / min / max accumulator (Welford).
-class RunningStat {
- public:
-  void Add(double x);
-  size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Population variance.
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-
- private:
-  size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
 /// Mean Absolute Error between ground truth `y` and predictions `yhat`.
 /// These evaluation helpers are library boundaries: a size mismatch
 /// between the two vectors yields quiet NaN instead of aborting.
@@ -258,13 +236,5 @@ double MeanAbsoluteError(const std::vector<double>& y,
 double MeanAbsolutePercentError(const std::vector<double>& y,
                                 const std::vector<double>& yhat,
                                 double eps = 1e-9);
-
-/// Root mean squared error.
-double RootMeanSquaredError(const std::vector<double>& y,
-                            const std::vector<double>& yhat);
-
-/// Pearson correlation coefficient; 0 when either side is constant.
-double PearsonCorrelation(const std::vector<double>& y,
-                          const std::vector<double>& yhat);
 
 }  // namespace autoview

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/autoview.h"
+#include "test_stats.h"
 #include "util/metrics.h"
 #include "costmodel/baselines.h"
 #include "costmodel/gbm.h"

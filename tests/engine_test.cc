@@ -519,16 +519,43 @@ TEST_F(EngineTest, ColumnsPastTheInputWidthAreAnError) {
 }
 
 TEST_F(EngineTest, TablesEqualUnorderedDetectsDifferences) {
-  Table a, b;
-  a.columns = b.columns = {{"x", ColumnType::kInt64}};
-  a.rows = {{Value(int64_t{1})}, {Value(int64_t{2})}};
-  b.rows = {{Value(int64_t{2})}, {Value(int64_t{1})}};
-  EXPECT_TRUE(TablesEqualUnordered(a, b));
-  b.rows.push_back({Value(int64_t{3})});
-  EXPECT_FALSE(TablesEqualUnordered(a, b));
-  b.rows.pop_back();
-  b.rows[0] = {Value(int64_t{9})};
-  EXPECT_FALSE(TablesEqualUnordered(a, b));
+  const std::vector<OutputColumn> x = {{"x", ColumnType::kInt64}};
+  const Table a = Table::FromRows(x, {{Value(int64_t{1})}, {Value(int64_t{2})}});
+  EXPECT_TRUE(TablesEqualUnordered(
+      a, Table::FromRows(x, {{Value(int64_t{2})}, {Value(int64_t{1})}})));
+  EXPECT_FALSE(TablesEqualUnordered(
+      a, Table::FromRows(x, {{Value(int64_t{2})},
+                             {Value(int64_t{1})},
+                             {Value(int64_t{3})}})));
+  EXPECT_FALSE(TablesEqualUnordered(
+      a, Table::FromRows(x, {{Value(int64_t{9})}, {Value(int64_t{1})}})));
+}
+
+TEST_F(EngineTest, TablesEqualUnorderedComparesCellsExactly) {
+  // Both render "1.23457e+06" under %g; they are different numbers.
+  const std::vector<OutputColumn> d = {{"d", ColumnType::kDouble}};
+  EXPECT_FALSE(TablesEqualUnordered(Table::FromRows(d, {{Value(1234567.0)}}),
+                                    Table::FromRows(d, {{Value(1234568.0)}})));
+  // Ints past 2^53 that round to the same double stay apart.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const std::vector<OutputColumn> i = {{"i", ColumnType::kInt64}};
+  EXPECT_FALSE(TablesEqualUnordered(Table::FromRows(i, {{Value(big)}}),
+                                    Table::FromRows(i, {{Value(big - 1)}})));
+  // Int 3 and double 3.0 in a double column compare equal.
+  EXPECT_TRUE(TablesEqualUnordered(
+      Table::FromRows(d, {{Value(int64_t{3})}, {Value(0.5)}}),
+      Table::FromRows(d, {{Value(0.5)}, {Value(3.0)}})));
+}
+
+TEST_F(EngineTest, TablesEqualUnorderedChecksColumnTypes) {
+  const Table ints =
+      Table::FromRows({{"x", ColumnType::kInt64}}, {{Value(int64_t{1})}});
+  const Table doubles =
+      Table::FromRows({{"x", ColumnType::kDouble}}, {{Value(int64_t{1})}});
+  EXPECT_FALSE(TablesEqualUnordered(ints, doubles));
+  EXPECT_FALSE(TablesEqualUnordered(
+      ints, Table::FromRows({{"y", ColumnType::kInt64}}, {{Value(int64_t{1})}})));
+  EXPECT_TRUE(TablesEqualUnordered(doubles, doubles));
 }
 
 /// Keys whose %g renderings disagree with Value equality: 1234567.0 and

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/table.h"
+#include "expr_eval.h"
 #include "plan/expr.h"
 
 namespace autoview {
@@ -14,8 +15,8 @@ TEST(ExprTest, ScalarEvaluation) {
   auto col = Expr::Column(0, "a", ColumnType::kInt64);
   auto lit = Expr::Literal(Value(int64_t{9}));
   Row row = MakeRow();
-  EXPECT_EQ(col->EvalScalar(row).AsInt(), 5);
-  EXPECT_EQ(lit->EvalScalar(row).AsInt(), 9);
+  EXPECT_EQ(EvalScalar(*col, row).AsInt(), 5);
+  EXPECT_EQ(EvalScalar(*lit, row).AsInt(), 9);
 }
 
 TEST(ExprTest, ComparisonOperators) {
@@ -23,13 +24,13 @@ TEST(ExprTest, ComparisonOperators) {
   auto a = Expr::Column(0, "a", ColumnType::kInt64);
   auto five = Expr::Literal(Value(int64_t{5}));
   auto six = Expr::Literal(Value(int64_t{6}));
-  EXPECT_TRUE(Expr::Compare(CompareOp::kEq, a, five)->EvalPredicate(row));
-  EXPECT_FALSE(Expr::Compare(CompareOp::kEq, a, six)->EvalPredicate(row));
-  EXPECT_TRUE(Expr::Compare(CompareOp::kNe, a, six)->EvalPredicate(row));
-  EXPECT_TRUE(Expr::Compare(CompareOp::kLt, a, six)->EvalPredicate(row));
-  EXPECT_TRUE(Expr::Compare(CompareOp::kLe, a, five)->EvalPredicate(row));
-  EXPECT_FALSE(Expr::Compare(CompareOp::kGt, a, five)->EvalPredicate(row));
-  EXPECT_TRUE(Expr::Compare(CompareOp::kGe, a, five)->EvalPredicate(row));
+  EXPECT_TRUE(EvalPredicate(*Expr::Compare(CompareOp::kEq, a, five), row));
+  EXPECT_FALSE(EvalPredicate(*Expr::Compare(CompareOp::kEq, a, six), row));
+  EXPECT_TRUE(EvalPredicate(*Expr::Compare(CompareOp::kNe, a, six), row));
+  EXPECT_TRUE(EvalPredicate(*Expr::Compare(CompareOp::kLt, a, six), row));
+  EXPECT_TRUE(EvalPredicate(*Expr::Compare(CompareOp::kLe, a, five), row));
+  EXPECT_FALSE(EvalPredicate(*Expr::Compare(CompareOp::kGt, a, five), row));
+  EXPECT_TRUE(EvalPredicate(*Expr::Compare(CompareOp::kGe, a, five), row));
 }
 
 TEST(ExprTest, BooleanConnectives) {
@@ -38,12 +39,12 @@ TEST(ExprTest, BooleanConnectives) {
                          Expr::Literal(Value(int64_t{5})));
   auto f = Expr::Compare(CompareOp::kEq, Expr::Column(0, "a", ColumnType::kInt64),
                          Expr::Literal(Value(int64_t{6})));
-  EXPECT_TRUE(Expr::And({t, t})->EvalPredicate(row));
-  EXPECT_FALSE(Expr::And({t, f})->EvalPredicate(row));
-  EXPECT_TRUE(Expr::Or({f, t})->EvalPredicate(row));
-  EXPECT_FALSE(Expr::Or({f, f})->EvalPredicate(row));
-  EXPECT_TRUE(Expr::Not(f)->EvalPredicate(row));
-  EXPECT_FALSE(Expr::Not(t)->EvalPredicate(row));
+  EXPECT_TRUE(EvalPredicate(*Expr::And({t, t}), row));
+  EXPECT_FALSE(EvalPredicate(*Expr::And({t, f}), row));
+  EXPECT_TRUE(EvalPredicate(*Expr::Or({f, t}), row));
+  EXPECT_FALSE(EvalPredicate(*Expr::Or({f, f}), row));
+  EXPECT_TRUE(EvalPredicate(*Expr::Not(f), row));
+  EXPECT_FALSE(EvalPredicate(*Expr::Not(t), row));
 }
 
 TEST(ExprTest, SingleChildAndOrCollapse) {
@@ -120,7 +121,7 @@ TEST(ExprTest, MixedTypeComparisonInPredicate) {
   auto c = Expr::Compare(CompareOp::kGt,
                          Expr::Column(2, "v", ColumnType::kDouble),
                          Expr::Literal(Value(int64_t{2})));
-  EXPECT_TRUE(c->EvalPredicate(row));
+  EXPECT_TRUE(EvalPredicate(*c, row));
 }
 
 }  // namespace

@@ -11,6 +11,28 @@ namespace autoview {
 namespace nn {
 namespace {
 
+/// \brief Plain SGD: the optimizer the update tests compare Adam with.
+class Sgd {
+ public:
+  Sgd(std::vector<Tensor> params, Scalar lr)
+      : params_(std::move(params)), lr_(lr) {}
+
+  void Step() {
+    for (auto& p : params_) {
+      auto& value = p.mutable_data();
+      const auto& grad = p.grad();
+      for (size_t j = 0; j < value.size(); ++j) value[j] -= lr_ * grad[j];
+    }
+  }
+  void ZeroGrad() {
+    for (auto& p : params_) p.ZeroGrad();
+  }
+
+ private:
+  std::vector<Tensor> params_;
+  Scalar lr_;
+};
+
 /// Central-difference gradient check: perturbs every element of every
 /// parameter and compares d(loss)/d(param) with the autograd result.
 void CheckGradients(const std::vector<Tensor>& params,

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <optional>
 
 #include "engine/executor.h"
+#include "expr_eval.h"
 #include "generators.h"
 #include "engine/rewriter.h"
 #include "engine/view_index.h"
@@ -19,6 +22,7 @@
 #include "subquery/extractor.h"
 #include "util/metrics.h"
 #include "util/random.h"
+#include "util/strings.h"
 #include "workload/generator.h"
 
 namespace autoview {
@@ -171,7 +175,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EngineInvariantsP,
 // reads cells in place. Across random tables (int64, double columns that
 // also hold int cells, strings) and random AND/OR/NOT nests of all six
 // comparisons (column-literal, literal-column, column-column and
-// literal-literal), it must keep exactly the rows Expr::EvalPredicate
+// literal-literal), it must keep exactly the rows EvalPredicate
 // keeps, in order, and report their count and bytes.
 // ---------------------------------------------------------------------------
 
@@ -207,15 +211,14 @@ Value RandomLiteral(Rng* rng) {
   return v;
 }
 
-/// Adds table `name` with `rows` random rows over `columns`.
-void AddRandomTable(Database* db, const std::string& name,
-                    const std::vector<ColumnSchema>& columns, size_t rows,
-                    Rng* rng) {
-  std::vector<Row> data(rows);
-  for (Row& row : data) {
+/// `n` random rows over `columns`.
+std::vector<Row> RandomRows(const std::vector<ColumnSchema>& columns,
+                            size_t n, Rng* rng) {
+  std::vector<Row> rows(n);
+  for (Row& row : rows) {
     for (const auto& c : columns) row.push_back(RandomCell(c.type, rng));
   }
-  ASSERT_TRUE(db->AddTable(TableSchema(name, columns), std::move(data)).ok());
+  return rows;
 }
 
 /// A random boolean expression over the columns `cols`.
@@ -250,6 +253,11 @@ ExprPtr RandomPredicate(const std::vector<OutputColumn>& cols, int depth,
                        Expr::Literal(RandomLiteral(rng)));
 }
 
+/// The rows of `rows`, in order.
+std::vector<Row> RowsOf(const TableRows& rows) {
+  return std::vector<Row>(rows.begin(), rows.end());
+}
+
 /// Rows equal cell by cell, types included (3 and 3.0 differ here).
 void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
                     const std::string& what) {
@@ -269,7 +277,7 @@ void ExpectExecutes(const Executor& exec, const PlanNode& plan,
                     const std::vector<Row>& want, const std::string& what) {
   auto got = exec.Execute(plan);
   ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
-  ExpectSameRows(got.value().table.rows, want, what);
+  ExpectSameRows(RowsOf(got.value().table.rows), want, what);
   uint64_t bytes = 0;
   for (const Row& row : want) {
     for (const Value& v : row) bytes += v.ByteSize();
@@ -282,22 +290,32 @@ void ExpectExecutes(const Executor& exec, const PlanNode& plan,
   EXPECT_EQ(cost.value().output_bytes, bytes) << what;
 }
 
-class PredicateSemanticsP : public ::testing::TestWithParam<uint64_t> {
+/// Two random tables: t (32 rows) and u (8 rows), with int64 columns,
+/// double columns that also hold int cells, and string columns.
+class RandomTablesP : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
     Rng rng(GetParam());
-    AddRandomTable(&db_, "t",
-                   {{"i", ColumnType::kInt64},
-                    {"d", ColumnType::kDouble},
-                    {"s", ColumnType::kString},
-                    {"j", ColumnType::kInt64},
-                    {"e", ColumnType::kDouble}},
-                   32, &rng);
-    AddRandomTable(&db_, "u",
-                   {{"k", ColumnType::kInt64},
-                    {"f", ColumnType::kDouble},
-                    {"w", ColumnType::kString}},
-                   8, &rng);
+    Add("t",
+        {{"i", ColumnType::kInt64},
+         {"d", ColumnType::kDouble},
+         {"s", ColumnType::kString},
+         {"j", ColumnType::kInt64},
+         {"e", ColumnType::kDouble}},
+        32, &rng);
+    Add("u",
+        {{"k", ColumnType::kInt64},
+         {"f", ColumnType::kDouble},
+         {"w", ColumnType::kString}},
+        8, &rng);
+  }
+
+  void Add(const std::string& name, const std::vector<ColumnSchema>& columns,
+           size_t n, Rng* rng) {
+    std::vector<Row> rows = RandomRows(columns, n, rng);
+    stored_[name] = rows;
+    ASSERT_TRUE(
+        db_.AddTable(TableSchema(name, columns), std::move(rows)).ok());
   }
 
   PlanNodePtr Scan(const std::string& table) {
@@ -306,12 +324,16 @@ class PredicateSemanticsP : public ::testing::TestWithParam<uint64_t> {
     return scan.value();
   }
 
+  /// The rows loaded into `table`, as generated (not read back from it).
   const std::vector<Row>& Stored(const std::string& table) {
-    return db_.GetTable(table).value()->rows;
+    return stored_.at(table);
   }
 
   Database db_;
+  std::map<std::string, std::vector<Row>> stored_;
 };
+
+class PredicateSemanticsP : public RandomTablesP {};
 
 TEST_P(PredicateSemanticsP, FilterKeepsTheRowsTheTreeKeeps) {
   Executor exec(&db_);
@@ -324,7 +346,7 @@ TEST_P(PredicateSemanticsP, FilterKeepsTheRowsTheTreeKeeps) {
     ASSERT_TRUE(filter.ok());
     std::vector<Row> want;
     for (const Row& row : Stored("t")) {
-      if (pred->EvalPredicate(row)) want.push_back(row);
+      if (EvalPredicate(*pred, row)) want.push_back(row);
     }
     ExpectExecutes(exec, *filter.value(), want, pred->ToPrefixString());
 
@@ -334,7 +356,7 @@ TEST_P(PredicateSemanticsP, FilterKeepsTheRowsTheTreeKeeps) {
     ASSERT_TRUE(narrowed.ok());
     std::vector<Row> both;
     for (const Row& row : want) {
-      if (outer->EvalPredicate(row)) both.push_back(row);
+      if (EvalPredicate(*outer, row)) both.push_back(row);
     }
     ExpectExecutes(exec, *narrowed.value(), both,
                    outer->ToPrefixString() + " over " + pred->ToPrefixString());
@@ -381,11 +403,12 @@ TEST_P(PredicateSemanticsP, FilterOverJoinOutputAndJoinResiduals) {
   auto reference_join = [&](const Expr& cond) {
     std::vector<Row> want;
     for (const Row& pair : pairs) {
-      if (cond.EvalPredicate(pair)) want.push_back(pair);
+      if (EvalPredicate(cond, pair)) want.push_back(pair);
     }
     return want;
   };
-  ExpectSameRows(joined.value().table.rows, reference_join(*key), "equi join");
+  ExpectSameRows(RowsOf(joined.value().table.rows), reference_join(*key),
+                 "equi join");
 
   for (int trial = 0; trial < 15; ++trial) {
     ExprPtr pred = RandomPredicate(cols, 2, &rng);
@@ -396,7 +419,7 @@ TEST_P(PredicateSemanticsP, FilterOverJoinOutputAndJoinResiduals) {
     ASSERT_TRUE(filter.ok());
     std::vector<Row> want;
     for (const Row& row : joined.value().table.rows) {
-      if (pred->EvalPredicate(row)) want.push_back(row);
+      if (EvalPredicate(*pred, row)) want.push_back(row);
     }
     ExpectExecutes(exec, *filter.value(), want, "filter over join " + what);
 
@@ -416,6 +439,327 @@ TEST_P(PredicateSemanticsP, FilterOverJoinOutputAndJoinResiduals) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PredicateSemanticsP,
                          ::testing::Values(31, 32, 33));
+
+// ---------------------------------------------------------------------------
+// Operator semantics: aggregate, distinct, sort and limit read typed
+// columns, and joins key on them. Over the random tables (mixed double
+// columns, 2^53 + 1, 3 vs 3.0, strings), their inputs (all of t, a
+// random filter of it, often empty, and int x double equi-joins of t and
+// u) and their own outputs (MIN/MAX over no rows put an int 0 in a double
+// or string column), each must return the rows of a row-at-a-time
+// reference, in order and with their cell types, and report their count
+// and bytes. The table round trip keeps every cell and its type.
+// ---------------------------------------------------------------------------
+
+/// True when the cells `cols` of `a` and `b` compare equal pairwise.
+bool SameCells(const Row& a, const Row& b, const std::vector<size_t>& cols) {
+  for (size_t c : cols) {
+    if (a[c].Compare(b[c]) != 0) return false;
+  }
+  return true;
+}
+
+/// Row-at-a-time aggregation: groups in first-seen order, each aggregate
+/// accumulated as the executor defines it.
+std::vector<Row> ReferenceAggregate(const std::vector<Row>& in,
+                                    const PlanNode& agg) {
+  const auto& group_by = agg.group_by();
+  const auto& items = agg.aggregates();
+  struct Group {
+    Row first;
+    std::vector<int64_t> count, sum_int;
+    std::vector<double> sum_double;
+    std::vector<std::optional<Value>> min, max;
+  };
+  std::vector<Group> groups;
+  const auto new_group = [&](Row first) {
+    Group g;
+    g.first = std::move(first);
+    g.count.assign(items.size(), 0);
+    g.sum_int.assign(items.size(), 0);
+    g.sum_double.assign(items.size(), 0.0);
+    g.min.resize(items.size());
+    g.max.resize(items.size());
+    groups.push_back(std::move(g));
+  };
+  for (const Row& row : in) {
+    Group* group = nullptr;
+    for (Group& g : groups) {
+      if (SameCells(row, g.first, group_by)) {
+        group = &g;
+        break;
+      }
+    }
+    if (group == nullptr) {
+      new_group(row);
+      group = &groups.back();
+    }
+    for (size_t a = 0; a < items.size(); ++a) {
+      group->count[a] += 1;
+      if (!items[a].input_column) continue;
+      const Value& v = row[*items[a].input_column];
+      switch (items[a].kind) {
+        case AggKind::kSum:
+        case AggKind::kAvg:
+          if (v.is_int()) group->sum_int[a] += v.AsInt();
+          group->sum_double[a] += v.AsDouble();
+          break;
+        case AggKind::kMin:
+          if (!group->min[a] || v < *group->min[a]) group->min[a] = v;
+          break;
+        case AggKind::kMax:
+          if (!group->max[a] || *group->max[a] < v) group->max[a] = v;
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  if (groups.empty() && group_by.empty()) new_group(Row{});
+  std::vector<Row> out;
+  for (const Group& g : groups) {
+    Row row;
+    for (size_t c : group_by) row.push_back(g.first[c]);
+    for (size_t a = 0; a < items.size(); ++a) {
+      const ColumnType type = agg.output()[group_by.size() + a].type;
+      switch (items[a].kind) {
+        case AggKind::kCountStar:
+        case AggKind::kCount:
+          row.push_back(Value(g.count[a]));
+          break;
+        case AggKind::kSum:
+          row.push_back(type == ColumnType::kInt64 ? Value(g.sum_int[a])
+                                                   : Value(g.sum_double[a]));
+          break;
+        case AggKind::kAvg:
+          row.push_back(Value(g.count[a] ? g.sum_double[a] /
+                                               static_cast<double>(g.count[a])
+                                         : 0.0));
+          break;
+        case AggKind::kMin:
+          row.push_back(g.min[a].value_or(Value(int64_t{0})));
+          break;
+        case AggKind::kMax:
+          row.push_back(g.max[a].value_or(Value(int64_t{0})));
+          break;
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+/// The first occurrence of each row, in order.
+std::vector<Row> ReferenceDistinct(const std::vector<Row>& in) {
+  std::vector<Row> out;
+  for (const Row& row : in) {
+    std::vector<size_t> all(row.size());
+    for (size_t c = 0; c < all.size(); ++c) all[c] = c;
+    bool seen = false;
+    for (const Row& kept : out) seen = seen || SameCells(row, kept, all);
+    if (!seen) out.push_back(row);
+  }
+  return out;
+}
+
+/// The rows ordered by `keys`, then by the full row.
+std::vector<Row> ReferenceSort(std::vector<Row> rows,
+                               const std::vector<SortKey>& keys) {
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    for (const SortKey& key : keys) {
+      const int c = a[key.column].Compare(b[key.column]);
+      if (c != 0) return key.descending ? c > 0 : c < 0;
+    }
+    for (size_t i = 0; i < a.size(); ++i) {
+      const int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
+  return rows;
+}
+
+class OperatorSemanticsP : public RandomTablesP {
+ protected:
+  size_t Pick(size_t n, Rng* rng) {
+    return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+  }
+
+  /// Checks an aggregate of every kind over `input` (whose rows are
+  /// `rows`), without GROUP BY and grouped by one or two random columns,
+  /// and the distinct, sort and limit operators over `input` and over
+  /// each aggregate's output.
+  void CheckOperators(const Executor& exec, const PlanNodePtr& input,
+                      const std::vector<Row>& rows, const std::string& what,
+                      Rng* rng) {
+    const auto& cols = input->output();
+    std::vector<size_t> numeric;
+    for (size_t c = 0; c < cols.size(); ++c) {
+      if (cols[c].type != ColumnType::kString) numeric.push_back(c);
+    }
+    for (const int64_t groups : {int64_t{0}, rng->UniformInt(1, 2)}) {
+      std::vector<size_t> group_by;
+      for (int64_t g = 0; g < groups; ++g) {
+        group_by.push_back(Pick(cols.size(), rng));
+      }
+      std::vector<AggItem> items = {
+          {AggKind::kCountStar, std::nullopt, "", "n"},
+          {AggKind::kCount, Pick(cols.size(), rng), "", "c"},
+          {AggKind::kSum, numeric[Pick(numeric.size(), rng)], "", "sum"},
+          {AggKind::kAvg, numeric[Pick(numeric.size(), rng)], "", "avg"},
+          {AggKind::kMin, Pick(cols.size(), rng), "", "lo"},
+          {AggKind::kMax, Pick(cols.size(), rng), "", "hi"},
+          {AggKind::kMin, numeric[Pick(numeric.size(), rng)], "", "lo_n"},
+          {AggKind::kMax, numeric[Pick(numeric.size(), rng)], "", "hi_n"}};
+      auto agg = PlanNode::MakeAggregate(input, group_by, items);
+      ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+      const std::vector<Row> aggregated =
+          ReferenceAggregate(rows, *agg.value());
+      const std::string where =
+          StrFormat("aggregate (%d group columns) over %s",
+                    static_cast<int>(groups), what.c_str());
+      ExpectExecutes(exec, *agg.value(), aggregated, where);
+      CheckRowOperators(exec, agg.value(), aggregated, where, rng);
+    }
+    CheckRowOperators(exec, input, rows, what, rng);
+  }
+
+  /// Distinct over a projection, sort, and limit over `input`.
+  void CheckRowOperators(const Executor& exec, const PlanNodePtr& input,
+                         const std::vector<Row>& rows,
+                         const std::string& what, Rng* rng) {
+    const auto& cols = input->output();
+    std::vector<ProjectItem> items;
+    std::vector<size_t> picked;
+    const int64_t width = rng->UniformInt(1, 2);
+    for (int64_t k = 0; k < width; ++k) {
+      const size_t c = Pick(cols.size(), rng);
+      picked.push_back(c);
+      items.push_back({Expr::Column(c, cols[c].name, cols[c].type),
+                       std::string("p").append(std::to_string(k))});
+    }
+    auto project = PlanNode::MakeProject(input, items);
+    ASSERT_TRUE(project.ok());
+    auto distinct = PlanNode::MakeDistinct(project.value());
+    ASSERT_TRUE(distinct.ok());
+    std::vector<Row> projected;
+    for (const Row& row : rows) {
+      Row p;
+      for (size_t c : picked) p.push_back(row[c]);
+      projected.push_back(std::move(p));
+    }
+    ExpectExecutes(exec, *distinct.value(), ReferenceDistinct(projected),
+                   "distinct over " + what);
+    auto whole = PlanNode::MakeDistinct(input);
+    ASSERT_TRUE(whole.ok());
+    ExpectExecutes(exec, *whole.value(), ReferenceDistinct(rows),
+                   "distinct rows of " + what);
+
+    std::vector<SortKey> keys;
+    const int64_t n_keys = rng->UniformInt(1, 2);
+    for (int64_t k = 0; k < n_keys; ++k) {
+      keys.push_back({Pick(cols.size(), rng), rng->Bernoulli(0.5)});
+    }
+    auto sort = PlanNode::MakeSort(input, keys);
+    ASSERT_TRUE(sort.ok());
+    const std::vector<Row> sorted = ReferenceSort(rows, keys);
+    ExpectExecutes(exec, *sort.value(), sorted, "sort of " + what);
+    const int64_t n = rng->UniformInt(0, 12);
+    auto top = PlanNode::MakeLimit(sort.value(), n);
+    auto head = PlanNode::MakeLimit(input, n);
+    ASSERT_TRUE(top.ok() && head.ok());
+    const auto first = [n](const std::vector<Row>& all) {
+      return std::vector<Row>(
+          all.begin(),
+          all.begin() + std::min<int64_t>(n, static_cast<int64_t>(all.size())));
+    };
+    ExpectExecutes(exec, *top.value(), first(sorted), "top-n of " + what);
+    ExpectExecutes(exec, *head.value(), first(rows), "limit of " + what);
+  }
+};
+
+TEST_P(OperatorSemanticsP, OperatorsMatchTheRowReference) {
+  Executor exec(&db_);
+  Rng rng(GetParam() * 11 + 7);
+  PlanNodePtr t = Scan("t");
+  PlanNodePtr u = Scan("u");
+  CheckOperators(exec, t, Stored("t"), "t", &rng);
+
+  // No rows: MIN and MAX yield an int 0 in double and string columns.
+  auto none = PlanNode::MakeFilter(
+      t, Expr::Compare(CompareOp::kEq, Expr::Literal(Value(int64_t{1})),
+                       Expr::Literal(Value(int64_t{2}))));
+  ASSERT_TRUE(none.ok());
+  CheckOperators(exec, none.value(), {}, "no rows", &rng);
+
+  for (int trial = 0; trial < 12; ++trial) {
+    ExprPtr pred = RandomPredicate(t->output(), 2, &rng);
+    auto filter = PlanNode::MakeFilter(t, pred);
+    ASSERT_TRUE(filter.ok());
+    std::vector<Row> kept;
+    for (const Row& row : Stored("t")) {
+      if (EvalPredicate(*pred, row)) kept.push_back(row);
+    }
+    CheckOperators(exec, filter.value(), kept, pred->ToPrefixString(), &rng);
+  }
+
+  // Equi-joins of an int column with a double column, both ways round:
+  // int 3 joins double 3.0, 2^53 + 1 does not join 2^53.
+  const size_t t_width = t->output().size();
+  const std::vector<std::pair<size_t, size_t>> keys = {
+      {0, t_width + 1}, {1, t_width}, {4, t_width + 1}, {3, t_width}};
+  for (const auto& [l, r] : keys) {
+    const auto& cols = t->output();
+    const auto& u_cols = u->output();
+    ExprPtr cond = Expr::Compare(
+        CompareOp::kEq, Expr::Column(l, cols[l].name, cols[l].type),
+        Expr::Column(r, u_cols[r - t_width].name, u_cols[r - t_width].type));
+    auto join = PlanNode::MakeJoin(t, u, cond);
+    ASSERT_TRUE(join.ok());
+    std::vector<Row> joined;
+    for (const Row& lrow : Stored("t")) {
+      for (const Row& rrow : Stored("u")) {
+        Row pair = lrow;
+        pair.insert(pair.end(), rrow.begin(), rrow.end());
+        if (EvalPredicate(*cond, pair)) joined.push_back(std::move(pair));
+      }
+    }
+    const std::string what = "join " + cond->ToPrefixString();
+    ExpectExecutes(exec, *join.value(), joined, what);
+    CheckOperators(exec, join.value(), joined, what, &rng);
+  }
+}
+
+TEST_P(OperatorSemanticsP, TableRoundTripKeepsCellsAndTypes) {
+  for (const char* name : {"t", "u"}) {
+    auto table = db_.GetTable(name);
+    ASSERT_TRUE(table.ok());
+    ExpectSameRows(RowsOf(table.value()->rows), Stored(name), name);
+  }
+  // Mixed columns: ints in a double column (the first cell included), and
+  // an int in a string column, as MIN over no rows yields.
+  const std::vector<Row> rows = {
+      {Value(kBigInt + 1), Value("ab"), Value(int64_t{7})},
+      {Value(0.5), Value(int64_t{0}), Value(int64_t{-1})},
+      {Value(int64_t{3}), Value(""), Value(kBigInt + 1)},
+      {Value(3.0), Value("3"), Value(int64_t{0})}};
+  const Table table = Table::FromRows({{"d", ColumnType::kDouble},
+                                       {"s", ColumnType::kString},
+                                       {"i", ColumnType::kInt64}},
+                                      rows);
+  ExpectSameRows(RowsOf(table.rows), rows, "mixed columns");
+  uint64_t bytes = 0;
+  for (const Row& row : rows) {
+    for (const Value& v : row) bytes += v.ByteSize();
+  }
+  EXPECT_EQ(table.ByteSize(), bytes);
+  EXPECT_TRUE(table.column(0).mixed());
+  EXPECT_TRUE(table.column(1).mixed());
+  EXPECT_FALSE(table.column(2).mixed());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OperatorSemanticsP,
+                         ::testing::Values(41, 42, 43));
 
 // ---------------------------------------------------------------------------
 // Random SQL through rewrite: random WHERE clauses over the generated star

@@ -263,13 +263,13 @@ Result<bool> VerifyEquivalenceByExecution(const Database& db,
     }
     mapping[i] = j;
   }
-  Table aligned;
-  aligned.columns = ta.columns;
+  std::vector<Row> reordered;
   for (const Row& row : tb.rows) {
-    Row& reordered = aligned.rows.emplace_back();
-    for (size_t j : mapping) reordered.push_back(row[j]);
+    Row& cells = reordered.emplace_back();
+    for (size_t j : mapping) cells.push_back(row[j]);
   }
-  return TablesEqualUnordered(ta, aligned);
+  return TablesEqualUnordered(
+      ta, Table::FromRows(ta.columns, std::move(reordered)));
 }
 
 TEST(VerifyTest, ExecutionVerificationAgreesWithCanonicalizer) {

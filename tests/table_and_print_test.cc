@@ -7,19 +7,18 @@ namespace autoview {
 namespace {
 
 TEST(TableTest, ByteSizeCountsCells) {
-  Table t;
-  t.columns = {{"a", ColumnType::kInt64}, {"s", ColumnType::kString}};
-  t.rows = {{Value(int64_t{1}), Value("abc")},
-            {Value(int64_t{2}), Value("de")}};
+  const Table t = Table::FromRows(
+      {{"a", ColumnType::kInt64}, {"s", ColumnType::kString}},
+      {{Value(int64_t{1}), Value("abc")}, {Value(int64_t{2}), Value("de")}});
   // ints: 8 each; strings: size + sizeof(size_t).
   EXPECT_EQ(t.ByteSize(),
             2 * 8 + (3 + sizeof(size_t)) + (2 + sizeof(size_t)));
 }
 
 TEST(TableTest, ToStringTruncates) {
-  Table t;
-  t.columns = {{"a", ColumnType::kInt64}};
-  for (int i = 0; i < 30; ++i) t.rows.push_back({Value(int64_t{i})});
+  std::vector<Row> rows;
+  for (int i = 0; i < 30; ++i) rows.push_back({Value(int64_t{i})});
+  const Table t = Table::FromRows({{"a", ColumnType::kInt64}}, rows);
   std::string s = t.ToString(5);
   EXPECT_NE(s.find("a:Int"), std::string::npos);
   EXPECT_NE(s.find("(30 rows total)"), std::string::npos);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "test_stats.h"
 #include "util/metrics.h"
 #include "util/random.h"
 #include "util/status.h"
