@@ -92,13 +92,14 @@ int main() {
               pricing.QueryCost(view.value()->build_cost));
 
   Rewriter rewriter(&db.catalog());
-  bool changed = false;
-  auto rewritten = rewriter.Rewrite(plan.value(), *view.value(), &changed);
-  AV_CHECK(rewritten.ok() && changed);
-  std::printf("Rewritten plan:\n%s\n", rewritten.value()->ToString().c_str());
+  auto rewritten = rewriter.RewriteServing(plan.value(), &store);
+  AV_CHECK(rewritten.ok() && rewritten.value().num_substitutions == 1);
+  std::printf("Rewritten plan:\n%s\n",
+              rewritten.value().plan->ToString().c_str());
 
-  // 6. Execute the rewritten query and compare.
-  auto fast = exec.Execute(*rewritten.value());
+  // 6. Execute the rewritten query (its view stays pinned until
+  // `rewritten` goes away) and compare.
+  auto fast = exec.Execute(*rewritten.value().plan);
   AV_CHECK(fast.ok());
   AV_CHECK(TablesEqualUnordered(raw.value().table, fast.value().table));
   const double before = pricing.QueryCost(raw.value().cost);

@@ -50,12 +50,15 @@ case "$mode" in
     # plan_test and catalog_test the front end's borrowed lifetimes
     # (tokens viewing the SQL text, plan nodes sharing column lists with
     # their children and the catalog, references into the catalog's
-    # hash maps across inserts and removals).
-    suites="failpoint_test deadline_test persistence_test view_store_test advisor_test rewrite_fast_path_test engine_test table_and_print_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test"
+    # hash maps across inserts and removals); workload_core_test the
+    # ground truth and Table V, which rewrite through the indexed walk's
+    # interval replay (one-view indexes per candidate, one index per
+    # query's assigned views).
+    suites="failpoint_test deadline_test persistence_test view_store_test advisor_test rewrite_fast_path_test engine_test table_and_print_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test sql_parser_test plan_test catalog_test workload_core_test"
     ;;
   ubsan)
     sanitize=undefined
-    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test view_store_test advisor_test rewrite_fast_path_test engine_test table_and_print_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test"
+    suites="failpoint_test deadline_test persistence_test sql_parser_test plan_test catalog_test view_store_test advisor_test rewrite_fast_path_test engine_test table_and_print_test expr_test sort_limit_test property_test executor_golden_test subquery_test nn_tensor_test nn_extra_test nn_golden_test problem_index_test traditional_test workload_core_test"
     ;;
   tsan)
     sanitize=thread

@@ -1,7 +1,7 @@
 #include "core/autoview.h"
 
 #include <algorithm>
-#include <map>
+#include <deque>
 #include <set>
 
 #include "plan/builder.h"
@@ -58,13 +58,15 @@ Status AutoViewSystem::BuildGroundTruth() {
   // them mid-measurement.
   MaterializedViewStore store(db_, ViewStoreOptions{});
   candidates_.clear();
-  std::vector<const MaterializedView*> views;
+  // single[j] indexes candidate j's view alone: the exact benefit of a
+  // (query, view) pair rewrites the query with that one view.
+  std::deque<ViewIndex> single;
   for (size_t cand = 0; cand < analysis_.candidates.size(); ++cand) {
     const size_t cluster_index = analysis_.candidates[cand];
     const auto& cluster = analysis_.clusters[cluster_index];
     AV_ASSIGN_OR_RETURN(const MaterializedView* view,
                         store.Materialize(cluster.candidate, executor_));
-    views.push_back(view);
+    single.emplace_back(1).Insert(*view);
     CandidateInfo info;
     info.cluster_index = cluster_index;
     info.plan = cluster.candidate;
@@ -115,11 +117,12 @@ Status AutoViewSystem::BuildGroundTruth() {
           options_.pricing.QueryCost(candidates_[j].build_cost);
       double rewritten_cost;
       if (options_.exact_benefits) {
-        bool changed = false;
+        size_t subs = 0;
         AV_ASSIGN_OR_RETURN(
             PlanNodePtr rewritten,
-            rewriter.Rewrite(queries_[qi], *views[j], &changed));
-        if (!changed) continue;  // equivalence matched but pattern hidden
+            rewriter.RewriteAllIndexed(queries_[qi], single[j], &subs,
+                                       nullptr));
+        if (subs == 0) continue;  // equivalence matched but pattern hidden
         AV_ASSIGN_OR_RETURN(CostReport report,
                             executor_.ExecuteForCost(*rewritten));
         rewritten_cost = options_.pricing.QueryCost(report);
@@ -275,23 +278,26 @@ Result<EndToEndReport> AutoViewSystem::ExecuteSolution(
   // budget evicted simply do not appear (their queries run on base
   // tables).
   ViewSetSnapshot snapshot = store.PinLive();
-  std::map<int64_t, const MaterializedView*> live;
-  for (const MaterializedView* view : snapshot.views()) live[view->id] = view;
   Rewriter rewriter(&db_->catalog());
   for (size_t row = 0; row < solution.y.size(); ++row) {
-    std::vector<const MaterializedView*> assigned;
+    // The query may use exactly y_i's live views. Views were
+    // materialized in j order and get their ids at install, so ids
+    // ascend with j: where two assigned views overlap, the rewrite
+    // keeps the lower j, as applying them one by one in j order would.
+    ViewIndex assigned(1);
     for (size_t j = 0; j < nz; ++j) {
       if (!solution.y[row][j] || view_ids[j] < 0) continue;
-      if (auto it = live.find(view_ids[j]); it != live.end()) {
-        assigned.push_back(it->second);
+      if (const MaterializedView* view = store.FindById(view_ids[j])) {
+        assigned.Insert(*view);
       }
     }
-    if (assigned.empty()) continue;
+    if (assigned.size() == 0) continue;
     const size_t qi = analysis_.associated_queries[row];
     size_t substitutions = 0;
     AV_ASSIGN_OR_RETURN(
         PlanNodePtr rewritten,
-        rewriter.RewriteAll(queries_[qi], assigned, &substitutions));
+        rewriter.RewriteAllIndexed(queries_[qi], assigned, &substitutions,
+                                   nullptr));
     if (substitutions == 0) continue;
     AV_ASSIGN_OR_RETURN(CostReport cost, executor_.ExecuteForCost(*rewritten));
     ++report.num_rewritten;

@@ -40,7 +40,7 @@ namespace autoview {
 class RewriteCache {
  public:
   /// One cached rewrite: the output plan, the distinct-views-substituted
-  /// count RewriteAll would report, and the ids of the views the plan
+  /// count RewriteAllIndexed reported, and the ids of the views the plan
   /// scans (for re-pinning on hit; empty when no substitution applied).
   struct CachedRewrite {
     PlanNodePtr plan;

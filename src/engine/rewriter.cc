@@ -16,9 +16,7 @@ namespace autoview {
 namespace {
 
 /// Rebuilds `node` with `children` substituted for its original
-/// children (same op, same parameters). Shared by the per-view
-/// recursive rewrite and the indexed single-walk rebuild so the two
-/// paths cannot drift.
+/// children (same op, same parameters).
 Result<PlanNodePtr> RebuildWithChildren(const PlanNode& node,
                                         std::vector<PlanNodePtr> children) {
   switch (node.op()) {
@@ -67,26 +65,6 @@ struct MatchEvent {
 };
 
 }  // namespace
-
-Result<PlanNodePtr> Rewriter::Rewrite(const PlanNodePtr& plan,
-                                      const MaterializedView& view,
-                                      bool* changed) const {
-  *changed = false;
-  return RewriteNode(plan, view, changed);
-}
-
-Result<PlanNodePtr> Rewriter::RewriteAll(
-    const PlanNodePtr& plan, const std::vector<const MaterializedView*>& views,
-    size_t* num_substitutions) const {
-  if (num_substitutions) *num_substitutions = 0;
-  PlanNodePtr current = plan;
-  for (const MaterializedView* view : views) {
-    bool changed = false;
-    AV_ASSIGN_OR_RETURN(current, RewriteNode(current, *view, &changed));
-    if (changed && num_substitutions) ++*num_substitutions;
-  }
-  return current;
-}
 
 Result<PlanNodePtr> Rewriter::RewriteAllIndexed(
     const PlanNodePtr& plan, const ViewIndex& index, size_t* num_substitutions,
@@ -326,33 +304,6 @@ Result<PlanNodePtr> Rewriter::BuildReplacement(
   }
   if (identity) return scan;
   return PlanNode::MakeProject(std::move(scan), std::move(items));
-}
-
-Result<PlanNodePtr> Rewriter::RewriteNode(const PlanNodePtr& node,
-                                          const MaterializedView& view,
-                                          bool* changed) const {
-  if (CanonicalKey(*node) == view.canonical_key) {
-    AV_ASSIGN_OR_RETURN(PlanNodePtr replacement,
-                        BuildReplacement(*node, view.table_name));
-    // A view evicted/dropped since the match keeps the base-table
-    // subtree so the query still answers correctly.
-    if (!replacement) return node;  // *changed stays false
-    *changed = true;
-    return replacement;
-  }
-  // Recurse into children; rebuild this node if any child changed.
-  std::vector<PlanNodePtr> new_children;
-  bool any = false;
-  for (const auto& child : node->children()) {
-    bool child_changed = false;
-    AV_ASSIGN_OR_RETURN(PlanNodePtr rewritten,
-                        RewriteNode(child, view, &child_changed));
-    any |= child_changed;
-    new_children.push_back(std::move(rewritten));
-  }
-  if (!any) return node;
-  *changed = true;
-  return RebuildWithChildren(*node, std::move(new_children));
 }
 
 }  // namespace autoview

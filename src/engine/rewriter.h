@@ -29,49 +29,32 @@ struct ServingRewrite {
 /// view's backing table, plus a Project that restores the subtree's
 /// exact output column order/names so all parent expressions stay valid.
 ///
-/// Two equivalent implementations coexist deliberately:
-///   * RewriteAll — the original per-view sequential loop (one plan walk
-///     per view, CanonicalKey recomputed at every node). O(plan × views)
-///     but trivially auditable; kept as the bit-identity oracle.
-///   * RewriteAllIndexed — a single bottom-up walk that computes each
-///     node's canonical key exactly once (CanonicalKeyWithChildren),
-///     probes a ViewIndex, and replays the oracle's match order
-///     (ascending view id, pre-order within a view) with interval
-///     blocking. O(plan + matches); produces the *identical* plan —
-///     tests/rewrite_fast_path_test.cc EXPECT_EQs the two across
-///     seeds × view counts × generations.
+/// One walk does it: RewriteAllIndexed computes each node's canonical
+/// key once, bottom-up (CanonicalKeyWithChildren), probes a ViewIndex,
+/// and applies the matches in ascending view id, pre-order within a
+/// view, with interval blocking. O(plan + matches). The views a rewrite
+/// may use are exactly the views in the index it is given: serving
+/// passes the store's index, the ground truth a one-view index per
+/// candidate, and Table V one index per query's assigned views. The
+/// per-view sequential loop it replays (one plan walk per view,
+/// CanonicalKey recomputed at every node) is the test oracle in
+/// tests/rewrite_oracle.h; rewrite_fast_path_test and property_test
+/// EXPECT_EQ the two plans.
 class Rewriter {
  public:
   /// `catalog` must contain the views' backing tables.
   explicit Rewriter(const Catalog* catalog) : catalog_(catalog) {}
 
-  /// Rewrites `plan` with a single view. `*changed` reports whether any
-  /// substitution happened (it is set to false otherwise). A view whose
-  /// backing table has been concurrently evicted/dropped is skipped —
-  /// the matched subtree keeps its base-table form and the fallback is
-  /// counted in GlobalRobustness() — so rewriting never produces a plan
-  /// that scans a missing table. Callers on concurrent paths should
-  /// still pin the views (MaterializedViewStore::PinLive) so matched
-  /// descriptors stay readable.
-  Result<PlanNodePtr> Rewrite(const PlanNodePtr& plan,
-                              const MaterializedView& view,
-                              bool* changed) const;
-
-  /// Applies several views (already chosen to be non-overlapping by the
-  /// selector) in order. Substitutions by an earlier view hide the
-  /// subtrees an overlapping later view would have matched.
-  Result<PlanNodePtr> RewriteAll(
-      const PlanNodePtr& plan,
-      const std::vector<const MaterializedView*>& views,
-      size_t* num_substitutions) const;
-
-  /// Single-walk equivalent of RewriteAll over the views indexed in
-  /// `index` (which must index exactly the views RewriteAll would be
-  /// given, in ascending-id order — MaterializedViewStore maintains
-  /// this). `*num_substitutions` (optional) gets the distinct-views-
-  /// substituted count RewriteAll reports; `*used_view_ids` (optional)
-  /// gets those views' ids ascending, so callers can pin exactly the
-  /// views the plan scans before executing it.
+  /// Rewrites `plan` with the views indexed in `index`. Where two
+  /// matches overlap, the lower view id wins, and within one view the
+  /// match nearer the root wins. `*num_substitutions` (optional) gets
+  /// the number of distinct views substituted; `*used_view_ids`
+  /// (optional) gets those views' ids ascending, so callers can pin
+  /// exactly the views the plan scans before executing it. A view
+  /// whose backing table has been concurrently evicted or dropped is
+  /// skipped: the matched subtree keeps its base-table form and the
+  /// fallback is counted in GlobalRobustness(), so the result never
+  /// scans a missing table.
   ///
   /// Contract: views indexed here are defined over base-table plans
   /// (the store only materializes workload subqueries), so a
@@ -99,10 +82,6 @@ class Rewriter {
                                         MaterializedViewStore* store) const;
 
  private:
-  Result<PlanNodePtr> RewriteNode(const PlanNodePtr& node,
-                                  const MaterializedView& view,
-                                  bool* changed) const;
-
   /// Builds Scan(view backing table) [+ Project] matching `original`'s
   /// output. Returns nullptr (and counts a rewrite fallback) when the
   /// table is gone: looking the table up and building its scan are one

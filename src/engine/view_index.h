@@ -16,9 +16,12 @@ struct MaterializedView;
 /// scanning every selected view per rewrite.
 ///
 /// `Rewriter::RewriteAllIndexed` walks a plan once bottom-up, computes
-/// each node's canonical key once, and probes this index, turning
-/// RewriteAll from O(plan nodes × |views|) canonical-key recomputation
-/// into O(plan nodes) probes. MaterializedViewStore maintains its index
+/// each node's canonical key once, and probes this index: O(plan nodes)
+/// probes instead of the per-view loop's O(plan nodes × |views|)
+/// canonical-key recomputation. An index is exactly the set of views a
+/// rewrite may use: the store's for serving, or a small one a caller
+/// builds for one candidate or one query's assigned views (the ground
+/// truth and Table V). MaterializedViewStore maintains its index
 /// across installs, evictions, drops, and generation swaps (insert on
 /// install, erase on doom), so the index always reflects the live
 /// (non-doomed) view set.

@@ -219,34 +219,6 @@ bool Expr::Equals(const Expr& other) const {
   return true;
 }
 
-ExprPtr Expr::RemapColumns(const std::vector<size_t>& mapping,
-                           const std::vector<std::string>& names) const {
-  if (kind_ == ExprKind::kColumn) {
-    AV_CHECK_LT(column_index_, mapping.size());
-    const size_t target = mapping[column_index_];
-    return Column(target, names[target], column_type_);
-  }
-  if (children_.empty()) return Literal(literal_);
-  std::vector<ExprPtr> kids;
-  kids.reserve(children_.size());
-  for (const auto& c : children_) {
-    kids.push_back(c->RemapColumns(mapping, names));
-  }
-  switch (kind_) {
-    case ExprKind::kCompare:
-      return Compare(compare_op_, kids[0], kids[1]);
-    case ExprKind::kAnd:
-      return And(std::move(kids));
-    case ExprKind::kOr:
-      return Or(std::move(kids));
-    case ExprKind::kNot:
-      return Not(kids[0]);
-    default:
-      AV_CHECK(false);
-      return nullptr;
-  }
-}
-
 std::vector<size_t> ReferencedColumns(const Expr& expr) {
   std::set<size_t> cols;
   std::vector<const Expr*> stack = {&expr};

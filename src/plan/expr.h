@@ -87,11 +87,6 @@ class Expr {
   /// Deep structural equality.
   bool Equals(const Expr& other) const;
 
-  /// Returns an equivalent expression with each column index `i`
-  /// remapped to `mapping[i]` and renamed to `names[mapping[i]]`.
-  ExprPtr RemapColumns(const std::vector<size_t>& mapping,
-                       const std::vector<std::string>& names) const;
-
  private:
   ExprKind kind_ = ExprKind::kLiteral;
   size_t column_index_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "util/logging.h"
@@ -470,20 +469,6 @@ std::vector<std::string> PlanNode::ScannedTables() const {
     if (node->op() == PlanOp::kTableScan) tables.insert(node->table());
   }
   return {tables.begin(), tables.end()};
-}
-
-bool PlansOverlap(const PlanNode& a, const PlanNode& b) {
-  std::unordered_set<uint64_t> hashes_a;
-  std::vector<PlanNodePtr> subtrees_a = a.Subtrees();
-  for (const auto& node : subtrees_a) hashes_a.insert(node->Hash());
-  for (const auto& node : b.Subtrees()) {
-    if (!hashes_a.count(node->Hash())) continue;
-    // Confirm with deep equality to rule out hash collisions.
-    for (const auto& cand : subtrees_a) {
-      if (cand->Hash() == node->Hash() && cand->Equals(*node)) return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace autoview

@@ -207,8 +207,4 @@ class PlanNode {
   mutable std::atomic<uint64_t> cached_hash_{0};
 };
 
-/// Returns true iff the two plans share at least one common subtree —
-/// the paper's Definition 5 of overlapping subqueries.
-bool PlansOverlap(const PlanNode& a, const PlanNode& b);
-
 }  // namespace autoview

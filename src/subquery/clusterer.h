@@ -16,6 +16,8 @@
 
 namespace autoview {
 
+class ThreadPool;
+
 /// \brief A cluster of semantically equivalent subqueries (§III).
 struct SubqueryCluster {
   std::string canonical_key;

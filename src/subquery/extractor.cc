@@ -1,7 +1,5 @@
 #include "subquery/extractor.h"
 
-#include "util/thread_pool.h"
-
 namespace autoview {
 
 std::vector<PlanNodePtr> SubqueryExtractor::Extract(
@@ -23,15 +21,6 @@ std::vector<PlanNodePtr> SubqueryExtractor::Extract(
     out.push_back(i == 0 ? query : node);
     if (positions) positions->push_back(i);
   }
-  return out;
-}
-
-std::vector<std::vector<PlanNodePtr>> SubqueryExtractor::ExtractAll(
-    const std::vector<PlanNodePtr>& queries, ThreadPool* pool) const {
-  std::vector<std::vector<PlanNodePtr>> out(queries.size());
-  ThreadPool& executor = pool ? *pool : DefaultPool();
-  executor.ParallelFor(0, queries.size(),
-                       [&](size_t qi) { out[qi] = Extract(queries[qi]); });
   return out;
 }
 

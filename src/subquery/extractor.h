@@ -6,8 +6,6 @@
 
 namespace autoview {
 
-class ThreadPool;
-
 /// \brief Options for subquery extraction.
 struct ExtractorOptions {
   /// Count the query's own root as a subquery (off in the paper's Fig. 2:
@@ -33,14 +31,6 @@ class SubqueryExtractor {
   /// is set it receives each subquery's index in `query->Subtrees()`.
   std::vector<PlanNodePtr> Extract(
       const PlanNodePtr& query, std::vector<size_t>* positions = nullptr) const;
-
-  /// Extract() over every query, parallelized across `pool`
-  /// (DefaultPool() when null). out[i] == Extract(queries[i]); queries
-  /// are independent plan trees, so per-query extraction runs
-  /// concurrently while the result keeps the sequential layout.
-  std::vector<std::vector<PlanNodePtr>> ExtractAll(
-      const std::vector<PlanNodePtr>& queries,
-      ThreadPool* pool = nullptr) const;
 
   const ExtractorOptions& options() const { return options_; }
 

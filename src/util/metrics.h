@@ -53,9 +53,9 @@ class RobustnessCounters {
   /// best-so-far incumbent.
   void RecordTimeout();
 
-  /// One Rewrite/RewriteAll call that matched a view whose backing table
-  /// was concurrently evicted/dropped and fell back to the base-table
-  /// plan instead of failing the query.
+  /// One rewrite match on a view whose backing table was concurrently
+  /// evicted/dropped: the matched subtree kept its base-table form
+  /// instead of failing the query.
   void RecordRewriteFallback();
 
   struct Snapshot {

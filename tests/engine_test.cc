@@ -253,10 +253,11 @@ TEST_F(EngineTest, MaterializeAndRewritePreservesResults) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
 
   Rewriter rewriter(&db_.catalog());
-  bool changed = false;
-  auto rewritten = rewriter.Rewrite(query, *view.value(), &changed);
+  size_t subs = 0;
+  auto rewritten =
+      rewriter.RewriteAllIndexed(query, store.view_index(), &subs, nullptr);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
-  EXPECT_TRUE(changed);
+  EXPECT_EQ(subs, 1u);
 
   auto after = MustExecute(rewritten.value());
   EXPECT_TRUE(TablesEqualUnordered(original.table, after.table))
@@ -289,10 +290,11 @@ TEST_F(EngineTest, RewriteWithEquivalentButDifferentPlan) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
 
   Rewriter rewriter(&db_.catalog());
-  bool changed = false;
-  auto rewritten = rewriter.Rewrite(query, *view.value(), &changed);
+  size_t subs = 0;
+  auto rewritten =
+      rewriter.RewriteAllIndexed(query, store.view_index(), &subs, nullptr);
   ASSERT_TRUE(rewritten.ok());
-  EXPECT_TRUE(changed);
+  EXPECT_EQ(subs, 1u);
   auto original = MustExecute(query);
   auto after = MustExecute(rewritten.value());
   EXPECT_TRUE(TablesEqualUnordered(original.table, after.table));
@@ -310,8 +312,8 @@ TEST_F(EngineTest, RewriteAllAppliesNonOverlappingViews) {
 
   Rewriter rewriter(&db_.catalog());
   size_t substitutions = 0;
-  auto rewritten =
-      rewriter.RewriteAll(query, {v1.value(), v2.value()}, &substitutions);
+  auto rewritten = rewriter.RewriteAllIndexed(query, store.view_index(),
+                                              &substitutions, nullptr);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_EQ(substitutions, 2u);
   auto original = MustExecute(query);
@@ -328,10 +330,11 @@ TEST_F(EngineTest, RewriteWithUnrelatedViewIsNoOp) {
   auto view = store.Materialize(unrelated, exec);
   ASSERT_TRUE(view.ok());
   Rewriter rewriter(&db_.catalog());
-  bool changed = true;
-  auto rewritten = rewriter.Rewrite(query, *view.value(), &changed);
+  size_t subs = 1;
+  auto rewritten =
+      rewriter.RewriteAllIndexed(query, store.view_index(), &subs, nullptr);
   ASSERT_TRUE(rewritten.ok());
-  EXPECT_FALSE(changed);
+  EXPECT_EQ(subs, 0u);
   // No substitution: the identical plan object flows through.
   EXPECT_TRUE(rewritten.value()->Equals(*query));
 }
@@ -343,17 +346,21 @@ TEST_F(EngineTest, RewriteAfterViewDroppedFallsBackToBaseTables) {
   MaterializedViewStore store(&db_);
   auto view = store.Materialize(s3, exec);
   ASSERT_TRUE(view.ok());
-  MaterializedView copy = *view.value();  // descriptor outlives the drop
+  // An index that still lists the view after the drop: the state a
+  // rewrite sees when the eviction lands between its probe and its scan
+  // build.
+  ViewIndex stale;
+  stale.Insert(*view.value());
   ASSERT_TRUE(store.Drop(view.value()->id).ok());
   Rewriter rewriter(&db_.catalog());
   GlobalRobustness().Reset();
-  bool changed = false;
+  size_t subs = 1;
   // The backing table is gone: the matched subtree keeps its base-table
   // form (no substitution, no dangling scan) and the fallback is
   // counted — the query still answers correctly.
-  auto rewritten = rewriter.Rewrite(query, copy, &changed);
+  auto rewritten = rewriter.RewriteAllIndexed(query, stale, &subs, nullptr);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
-  EXPECT_FALSE(changed);
+  EXPECT_EQ(subs, 0u);
   EXPECT_TRUE(rewritten.value()->Equals(*query));
   EXPECT_EQ(GlobalRobustness().Read().rewrite_fallbacks, 1u);
   auto original = MustExecute(query);
@@ -403,10 +410,11 @@ TEST_F(EngineTest, RewriteRestoresWideSchemaColumnOrder) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
 
   Rewriter rewriter(&db_.catalog());
-  bool changed = false;
-  auto rewritten = rewriter.Rewrite(query, *view.value(), &changed);
+  size_t subs = 0;
+  auto rewritten =
+      rewriter.RewriteAllIndexed(query, store.view_index(), &subs, nullptr);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
-  EXPECT_TRUE(changed);
+  EXPECT_EQ(subs, 1u);
   auto after = MustExecute(rewritten.value());
   ASSERT_EQ(after.table.num_columns(), kCols);
   for (size_t c = 0; c < kCols; ++c) {

@@ -4,7 +4,9 @@
 // bag-equal. This suite pins, for every query of the scaled JOB and WK1
 // presets, the base plan's and the rewritten plan's cpu_units,
 // peak_bytes, output_rows, output_bytes and a digest of the sorted
-// rendered rows. Doubles are compared exactly (hex-float literals).
+// rendered rows. Doubles are compared exactly (hex-float literals). It
+// also digests the paper's Table V path over the scaled JOB preset: the
+// exact ground truth and two ExecuteSolution reports.
 // The generator, clusterer and rewriter feed these plans too, so an
 // intended change there also moves the pins; recapture them only then,
 // never to absorb an executor change.
@@ -12,13 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "core/autoview.h"
 #include "engine/executor.h"
 #include "engine/rewriter.h"
 #include "engine/view_store.h"
 #include "plan/builder.h"
+#include "select/iterview.h"
 #include "subquery/clusterer.h"
 #include "workload/generator.h"
 
@@ -73,7 +78,8 @@ PlanGolden Pin(const ExecResult& result) {
 }
 
 /// Executes every query of `workload` as planned and as rewritten over a
-/// fixed view set; returns one pin pair per query.
+/// fixed view set (through the store's view index, as serving does);
+/// returns one pin pair per query.
 std::vector<QueryGolden> Measure(const GeneratedWorkload& workload) {
   std::vector<QueryGolden> out;
   Database* db = workload.db.get();
@@ -90,15 +96,15 @@ std::vector<QueryGolden> Measure(const GeneratedWorkload& workload) {
   const WorkloadAnalysis analysis = SubqueryClusterer().AnalyzeStreaming(
       plans.size(), [&plans](size_t qi) { return plans[qi]; });
   MaterializedViewStore store(db, ViewStoreOptions{});
-  std::vector<const MaterializedView*> views;
+  size_t num_views = 0;
   for (size_t c : analysis.candidates) {
-    if (views.size() == kMaxViews) break;
+    if (num_views == kMaxViews) break;
     auto view = store.Materialize(analysis.clusters[c].candidate, executor);
     EXPECT_TRUE(view.ok()) << view.status().ToString();
     if (!view.ok()) return out;
-    views.push_back(view.value());
+    ++num_views;
   }
-  EXPECT_FALSE(views.empty());
+  EXPECT_GT(num_views, 0u);
 
   Rewriter rewriter(&db->catalog());
   size_t rewritten_queries = 0;
@@ -106,7 +112,8 @@ std::vector<QueryGolden> Measure(const GeneratedWorkload& workload) {
     auto base = executor.Execute(*plan);
     EXPECT_TRUE(base.ok()) << base.status().ToString();
     size_t substitutions = 0;
-    auto rewritten_plan = rewriter.RewriteAll(plan, views, &substitutions);
+    auto rewritten_plan = rewriter.RewriteAllIndexed(
+        plan, store.view_index(), &substitutions, nullptr);
     EXPECT_TRUE(rewritten_plan.ok());
     if (!base.ok() || !rewritten_plan.ok()) return out;
     rewritten_queries += substitutions > 0;
@@ -480,6 +487,108 @@ TEST(ExecutorGoldenTest, ScaledJobCostsAndRowsArePinned) {
 
 TEST(ExecutorGoldenTest, ScaledWk1CostsAndRowsArePinned) {
   ExpectGolden(kWk1Golden, Measure(ScaledWk1()));
+}
+
+/// FNV-1a over a sequence of 64-bit words, doubles by bit pattern, so
+/// one constant pins a long run of exact values.
+class WordDigest {
+ public:
+  void Add(uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h_ = (h_ ^ ((word >> (8 * b)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void AddDouble(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    Add(bits);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+uint64_t ReportDigest(const EndToEndReport& report) {
+  WordDigest d;
+  d.Add(report.num_queries);
+  d.AddDouble(report.raw_cost);
+  d.AddDouble(report.raw_latency_min);
+  d.Add(report.num_views);
+  d.AddDouble(report.view_overhead);
+  d.Add(report.num_rewritten);
+  d.AddDouble(report.benefit);
+  d.AddDouble(report.rewritten_latency_min);
+  return d.value();
+}
+
+// The Table V path over the scaled JOB preset: exact ground truth (each
+// applicable (query, view) pair rewritten with that one view and
+// executed) and ExecuteSolution, which rewrites each query with all of
+// its assigned views. The second solution assigns every applicable
+// candidate to every row, so overlapping views are assigned together
+// and the earlier view (in id order) hides the later one.
+TEST(ExecutorGoldenTest, ScaledJobGroundTruthAndTableVArePinned) {
+  GeneratedWorkload workload = ScaledJob();
+  AutoViewSystem system(workload.db.get(), AutoViewOptions{});
+  ASSERT_TRUE(system.LoadWorkload(workload.sql).ok());
+  ASSERT_TRUE(system.BuildGroundTruth().ok());
+
+  const auto& dataset = system.cost_dataset();
+  const auto& pairs = system.cost_dataset_pairs();
+  ASSERT_EQ(dataset.size(), pairs.size());
+  WordDigest dataset_digest;
+  for (size_t n = 0; n < dataset.size(); ++n) {
+    dataset_digest.Add(pairs[n].first);
+    dataset_digest.Add(pairs[n].second);
+    dataset_digest.AddDouble(dataset[n].target);
+  }
+  const MvsProblem& problem = system.problem();
+  WordDigest benefit_digest;
+  for (const auto& row : problem.benefit) {
+    benefit_digest.Add(row.size());
+    for (double b : row) benefit_digest.AddDouble(b);
+  }
+
+  IterViewSelector iterview = IterViewSelector::IterView(100, 42);
+  auto selected = iterview.Select(problem);
+  ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+  auto selected_report = system.ExecuteSolution(selected.value());
+  ASSERT_TRUE(selected_report.ok()) << selected_report.status().ToString();
+
+  const size_t nz = system.candidates().size();
+  const auto& associated = system.analysis().associated_queries;
+  MvsSolution everything;
+  everything.z.assign(nz, true);
+  everything.y.assign(associated.size(), std::vector<bool>(nz, false));
+  size_t overlapping_assignments = 0;
+  for (size_t row = 0; row < associated.size(); ++row) {
+    for (size_t j = 0; j < nz; ++j) {
+      const auto& members =
+          system.analysis()
+              .clusters[system.candidates()[j].cluster_index]
+              .query_indices;
+      everything.y[row][j] = std::binary_search(
+          members.begin(), members.end(), associated[row]);
+      if (!everything.y[row][j]) continue;
+      for (size_t k = 0; k < j; ++k) {
+        overlapping_assignments +=
+            everything.y[row][k] && problem.overlap[j][k];
+      }
+    }
+  }
+  EXPECT_GT(overlapping_assignments, 0u);
+  auto everything_report = system.ExecuteSolution(everything);
+  ASSERT_TRUE(everything_report.ok())
+      << everything_report.status().ToString();
+
+  EXPECT_EQ(dataset.size(), 216u);
+  EXPECT_EQ(dataset_digest.value(), 0xdd9f0f7c8a670de9ULL);
+  EXPECT_EQ(benefit_digest.value(), 0x441c80f9d9fd5b72ULL);
+  EXPECT_EQ(selected_report.value().num_rewritten, 80u);
+  EXPECT_EQ(ReportDigest(selected_report.value()), 0xf501b6cf40b4d05dULL);
+  EXPECT_EQ(everything_report.value().num_rewritten, 80u);
+  EXPECT_EQ(ReportDigest(everything_report.value()), 0x18262df30c4ee0a3ULL);
 }
 
 }  // namespace

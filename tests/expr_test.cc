@@ -83,19 +83,6 @@ TEST(ExprTest, HashAndEquality) {
   EXPECT_FALSE(a->Equals(*c));
 }
 
-TEST(ExprTest, RemapColumns) {
-  auto pred = Expr::Compare(CompareOp::kEq,
-                            Expr::Column(0, "old_a", ColumnType::kInt64),
-                            Expr::Column(1, "old_b", ColumnType::kInt64));
-  std::vector<size_t> mapping = {2, 0};
-  std::vector<std::string> names = {"n0", "n1", "n2"};
-  auto remapped = pred->RemapColumns(mapping, names);
-  EXPECT_EQ(remapped->children()[0]->column_index(), 2u);
-  EXPECT_EQ(remapped->children()[0]->column_name(), "n2");
-  EXPECT_EQ(remapped->children()[1]->column_index(), 0u);
-  EXPECT_EQ(remapped->children()[1]->column_name(), "n0");
-}
-
 TEST(ExprTest, ReferencedColumnsDedupedSorted) {
   auto pred = Expr::And(
       {Expr::Compare(CompareOp::kEq, Expr::Column(3, "c", ColumnType::kInt64),

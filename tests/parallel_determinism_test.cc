@@ -135,35 +135,6 @@ TEST_P(ClustererDeterminismP, AnalysisIndependentOfThreadCount) {
   }
 }
 
-TEST_P(ClustererDeterminismP, ExtractAllMatchesPerQueryExtract) {
-  CloudWorkloadSpec spec;
-  spec.projects = 2;
-  spec.queries = 15;
-  spec.min_rows = 60;
-  spec.max_rows = 100;
-  spec.subquery_pool = 6;
-  spec.seed = GetParam();
-  GeneratedWorkload wk = GenerateCloudWorkload(spec);
-  PlanBuilder builder(&wk.db->catalog());
-  std::vector<PlanNodePtr> queries;
-  for (const auto& sql : wk.sql) {
-    auto plan = builder.BuildFromSql(sql);
-    ASSERT_TRUE(plan.ok());
-    queries.push_back(plan.value());
-  }
-  SubqueryExtractor extractor;
-  ThreadPool pool(4);
-  const auto all = extractor.ExtractAll(queries, &pool);
-  ASSERT_EQ(all.size(), queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const auto expected = extractor.Extract(queries[qi]);
-    ASSERT_EQ(all[qi].size(), expected.size()) << "query " << qi;
-    for (size_t s = 0; s < expected.size(); ++s) {
-      EXPECT_TRUE(all[qi][s]->Equals(*expected[s]));
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, ClustererDeterminismP,
                          ::testing::Values(41, 42, 43));
 

@@ -10,6 +10,7 @@
 #include "plan/builder.h"
 #include "plan/canonical.h"
 #include "plan/plan.h"
+#include "subquery/clusterer.h"
 #include "workload/generator.h"
 
 namespace autoview {
@@ -194,10 +195,10 @@ TEST_F(PlanTest, OverlapMatchesPaperExample) {
   auto s3 = q->child(0);
   auto s1 = s3->child(0);
   auto s2 = s3->child(1);
-  EXPECT_TRUE(PlansOverlap(*s3, *s1));
-  EXPECT_TRUE(PlansOverlap(*s3, *s2));
-  EXPECT_FALSE(PlansOverlap(*s1, *s2));
-  EXPECT_TRUE(PlansOverlap(*q, *s3));
+  EXPECT_TRUE(CanonicalPlansOverlap(*s3, *s1));
+  EXPECT_TRUE(CanonicalPlansOverlap(*s3, *s2));
+  EXPECT_FALSE(CanonicalPlansOverlap(*s1, *s2));
+  EXPECT_TRUE(CanonicalPlansOverlap(*q, *s3));
 }
 
 TEST_F(PlanTest, CanonicalIgnoresConjunctOrder) {

@@ -16,6 +16,7 @@
 #include "nn/modules.h"
 #include "plan/builder.h"
 #include "plan/canonical.h"
+#include "rewrite_oracle.h"
 #include "select/iterview.h"
 #include "select/rlview.h"
 #include "sql/parser.h"
@@ -151,10 +152,14 @@ TEST_P(EngineInvariantsP, MaterializeRewriteRoundTrip) {
     if (subs.empty()) continue;
     auto view = store.Materialize(subs[0], exec);
     if (!view.ok()) continue;  // already materialized for an earlier query
-    bool changed = false;
-    auto rewritten = rewriter.Rewrite(plan.value(), *view.value(), &changed);
+    // Round-trip this view alone, as the ground truth prices a pair.
+    ViewIndex single(1);
+    single.Insert(*view.value());
+    size_t substitutions = 0;
+    auto rewritten = rewriter.RewriteAllIndexed(plan.value(), single,
+                                                &substitutions, nullptr);
     ASSERT_TRUE(rewritten.ok());
-    ASSERT_TRUE(changed);
+    ASSERT_EQ(substitutions, 1u);
     auto before = exec.Execute(*plan.value());
     auto after = exec.Execute(*rewritten.value());
     ASSERT_TRUE(before.ok() && after.ok());
@@ -765,9 +770,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OperatorSemanticsP,
 // Random SQL through rewrite: random WHERE clauses over the generated star
 // schema, in derived tables that repeat across queries (so views match)
 // and in the outer queries. Each query is planned, rewritten under random
-// subsets of the materialized views (RewriteAllIndexed over a ViewIndex
-// of the subset, the serving path) and executed; every rewrite must
-// return the base plan's rows.
+// subsets of the materialized views and under each view alone
+// (RewriteAllIndexed over a ViewIndex of the subset, the one rewrite
+// path) and executed; every rewrite must equal the sequential oracle of
+// rewrite_oracle.h over the same subset, plan and substitution count,
+// and return the base plan's rows.
 // ---------------------------------------------------------------------------
 
 struct SqlColumn {
@@ -902,15 +909,30 @@ TEST_P(RandomSqlRewriteP, RewritesUnderViewSubsetsKeepResults) {
   for (size_t q = 0; q < plans.size(); ++q) {
     auto base = exec.Execute(*plans[q]);
     ASSERT_TRUE(base.ok()) << queries[q];
-    for (int subset = 0; subset < 2; ++subset) {
-      ViewIndex index;
-      for (const MaterializedView* view : views) {  // ascending id
-        if (rng.Bernoulli(0.5)) index.Insert(*view);
+    // Two random view subsets, then every view alone (the ground
+    // truth's shape). Each keeps `views`' ascending id order.
+    std::vector<std::vector<const MaterializedView*>> subsets(2);
+    for (auto& subset : subsets) {
+      for (const MaterializedView* view : views) {
+        if (rng.Bernoulli(0.5)) subset.push_back(view);
       }
+    }
+    for (const MaterializedView* view : views) subsets.push_back({view});
+    for (const auto& subset : subsets) {
+      ViewIndex index;
+      for (const MaterializedView* view : subset) index.Insert(*view);
       size_t n = 0;
       auto rewritten = rewriter.RewriteAllIndexed(plans[q], index, &n, nullptr);
       ASSERT_TRUE(rewritten.ok()) << queries[q];
+      size_t oracle_n = 0;
+      auto oracle = testing::OracleRewriteAll(wk.db->catalog(), plans[q],
+                                              subset, &oracle_n);
+      ASSERT_TRUE(oracle.ok()) << queries[q];
+      EXPECT_EQ(oracle.value()->ToString(), rewritten.value()->ToString())
+          << queries[q];
+      EXPECT_EQ(oracle_n, n) << queries[q];
       substitutions += n;
+      if (n == 0) continue;  // the base plan itself
       auto got = exec.Execute(*rewritten.value());
       ASSERT_TRUE(got.ok()) << queries[q];
       EXPECT_TRUE(TablesEqualUnordered(base.value().table, got.value().table))

@@ -1,5 +1,6 @@
 // Serving fast path: the indexed single-walk rewrite must be
-// EXPECT_EQ-identical to the sequential per-view oracle across
+// EXPECT_EQ-identical to the sequential per-view oracle
+// (rewrite_oracle.h) across
 // seeds x view counts x generations (including nested and
 // duplicate-subtree matches), the generation-keyed rewrite cache must
 // hit/miss/invalidate exactly per its contract (including self-healing
@@ -22,6 +23,7 @@
 #include "engine/view_store.h"
 #include "plan/builder.h"
 #include "plan/canonical.h"
+#include "rewrite_oracle.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
 #include "util/random.h"
@@ -124,7 +126,8 @@ class RewriteFastPathTest : public ::testing::Test {
                                   const PlanNodePtr& query) {
     ViewSetSnapshot pinned = store->PinLive();
     size_t seq_subs = 0;
-    auto seq = rewriter.RewriteAll(query, pinned.views(), &seq_subs);
+    auto seq = testing::OracleRewriteAll(db_.catalog(), query, pinned.views(),
+                                         &seq_subs);
     ASSERT_TRUE(seq.ok()) << seq.status().ToString();
 
     size_t idx_subs = 0;

@@ -159,10 +159,11 @@ TEST_F(SortLimitTest, RewritePreservesLimitedResults) {
   auto view = store.Materialize(view_plan, exec);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   Rewriter rewriter(&db_.catalog());
-  bool changed = false;
-  auto rewritten = rewriter.Rewrite(query, *view.value(), &changed);
+  size_t subs = 0;
+  auto rewritten =
+      rewriter.RewriteAllIndexed(query, store.view_index(), &subs, nullptr);
   ASSERT_TRUE(rewritten.ok());
-  EXPECT_TRUE(changed);
+  EXPECT_EQ(subs, 1u);
 
   auto before = MustExecute(query);
   auto after = MustExecute(rewritten.value());

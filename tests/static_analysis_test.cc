@@ -279,19 +279,14 @@ TEST(StaticAnalysisRuntime, ViewStoreEvictionRecoveryHammer) {
           break;
         }
         case 1: {
-          // Pin, serve every pinned view through the rewriter (a
-          // concurrently evicted view must degrade to the base plan,
-          // never fail), release.
-          ViewSetSnapshot snapshot = store.PinLive();
-          for (const MaterializedView* view : snapshot.views()) {
-            bool changed = false;
-            auto rewritten = rewriter.Rewrite(plans[j], *view, &changed);
-            ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
-            auto result = exec.Execute(*rewritten.value());
-            ASSERT_TRUE(result.ok()) << result.status().ToString();
-            served.fetch_add(1, std::memory_order_relaxed);
-          }
-          snapshot.Release();
+          // Serve through the production path: a concurrently evicted
+          // view must degrade to the base plan, never fail, and the
+          // returned pins keep every scanned view alive through execute.
+          auto serving = rewriter.RewriteServing(plans[j], &store);
+          ASSERT_TRUE(serving.ok()) << serving.status().ToString();
+          auto result = exec.Execute(*serving.value().plan);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          served.fetch_add(1, std::memory_order_relaxed);
           break;
         }
         case 2: {
